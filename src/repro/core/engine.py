@@ -44,10 +44,11 @@ in :meth:`FMEngine._best_prefix` exact (the seed engine compared
 float-accumulated cuts for equality — correct only because, and as long
 as, all intermediate values stayed exactly representable).
 
-Scratch is cached per ``(hypergraph identity, weight fingerprint,
-insertion order)``; mutating a hypergraph's weights between refines
-therefore rebuilds the invariants instead of silently reusing stale
-gains (see :meth:`repro.hypergraph.hypergraph.Hypergraph.weight_fingerprint`).
+Scratch is cached per ``(hypergraph identity, insertion order)``:
+hypergraphs are immutable, so identity alone keys every per-hypergraph
+invariant.  The compiled-backend path needs no scratch at all — it reads
+the hypergraph's read-only int64 CSR and its cached integer weights and
+gain bound directly.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.balance import BalanceConstraint
 from repro.core.config import BestChoice, FMConfig, TieBias, UpdatePolicy
 from repro.core.gain_bucket import (
@@ -64,13 +67,12 @@ from repro.core.gain_bucket import (
     IllegalHeadPolicy,
     InsertionOrder,
 )
-from repro.core.partition import Partition2
+from repro.core.partition import (
+    Partition2,
+    int_net_weight_list,
+    ledger_weights,
+)
 from repro.core.perf import PerfCounters
-
-try:  # vectorized gain seeding (optional dependency)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 #: Below this vertex count the Python seeding loop beats the numpy
 #: round-trip (array conversions dominate); measured crossover ~150.
@@ -114,14 +116,15 @@ class FMResult:
 
 
 class _PassScratch:
-    """Preallocated per-hypergraph kernel state (reused across passes).
+    """Preallocated per-hypergraph state of the interpreted pass loop.
 
-    Everything whose size depends only on the hypergraph lives here:
-    integer net weights for gain arithmetic, the partition-ledger net
-    weights (identical in the integral regime; the float originals
-    otherwise), vertex weights, the gain bound, the two gain-bucket
-    structures, and flat int/float arrays backing the per-pass logs
-    (a vertex moves at most once per pass, so length ``n`` suffices).
+    The weight views it reads are the hypergraph's shared lists: integer
+    net weights for gain arithmetic, the partition-ledger net weights
+    (identical in the integral regime; the float originals otherwise)
+    and vertex weights, plus the cached gain bound.  What it owns is the
+    two gain-bucket structures and flat arrays backing the per-pass logs
+    and the rollback snapshot (a vertex moves at most once per pass, so
+    length ``n`` suffices).
     """
 
     __slots__ = (
@@ -140,40 +143,19 @@ class _PassScratch:
         "snap_pins0",
         "snap_pins1",
         "snap_break_even",
-        "np_owner",
-        "np_vtx_nets",
-        "np_net_w",
-        "kflat",
     )
 
-    def __init__(self, partition: Partition2, order, rng) -> None:
-        hg = partition.hypergraph
+    def __init__(self, hg, order, rng) -> None:
         n = hg.num_vertices
         m = hg.num_nets
-        _, _, vtx_ptr, vtx_nets = hg.raw_csr
-        net_w = []
-        for e in hg.nets():
-            w = hg.net_weight(e)
-            iw = int(round(w))
-            if abs(w - iw) > 1e-9:
-                raise ValueError(
-                    "FM gain buckets require integral net weights; "
-                    f"net {e} has weight {w}"
-                )
-            net_w.append(iw)
-        self.net_w = net_w
-        # The partition's own ledger weights (exact ints when integral);
-        # cut accounting must mirror Partition2.move exactly.
-        self.ledger_w = partition._net_weights
-        self.vwt = [hg.vertex_weight(v) for v in range(n)]
+        # Raises unless every net weight is (near-)integral.
+        self.net_w = hg.cached(int_net_weight_list)
+        # Cut accounting must mirror Partition2.move exactly.
+        self.ledger_w = ledger_weights(hg)
+        self.vwt = hg.vertex_weight_list
         # Gain bound: twice the max weighted degree covers both actual
         # gains (plain FM) and cumulative delta gains (CLIP).
-        max_wdeg = 0
-        for v in range(n):
-            d = sum(net_w[vtx_nets[i]] for i in range(vtx_ptr[v], vtx_ptr[v + 1]))
-            if d > max_wdeg:
-                max_wdeg = d
-        self.max_abs = 2 * max_wdeg + 1
+        self.max_abs = 2 * hg.max_weighted_degree + 1
         self.buckets = (
             GainBuckets(n, self.max_abs, order, rng),
             GainBuckets(n, self.max_abs, order, rng),
@@ -188,7 +170,7 @@ class _PassScratch:
         # updates relative to reverse rollback, so the fast path is only
         # exact — hence only taken — when vertex weights are integral
         # (net weights already are, enforced above).
-        self.vw_integral = all(w == int(w) for w in self.vwt)
+        self.vw_integral = hg.integral_vertex_weights
         self.snap_assign = [0] * n
         self.snap_pins0 = [0] * m
         self.snap_pins1 = [0] * m
@@ -198,43 +180,13 @@ class _PassScratch:
         # is a Python call that walks the vertex's nets, so the copies
         # amortize over roughly (2n + 4m)/128 moves.
         self.snap_break_even = 1 + (2 * n + 4 * m) // 128
-        # Vectorized-seeding statics, built lazily on first use so the
-        # compat (pre-vectorization) engine mode never pays for them.
-        self.np_owner = None
-        self.np_vtx_nets = None
-        self.np_net_w = None
-        # Flat int64 mirrors for the compiled-backend pass kernel,
-        # built lazily on first kernel refine (numpy-backend runs and
-        # non-integral regimes never pay for them).
-        self.kflat = None
 
-    def ensure_kflat(self, hg) -> None:
-        """Build the immutable flat arrays the backend kernels consume.
 
-        Only called in the integral regime (``vw_integral`` and an
-        integral cut ledger), so the int64 casts are exact.
-        """
-        if self.kflat is not None:
-            return
-        net_ptr, net_pins, vtx_ptr, vtx_nets = hg.raw_csr
-        self.kflat = (
-            _np.array(net_ptr, dtype=_np.int64),
-            _np.array(net_pins, dtype=_np.int64),
-            _np.array(vtx_ptr, dtype=_np.int64),
-            _np.array(vtx_nets, dtype=_np.int64),
-            _np.array(self.net_w, dtype=_np.int64),
-            _np.array([int(w) for w in self.vwt], dtype=_np.int64),
-        )
-
-    def ensure_np(self, hg) -> None:
-        """Build the numpy incidence/weight arrays for gain seeding."""
-        _, _, vtx_ptr, vtx_nets = hg.raw_csr
-        ptr = _np.array(vtx_ptr, dtype=_np.int64)
-        self.np_vtx_nets = _np.array(vtx_nets, dtype=_np.int64)
-        self.np_owner = _np.repeat(
-            _np.arange(hg.num_vertices, dtype=_np.int64), _np.diff(ptr)
-        )
-        self.np_net_w = _np.array(self.net_w, dtype=_np.int64)
+def _int_vertex_weights(hg) -> np.ndarray:
+    """Vertex weights as int64 (only used in the integral regime)."""
+    out = hg.vertex_weight_array.astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 class FMEngine:
@@ -273,7 +225,7 @@ class FMEngine:
         array round-trip.  Gains are exact integers either way, so the
         results are bit-identical; the flag (like ``snapshot_rollback``)
         exists so the benchmark baseline can run the faithful
-        pre-vectorization code path.  Ignored when numpy is missing.
+        pre-vectorization code path.
     """
 
     #: Scratch entries kept per engine before the cache is reset.  A
@@ -298,7 +250,7 @@ class FMEngine:
         self.rng = rng if rng is not None else random.Random(0)
         self.record_moves = record_moves
         self.snapshot_rollback = snapshot_rollback
-        self.vector_seed = vector_seed and _np is not None
+        self.vector_seed = vector_seed
         # Kernel backend: the explicit argument wins over
         # ``config.backend``, which wins over the process default /
         # REPRO_BACKEND (resolved lazily on first refine so import
@@ -311,20 +263,17 @@ class FMEngine:
         self._backend_note = ""
         self._kernels = None
         self._kernels_resolved = (False, -1)
-        # Scratch cache: per-hypergraph invariants plus preallocated
-        # kernel arrays, keyed on (hypergraph identity, insertion order)
-        # AND validated against a weight fingerprint so out-of-band
-        # weight mutation cannot leave stale gains behind.  A dict (not
-        # a single slot) so one engine serving a whole multilevel
-        # hierarchy — or a pooled multistart run — keeps scratch for
-        # every level instead of thrashing on each uncoarsening step.
-        # Entries hold a strong hypergraph reference: identity keys stay
-        # valid because a cached hypergraph cannot be collected and its
-        # id() reused while the entry lives.
+        # Scratch cache for the interpreted loop, keyed on (hypergraph
+        # identity, insertion order) — hypergraphs are immutable, so
+        # identity is the whole key.  A dict (not a single slot) so one
+        # engine serving a whole multilevel hierarchy — or a pooled
+        # multistart run — keeps scratch for every level instead of
+        # thrashing on each uncoarsening step.  Entries hold a strong
+        # hypergraph reference, so an id() cannot be reused while its
+        # entry lives.
         self._scratch_cache: dict = {}
         self._scratch: Optional[_PassScratch] = None
         self._scratch_for = None
-        self._scratch_fingerprint = None
         self._scratch_order = None
 
     # ------------------------------------------------------------------
@@ -334,11 +283,10 @@ class FMEngine:
         """
         cfg = self.config
         start = time.perf_counter()
-        self._ensure_scratch(partition)
         ks = self._resolve_kernels()
         if (
             ks is not None
-            and self._scratch.vw_integral
+            and partition.hypergraph.integral_vertex_weights
             and partition.integral_nets
         ):
             result = self._refine_kernel(partition, ks, start)
@@ -347,6 +295,7 @@ class FMEngine:
             # Kernel declined mid-run (gain-bound guard): the pass
             # restored its entry state, so the interpreted loop below
             # resumes exactly there and raises the engine's error.
+        self._ensure_scratch(partition)
         perf = PerfCounters()
         perf.backend = "numpy"  # interpreted pass loop below
         initial_cut = partition.cut
@@ -381,27 +330,24 @@ class FMEngine:
     def _ensure_scratch(self, partition: Partition2) -> None:
         """(Re)build the kernel scratch unless a cached one is valid."""
         hg = partition.hypergraph
-        fp = hg.weight_fingerprint()
         order = self.config.insertion_order
         if (
             self._scratch is not None
             and self._scratch_for is hg
-            and self._scratch_fingerprint == fp
             and self._scratch_order is order
         ):
             return
         key = (id(hg), order)
         entry = self._scratch_cache.get(key)
-        if entry is not None and entry[0] is hg and entry[1] == fp:
-            sc = entry[2]
+        if entry is not None and entry[0] is hg:
+            sc = entry[1]
         else:
-            sc = _PassScratch(partition, order, self.rng)
+            sc = _PassScratch(hg, order, self.rng)
             if len(self._scratch_cache) >= self._SCRATCH_CACHE_LIMIT:
                 self._scratch_cache.clear()
-            self._scratch_cache[key] = (hg, fp, sc)
+            self._scratch_cache[key] = (hg, sc)
         self._scratch = sc
         self._scratch_for = hg
-        self._scratch_fingerprint = fp
         self._scratch_order = order
 
     # ------------------------------------------------------------------
@@ -443,25 +389,23 @@ class FMEngine:
         """
         cfg = self.config
         bal = self.balance
-        sc = self._scratch
-        sc.ensure_kflat(partition.hypergraph)
-        (k_net_ptr, k_net_pins, k_vtx_ptr, k_vtx_nets,
-         k_net_w, k_vwt) = sc.kflat
-        n = partition.hypergraph.num_vertices
+        hg = partition.hypergraph
+        k_net_ptr, k_net_pins, k_vtx_ptr, k_vtx_nets = hg.csr
+        k_net_w = hg.int_net_weights()
+        k_vwt = hg.cached(_int_vertex_weights)
+        max_abs = 2 * hg.max_weighted_degree + 1
+        n = hg.num_vertices
 
-        assign = _np.array(partition.assignment, dtype=_np.int64)
-        fixed = _np.fromiter(
-            (1 if f else 0 for f in partition.fixed),
-            dtype=_np.int64, count=n,
-        )
+        assign = np.array(partition.assignment, dtype=np.int64)
+        fixed = np.array(partition.fixed, dtype=bool).astype(np.int64)
         pins0_l, pins1_l = partition.pins_in_part
-        pins0 = _np.array(pins0_l, dtype=_np.int64)
-        pins1 = _np.array(pins1_l, dtype=_np.int64)
+        pins0 = np.array(pins0_l, dtype=np.int64)
+        pins1 = np.array(pins1_l, dtype=np.int64)
         pw_l = partition.part_weights
-        pw = _np.array([int(pw_l[0]), int(pw_l[1])], dtype=_np.int64)
-        cut_io = _np.array([int(partition.cut)], dtype=_np.int64)
-        move_log = _np.zeros(n, dtype=_np.int64)
-        out = _np.zeros(8, dtype=_np.int64)
+        pw = np.array([int(pw_l[0]), int(pw_l[1])], dtype=np.int64)
+        cut_io = np.array([int(partition.cut)], dtype=np.int64)
+        move_log = np.zeros(n, dtype=np.int64)
+        out = np.zeros(8, dtype=np.int64)
 
         clip = 1 if cfg.clip else 0
         update_all = 1 if cfg.update_policy is UpdatePolicy.ALL else 0
@@ -483,12 +427,12 @@ class FMEngine:
             # Hand the kernel the live CPython MT19937 state; it
             # consumes exactly the draws the interpreted pass would.
             st = self.rng.getstate()
-            mt = _np.array(st[1][:624], dtype=_np.int64)
-            mti_io = _np.array([st[1][624]], dtype=_np.int64)
+            mt = np.array(st[1][:624], dtype=np.int64)
+            mti_io = np.array([st[1][624]], dtype=np.int64)
         else:
             st = None
-            mt = _np.zeros(624, dtype=_np.int64)
-            mti_io = _np.zeros(1, dtype=_np.int64)
+            mt = np.zeros(624, dtype=np.int64)
+            mti_io = np.zeros(1, dtype=np.int64)
 
         perf = PerfCounters()
         perf.backend = self._backend_name
@@ -514,7 +458,7 @@ class FMEngine:
                 assign, fixed, pins0, pins1, pw, cut_io,
                 lo, hi, slack, initial_legal, initial_distance,
                 clip, update_all, tie, order_code, best, illegal,
-                guard, sc.max_abs,
+                guard, max_abs,
                 mt, mti_io, move_log, out,
             )
             if out[7] != 0:
@@ -673,20 +617,20 @@ class FMEngine:
             # integral float regime, where ledger and scratch weights
             # can differ, on the exact loop).  Per-net contributions for
             # a vertex on side 0 and side 1 are computed once, scattered
-            # to pins, and summed per owning vertex.
-            if sc.np_owner is None:
-                sc.ensure_np(hg)
-            w_np = sc.np_net_w
-            a_np = _np.array(assign, dtype=_np.int64)
-            p0_np = _np.array(pins0, dtype=_np.int64)
-            p1_np = _np.array(pins1, dtype=_np.int64)
+            # to pins, and summed per owning vertex by prefix sums.
+            w_np = hg.int_net_weights()
+            a_np = np.array(assign, dtype=np.int64)
+            p0_np = np.array(pins0, dtype=np.int64)
+            p1_np = np.array(pins1, dtype=np.int64)
             g0 = w_np * (p0_np == 1) - w_np * (p1_np == 0)
             g1 = w_np * (p1_np == 1) - w_np * (p0_np == 0)
-            vn = sc.np_vtx_nets
-            own = sc.np_owner
-            s0 = _np.bincount(own, weights=g0[vn], minlength=n)
-            s1 = _np.bincount(own, weights=g1[vn], minlength=n)
-            g_list = _np.where(a_np == 0, s0, s1).astype(_np.int64).tolist()
+            _, _, vp, vn = hg.csr
+            pre = np.zeros(vn.shape[0] + 1, dtype=np.int64)
+            np.cumsum(g0[vn], out=pre[1:])
+            s0 = pre[vp[1:]] - pre[vp[:-1]]
+            np.cumsum(g1[vn], out=pre[1:])
+            s1 = pre[vp[1:]] - pre[vp[:-1]]
+            g_list = np.where(a_np == 0, s0, s1).tolist()
             for v in range(n):
                 if fixed[v]:
                     continue

@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence
 # ``repro.core.kway`` (recursive bisection needs it for its legality
 # stamp); re-exported here for backward compatibility.
 from repro.core.kway import KWayBalance, KWayResult
+from repro.core.partition import ledger_weights
 from repro.hypergraph.hypergraph import Hypergraph
 
 
@@ -74,15 +75,10 @@ class PartitionK:
             self._vtx_ptr,
             self._vtx_nets,
         ) = hypergraph.raw_csr
-        raw_w = [hypergraph.net_weight(e) for e in hypergraph.nets()]
-        self.integral_nets: bool = all(w.is_integer() for w in raw_w)
-        if self.integral_nets:
-            self._net_weights: List[float] = [int(w) for w in raw_w]
-        else:
-            self._net_weights = raw_w
-        self._vertex_weights = [
-            hypergraph.vertex_weight(v) for v in range(n)
-        ]
+        # Shared per-hypergraph views (read-only here).
+        self.integral_nets: bool = hypergraph.integral_net_weights
+        self._net_weights: List[float] = ledger_weights(hypergraph)
+        self._vertex_weights = hypergraph.vertex_weight_list
 
         self.part_weights = [0.0] * k
         for v in range(n):

@@ -29,81 +29,41 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.balance import BalanceConstraint
 from repro.hypergraph.hypergraph import Hypergraph
 
-try:  # vectorized construction fast path (optional dependency)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+
+def int_net_weight_list(hg: Hypergraph) -> List[int]:
+    """Net weights rounded to ``int`` (a shared list when fetched
+    through ``hg.cached(int_net_weight_list)``)."""
+    return hg.int_net_weights().tolist()
 
 
-class _FastStatics:
-    """Per-hypergraph invariants for :meth:`Partition2.fast`.
-
-    Everything ``Partition2.__init__`` derives from the hypergraph alone
-    — shared (read-only) weight lists, the integral-regime flag, and the
-    numpy incidence/weight arrays driving the vectorized pin-count and
-    cut construction.  One instance serves every partition of the same
-    hypergraph.
-    """
-
-    __slots__ = (
-        "net_w",
-        "vw",
-        "net_pins_np",
-        "net_of_pin",
-        "net_size_np",
-        "net_w_np",
-        "vw_np",
-        "total_w",
-    )
-
-    def __init__(self, hg: Hypergraph) -> None:
-        m = hg.num_nets
-        raw_w = [hg.net_weight(e) for e in hg.nets()]
-        vw = [hg.vertex_weight(v) for v in hg.vertices()]
-        if not all(w.is_integer() for w in raw_w):
-            raise ValueError("non-integral net weights")
-        if not all(w == int(w) for w in vw):
-            raise ValueError("non-integral vertex weights")
-        self.net_w: List[int] = [int(w) for w in raw_w]
-        self.vw: List[float] = vw
-        net_ptr, net_pins, _, _ = hg.raw_csr
-        ptr = _np.array(net_ptr, dtype=_np.int64)
-        self.net_pins_np = _np.array(net_pins, dtype=_np.int64)
-        self.net_size_np = _np.diff(ptr)
-        self.net_of_pin = _np.repeat(
-            _np.arange(m, dtype=_np.int64), self.net_size_np
-        )
-        self.net_w_np = _np.array(self.net_w, dtype=_np.int64)
-        self.vw_np = _np.array(vw, dtype=_np.float64)
-        self.total_w = float(self.vw_np.sum())
+def ledger_weights(hypergraph: Hypergraph) -> list:
+    """Net weights as the cut ledger holds them: exact ``int`` values
+    when every weight is integral, the floats otherwise.  Shared per
+    hypergraph; callers must not mutate the list."""
+    if hypergraph.integral_net_weights:
+        return hypergraph.cached(int_net_weight_list)
+    return hypergraph.net_weight_list
 
 
-#: id(hypergraph) -> (hypergraph, weight fingerprint, statics-or-None).
-#: Strong hypergraph references keep identity keys valid; the
-#: fingerprint invalidates entries on out-of-band weight mutation, and
-#: ``None`` caches "this hypergraph is not eligible" (non-integral
-#: weights) so the check is not repeated.
-_FAST_CACHE: dict = {}
-_FAST_CACHE_LIMIT = 64
-
-
-def _fast_statics(hg: Hypergraph) -> Optional[_FastStatics]:
-    key = id(hg)
-    fp = hg.weight_fingerprint()
-    entry = _FAST_CACHE.get(key)
-    if entry is not None and entry[0] is hg and entry[1] == fp:
-        return entry[2]
+def _checked_sides(assignment: Sequence[int]) -> np.ndarray:
+    """``assignment`` as int64, after checking every entry is 0 or 1."""
+    raw = np.asarray(assignment)
     try:
-        statics: Optional[_FastStatics] = _FastStatics(hg)
-    except ValueError:
-        statics = None
-    if len(_FAST_CACHE) >= _FAST_CACHE_LIMIT:
-        _FAST_CACHE.clear()
-    _FAST_CACHE[key] = (hg, fp, statics)
-    return statics
+        ok = bool(((raw == 0) | (raw == 1)).all())
+    except TypeError:
+        ok = False
+    if not ok:
+        for v, p in enumerate(assignment):
+            if p not in (0, 1):
+                raise ValueError(
+                    f"vertex {v} assigned to part {p}; must be 0/1"
+                )
+    return raw.astype(np.int64)
 
 
 class Partition2:
@@ -127,13 +87,8 @@ class Partition2:
         "part_weights",
         "pins_in_part",
         "cut",
-        "_net_ptr",
-        "_net_pins",
-        "_vtx_ptr",
-        "_vtx_nets",
-        "_net_weights",
-        "_vertex_weights",
         "integral_nets",
+        "_hot",
     )
 
     def __init__(
@@ -145,9 +100,7 @@ class Partition2:
         n = hypergraph.num_vertices
         if len(assignment) != n:
             raise ValueError("assignment length mismatch")
-        for v, p in enumerate(assignment):
-            if p not in (0, 1):
-                raise ValueError(f"vertex {v} assigned to part {p}; must be 0/1")
+        sides = _checked_sides(assignment)
         self.hypergraph = hypergraph
         self.assignment: List[int] = list(assignment)
         if fixed is None:
@@ -156,51 +109,42 @@ class Partition2:
             if len(fixed) != n:
                 raise ValueError("fixed length mismatch")
             self.fixed = list(fixed)
-
-        # Cache raw arrays for the hot paths.
-        (
-            self._net_ptr,
-            self._net_pins,
-            self._vtx_ptr,
-            self._vtx_nets,
-        ) = hypergraph.raw_csr
-        raw_net_weights = [
-            hypergraph.net_weight(e) for e in hypergraph.nets()
-        ]
         #: True when every net weight is integral: the cut ledger is then
         #: an exact ``int`` (no float drift, exact tie detection).
-        self.integral_nets: bool = all(
-            w.is_integer() for w in raw_net_weights
-        )
+        self.integral_nets: bool = hypergraph.integral_net_weights
+        #: List views for move()/gain(), bound on first use so partitions
+        #: refined by a compiled kernel never materialize them.
+        self._hot = None
+
+        # Pin counts are exact integers in every regime: one prefix sum
+        # over the pin array gives each net's part-1 count.
+        net_ptr, net_pins, _, _ = hypergraph.csr
+        ones = np.zeros(net_pins.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sides[net_pins], out=ones[1:])
+        pins1 = ones[net_ptr[1:]] - ones[net_ptr[:-1]]
+        pins0 = np.diff(net_ptr) - pins1
+        self.pins_in_part = [pins0.tolist(), pins1.tolist()]
+        cut_nets = np.flatnonzero((pins0 > 0) & (pins1 > 0))
         if self.integral_nets:
-            self._net_weights: List[float] = [int(w) for w in raw_net_weights]
+            self.cut = int(hypergraph.int_net_weights()[cut_nets].sum())
         else:
-            self._net_weights = raw_net_weights
-        self._vertex_weights = [
-            hypergraph.vertex_weight(v) for v in hypergraph.vertices()
-        ]
-
-        self.part_weights: List[float] = [0.0, 0.0]
-        for v in range(n):
-            self.part_weights[self.assignment[v]] += self._vertex_weights[v]
-
-        m = hypergraph.num_nets
-        pins0 = [0] * m
-        pins1 = [0] * m
-        # Integer ledger in the integral regime: int + int stays int.
-        self.cut = 0 if self.integral_nets else 0.0
-        for e in range(m):
-            lo, hi = self._net_ptr[e], self._net_ptr[e + 1]
-            c0 = 0
-            for i in range(lo, hi):
-                if self.assignment[self._net_pins[i]] == 0:
-                    c0 += 1
-            c1 = (hi - lo) - c0
-            pins0[e] = c0
-            pins1[e] = c1
-            if c0 > 0 and c1 > 0:
-                self.cut += self._net_weights[e]
-        self.pins_in_part = [pins0, pins1]
+            # Float ledger: accumulate in net order, as moves would.
+            net_w = hypergraph.net_weight_list
+            cut = 0.0
+            for e in cut_nets.tolist():
+                cut += net_w[e]
+            self.cut = cut
+        if hypergraph.integral_vertex_weights:
+            # Integral areas: any summation order is exact.
+            w1 = float(hypergraph.vertex_weight_array @ sides)
+            self.part_weights: List[float] = [
+                hypergraph.total_vertex_weight - w1, w1
+            ]
+        else:
+            self.part_weights = [0.0, 0.0]
+            vwt = hypergraph.vertex_weight_list
+            for v, side in enumerate(sides.tolist()):
+                self.part_weights[side] += vwt[v]
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -212,60 +156,19 @@ class Partition2:
         assignment: Sequence[int],
         fixed: Optional[Sequence[bool]] = None,
     ) -> "Partition2":
-        """Construct with vectorized pin counting (bit-identical state).
+        """Alias of the constructor, kept for callers of the former numpy
+        fast path: construction is vectorized in every weight regime."""
+        return cls(hypergraph, assignment, fixed)
 
-        In the all-integral regime (net *and* vertex weights — every
-        real netlist), pin counts, part weights and the cut are exact
-        integers whose values do not depend on summation order, so they
-        can be built with numpy instead of Python loops; the shared
-        per-hypergraph weight lists are reused instead of rebuilt.  The
-        multilevel refiner constructs one partition per level per start,
-        which makes this ~10x construction saving a measurable slice of
-        a pooled multistart run.
-
-        Falls back to the plain constructor — identical behavior,
-        including error messages — when numpy is unavailable, weights
-        are non-integral, or the assignment fails validation.
-        """
-        if _np is None:
-            return cls(hypergraph, assignment, fixed)
-        st = _fast_statics(hypergraph)
-        if st is None:
-            return cls(hypergraph, assignment, fixed)
-        n = hypergraph.num_vertices
-        if len(assignment) != n:
-            raise ValueError("assignment length mismatch")
-        a = _np.array(assignment, dtype=_np.int64)
-        if n and not _np.logical_or(a == 0, a == 1).all():
-            return cls(hypergraph, assignment, fixed)  # exact error path
-        self = cls.__new__(cls)
-        self.hypergraph = hypergraph
-        self.assignment = list(assignment)
-        if fixed is None:
-            self.fixed = [False] * n
-        else:
-            if len(fixed) != n:
-                raise ValueError("fixed length mismatch")
-            self.fixed = list(fixed)
-        (
-            self._net_ptr,
-            self._net_pins,
-            self._vtx_ptr,
-            self._vtx_nets,
-        ) = hypergraph.raw_csr
-        self.integral_nets = True
-        self._net_weights = st.net_w
-        self._vertex_weights = st.vw
-        w1 = float(a @ st.vw_np)
-        self.part_weights = [st.total_w - w1, w1]
-        m = hypergraph.num_nets
-        p1 = _np.bincount(
-            st.net_of_pin, weights=a[st.net_pins_np], minlength=m
-        ).astype(_np.int64)
-        p0 = st.net_size_np - p1
-        self.cut = int(st.net_w_np[(p1 > 0) & (p0 > 0)].sum())
-        self.pins_in_part = [p0.tolist(), p1.tolist()]
-        return self
+    def _bind(self) -> tuple:
+        """``(vtx_ptr, vtx_nets, ledger weights, vertex weights)`` list
+        views for the interpreted move/gain loops."""
+        hg = self.hypergraph
+        _, _, vtx_ptr, vtx_nets = hg.raw_csr
+        self._hot = (
+            vtx_ptr, vtx_nets, ledger_weights(hg), hg.vertex_weight_list
+        )
+        return self._hot
 
     @staticmethod
     def random_balanced(
@@ -333,13 +236,8 @@ class Partition2:
             list(self.pins_in_part[1]),
         ]
         clone.cut = self.cut
-        clone._net_ptr = self._net_ptr
-        clone._net_pins = self._net_pins
-        clone._vtx_ptr = self._vtx_ptr
-        clone._vtx_nets = self._vtx_nets
-        clone._net_weights = self._net_weights
-        clone._vertex_weights = self._vertex_weights
         clone.integral_nets = self.integral_nets
+        clone._hot = self._hot
         return clone
 
     # ------------------------------------------------------------------
@@ -354,16 +252,16 @@ class Partition2:
         """
         if self.fixed[v]:
             raise ValueError(f"vertex {v} is fixed")
+        vp, vn, net_w, vwt = self._hot or self._bind()
         src = self.assignment[v]
         dst = 1 - src
-        w = self._vertex_weights[v]
+        w = vwt[v]
         self.assignment[v] = dst
         self.part_weights[src] -= w
         self.part_weights[dst] += w
 
         pins_src = self.pins_in_part[src]
         pins_dst = self.pins_in_part[dst]
-        vp, vn = self._vtx_ptr, self._vtx_nets
         for i in range(vp[v], vp[v + 1]):
             e = vn[i]
             f = pins_src[e]
@@ -372,9 +270,9 @@ class Partition2:
             pins_dst[e] = t + 1
             # Cut transitions: net was cut iff both sides occupied.
             if t == 0 and f >= 2:
-                self.cut += self._net_weights[e]
+                self.cut += net_w[e]
             elif f == 1 and t >= 1:
-                self.cut -= self._net_weights[e]
+                self.cut -= net_w[e]
 
     # ------------------------------------------------------------------
     # Gain computation (from scratch; the engines maintain gains
@@ -390,13 +288,13 @@ class Partition2:
         pins_src = self.pins_in_part[src]
         pins_dst = self.pins_in_part[dst]
         g = 0 if self.integral_nets else 0.0
-        vp, vn = self._vtx_ptr, self._vtx_nets
+        vp, vn, net_w, _ = self._hot or self._bind()
         for i in range(vp[v], vp[v + 1]):
             e = vn[i]
             if pins_src[e] == 1:
-                g += self._net_weights[e]
+                g += net_w[e]
             if pins_dst[e] == 0:
-                g -= self._net_weights[e]
+                g -= net_w[e]
         return g
 
     # ------------------------------------------------------------------

@@ -2,28 +2,43 @@
 
 The representation follows the usual VLSI CAD convention: *vertices* are
 cells (with areas as weights) and *nets* are hyperedges (with optional
-weights).  Both incidence directions are stored in CSR form:
+weights).  A hypergraph is one immutable CSR, built once:
 
-* ``_net_ptr`` / ``_net_pins`` — for net ``e``, the pins (vertices) are
-  ``_net_pins[_net_ptr[e]:_net_ptr[e + 1]]``.
-* ``_vtx_ptr`` / ``_vtx_nets`` — for vertex ``v``, the incident nets are
-  ``_vtx_nets[_vtx_ptr[v]:_vtx_ptr[v + 1]]``.
+* ``net_ptr`` / ``net_pins`` — for net ``e``, the pins (vertices) are
+  ``net_pins[net_ptr[e]:net_ptr[e + 1]]``;
+* ``vtx_ptr`` / ``vtx_nets`` — for vertex ``v``, the incident nets are
+  ``vtx_nets[vtx_ptr[v]:vtx_ptr[v + 1]]``, in ascending net order;
+* float64 vertex and net weights.
 
-Plain Python lists are used rather than numpy arrays because the FM inner
-loops index single elements in tight loops, where list indexing is several
-times faster than scalar numpy access.  Bulk analysis helpers convert to
-numpy on demand.
+All six are read-only numpy arrays (:attr:`Hypergraph.csr`,
+:attr:`Hypergraph.vertex_weight_array`,
+:attr:`Hypergraph.net_weight_array`).  The compiled kernels, the
+vectorized constructors and the shared-memory plane consume them as they
+are, and an accidental write raises instead of silently invalidating
+something derived from them.  Because nothing can change, every derived
+value — weight integrality, the gain bound, per-consumer statics — is
+computed at most once per hypergraph and kept on the instance
+(:meth:`Hypergraph.cached`).
+
+The interpreted FM and matching loops index single elements millions of
+times, where Python-list indexing is several times faster than scalar
+numpy access.  Those loops read :attr:`Hypergraph.raw_csr` and the
+``*_weight_list`` views: plain-list copies materialized on first use, so
+the compiled path never pays for them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import itertools
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class Hypergraph:
     """A vertex- and net-weighted hypergraph.
 
-    Instances are conceptually immutable: all mutation happens through
+    Instances are immutable: all mutation happens through
     :class:`repro.hypergraph.builder.HypergraphBuilder`.  The constructor
     accepts fully-formed pin lists and performs validation and CSR
     compression.
@@ -56,6 +71,10 @@ class Hypergraph:
         "_vertex_names",
         "_net_names",
         "_total_vertex_weight",
+        "_integral_vertices",
+        "_integral_nets",
+        "_lists",
+        "_derived",
     )
 
     def __init__(
@@ -69,57 +88,64 @@ class Hypergraph:
     ) -> None:
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
-        self._num_vertices = num_vertices
-        self._num_nets = len(net_pins)
-
-        net_ptr = [0] * (self._num_nets + 1)
-        flat_pins: List[int] = []
-        for e, pins in enumerate(net_pins):
-            seen = set()
-            for v in pins:
-                if not 0 <= v < num_vertices:
-                    raise ValueError(
-                        f"net {e} references vertex {v} outside "
-                        f"[0, {num_vertices})"
-                    )
-                if v in seen:
-                    raise ValueError(f"net {e} has duplicate pin {v}")
-                seen.add(v)
-                flat_pins.append(v)
-            net_ptr[e + 1] = len(flat_pins)
-        self._net_ptr = net_ptr
-        self._net_pins = flat_pins
-
-        if vertex_weights is None:
-            vertex_weights = [1.0] * num_vertices
-        elif len(vertex_weights) != num_vertices:
-            raise ValueError("vertex_weights length mismatch")
-        self._vertex_weights = [float(w) for w in vertex_weights]
-        for v, w in enumerate(self._vertex_weights):
-            if w < 0:
-                raise ValueError(f"vertex {v} has negative weight {w}")
-
-        if net_weights is None:
-            net_weights = [1.0] * self._num_nets
-        elif len(net_weights) != self._num_nets:
-            raise ValueError("net_weights length mismatch")
-        self._net_weights = [float(w) for w in net_weights]
-        for e, w in enumerate(self._net_weights):
-            if w < 0:
-                raise ValueError(f"net {e} has negative weight {w}")
-
-        self._vertex_names = list(vertex_names) if vertex_names else None
-        if self._vertex_names and len(self._vertex_names) != num_vertices:
+        num_nets = len(net_pins)
+        net_ptr = np.zeros(num_nets + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((len(p) for p in net_pins), np.int64, num_nets),
+            out=net_ptr[1:],
+        )
+        pins = np.fromiter(
+            itertools.chain.from_iterable(net_pins), np.int64, int(net_ptr[-1])
+        )
+        _check_pins(net_ptr, pins, num_vertices)
+        vw = checked_weights(vertex_weights, num_vertices, "vertex")
+        nw = checked_weights(net_weights, num_nets, "net")
+        vertex_names = list(vertex_names) if vertex_names else None
+        if vertex_names and len(vertex_names) != num_vertices:
             raise ValueError("vertex_names length mismatch")
-        self._net_names = list(net_names) if net_names else None
-        if self._net_names and len(self._net_names) != self._num_nets:
+        net_names = list(net_names) if net_names else None
+        if net_names and len(net_names) != num_nets:
             raise ValueError("net_names length mismatch")
-
-        self._vtx_ptr, self._vtx_nets = _build_transpose(
-            num_vertices, self._num_nets, net_ptr, flat_pins
+        self._adopt(
+            num_vertices, net_ptr, pins, vw, nw, vertex_names, net_names
         )
 
-        self._total_vertex_weight = float(sum(self._vertex_weights))
+    def _adopt(
+        self,
+        num_vertices: int,
+        net_ptr,
+        net_pins,
+        vertex_weights,
+        net_weights,
+        vertex_names: Optional[List[str]],
+        net_names: Optional[List[str]],
+        transpose=None,
+    ) -> None:
+        """Freeze the arrays and compute the construction-time statics."""
+        self._num_vertices = num_vertices
+        self._net_ptr = _frozen(net_ptr, np.int64)
+        self._net_pins = _frozen(net_pins, np.int64)
+        self._num_nets = self._net_ptr.shape[0] - 1
+        if transpose is None:
+            transpose = _build_transpose(
+                num_vertices, self._net_ptr, self._net_pins
+            )
+        self._vtx_ptr = _frozen(transpose[0], np.int64)
+        self._vtx_nets = _frozen(transpose[1], np.int64)
+        vw = self._vertex_weights = _frozen(vertex_weights, np.float64)
+        self._net_weights = _frozen(net_weights, np.float64)
+        self._vertex_names = vertex_names
+        self._net_names = net_names
+        self._integral_vertices = _integral(vw)
+        self._integral_nets = _integral(self._net_weights)
+        # Integral weights sum exactly in any order; otherwise keep the
+        # sequential float sum callers have always seen.
+        self._total_vertex_weight = (
+            float(vw.sum()) if self._integral_vertices
+            else float(sum(vw.tolist()))
+        )
+        self._lists = [None] * 6
+        self._derived = {}
 
     # ------------------------------------------------------------------
     # Trusted construction from flat CSR (kernel fast path)
@@ -127,90 +153,72 @@ class Hypergraph:
     @classmethod
     def from_csr(
         cls,
-        net_ptr: List[int],
-        net_pins: List[int],
+        net_ptr,
+        net_pins,
         num_vertices: int,
-        vertex_weights: List[float],
-        net_weights: List[float],
+        vertex_weights,
+        net_weights,
         validate: bool = False,
         vertex_names: Optional[List[str]] = None,
         net_names: Optional[List[str]] = None,
-        transpose: Optional[Tuple[List[int], List[int]]] = None,
+        transpose: Optional[Tuple[Any, Any]] = None,
     ) -> "Hypergraph":
         """Build a hypergraph directly from flat CSR arrays.
 
         This is the fast path for kernel-built hypergraphs (the coarsening
-        kernel, the netlist builder): the caller *transfers ownership* of
-        the four argument lists, which are adopted without copying, and —
-        unless ``validate`` is set — without re-validation, on the
-        contract that pins are in range and duplicate-free within each
-        net, weights are non-negative floats of the right length, and
-        ``net_ptr`` is a proper monotone prefix array.
+        kernels, the netlist builder, the ``.hgr`` reader, shared-memory
+        attach): the caller *transfers ownership* of the arguments, which
+        may be lists or numpy arrays.  Contiguous arrays of the right
+        dtype are adopted without copying and frozen; CSR arguments given
+        as lists also become the interpreted loops' list views.  Unless
+        ``validate`` is set nothing is
+        re-checked, on the contract that pins are in range and
+        duplicate-free within each net, weights are non-negative and of
+        the right length, and ``net_ptr`` is a proper monotone prefix
+        array.
 
         ``validate=True`` applies the same checks as the list-of-lists
-        constructor (useful when adopting CSR data of uncertain origin);
-        it still avoids the per-net Python list materialization.
+        constructor (useful when adopting CSR data of uncertain origin).
 
         ``transpose`` optionally supplies a precomputed
         ``(vtx_ptr, vtx_nets)`` vertex→nets CSR, adopted on the same
         trusted-ownership contract (it is *not* validated even under
-        ``validate=True``); without it the transpose is rebuilt by
-        counting sort.  The shared-memory attach path uses this to skip
-        the only remaining O(pins) Python-loop cost of adoption.
+        ``validate=True``); without it the transpose is rebuilt.
         """
-        num_nets = len(net_ptr) - 1
         if validate:
             if num_vertices < 0:
                 raise ValueError("num_vertices must be non-negative")
-            if num_nets < 0 or net_ptr[0] != 0 or net_ptr[-1] != len(net_pins):
+            ptr = np.asarray(net_ptr, dtype=np.int64)
+            pins = np.asarray(net_pins, dtype=np.int64)
+            if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != pins.size:
                 raise ValueError("net_ptr is not a valid prefix array")
-            stamp = [-1] * num_vertices
-            for e in range(num_nets):
-                lo, hi = net_ptr[e], net_ptr[e + 1]
-                if hi < lo:
-                    raise ValueError("net_ptr is not monotone")
-                for i in range(lo, hi):
-                    v = net_pins[i]
-                    if not 0 <= v < num_vertices:
-                        raise ValueError(
-                            f"net {e} references vertex {v} outside "
-                            f"[0, {num_vertices})"
-                        )
-                    if stamp[v] == e:
-                        raise ValueError(f"net {e} has duplicate pin {v}")
-                    stamp[v] = e
-            if len(vertex_weights) != num_vertices:
-                raise ValueError("vertex_weights length mismatch")
-            if len(net_weights) != num_nets:
-                raise ValueError("net_weights length mismatch")
-            vertex_weights = [float(w) for w in vertex_weights]
-            net_weights = [float(w) for w in net_weights]
-            for v, w in enumerate(vertex_weights):
-                if w < 0:
-                    raise ValueError(f"vertex {v} has negative weight {w}")
-            for e, w in enumerate(net_weights):
-                if w < 0:
-                    raise ValueError(f"net {e} has negative weight {w}")
+            if (np.diff(ptr) < 0).any():
+                raise ValueError("net_ptr is not monotone")
+            _check_pins(ptr, pins, num_vertices)
+            vertex_weights = checked_weights(
+                vertex_weights, num_vertices, "vertex"
+            )
+            net_weights = checked_weights(net_weights, ptr.size - 1, "net")
             if vertex_names is not None and len(vertex_names) != num_vertices:
                 raise ValueError("vertex_names length mismatch")
-            if net_names is not None and len(net_names) != num_nets:
+            if net_names is not None and len(net_names) != ptr.size - 1:
                 raise ValueError("net_names length mismatch")
         hg = object.__new__(cls)
-        hg._num_vertices = num_vertices
-        hg._num_nets = num_nets
-        hg._net_ptr = net_ptr
-        hg._net_pins = net_pins
-        hg._vertex_weights = vertex_weights
-        hg._net_weights = net_weights
-        hg._vertex_names = vertex_names
-        hg._net_names = net_names
-        if transpose is not None:
-            hg._vtx_ptr, hg._vtx_nets = transpose
-        else:
-            hg._vtx_ptr, hg._vtx_nets = _build_transpose(
-                num_vertices, num_nets, net_ptr, net_pins
-            )
-        hg._total_vertex_weight = float(sum(vertex_weights))
+        hg._adopt(
+            num_vertices,
+            net_ptr,
+            net_pins,
+            vertex_weights,
+            net_weights,
+            vertex_names,
+            net_names,
+            transpose,
+        )
+        # A list-building producer already paid for the list form.
+        given = (net_ptr, net_pins) + tuple(transpose or (None, None))
+        for i, values in enumerate(given):
+            if type(values) is list:
+                hg._lists[i] = values
         return hg
 
     # ------------------------------------------------------------------
@@ -236,15 +244,33 @@ class Hypergraph:
     def from_shared(cls, handle, materialize: bool = True) -> "Hypergraph":
         """Rebuild a hypergraph from a :meth:`to_shared` handle.
 
-        ``materialize=True`` copies the arrays into plain lists (fastest
-        for the FM inner loops) and releases the mapping; ``False``
-        keeps read-only numpy views into the segment (true zero-copy —
-        detach with :func:`repro.hypergraph.shm.detach_handle` when
-        done).  Results are bit-identical either way.
+        ``materialize=True`` copies the arrays out of the segment and
+        releases the mapping; ``False`` adopts read-only views into the
+        segment (true zero-copy — detach with
+        :func:`repro.hypergraph.shm.detach_handle` when done).  Either
+        way the result is an ordinary hypergraph over read-only arrays.
         """
         from repro.hypergraph.shm import attach_hypergraph
 
         return attach_hypergraph(handle, materialize=materialize)
+
+    # ------------------------------------------------------------------
+    # Pickling: the arrays travel, per-instance caches do not.
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("_lists", "_derived")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            setattr(self, name, value)
+        self._lists = [None] * 6
+        self._derived = {}
 
     # ------------------------------------------------------------------
     # Size accessors
@@ -262,33 +288,126 @@ class Hypergraph:
     @property
     def num_pins(self) -> int:
         """Total number of pins (sum of net sizes)."""
-        return len(self._net_pins)
+        return self._net_pins.shape[0]
 
     @property
     def total_vertex_weight(self) -> float:
         """Sum of all vertex weights (total cell area)."""
         return self._total_vertex_weight
 
+    @property
+    def integral_vertex_weights(self) -> bool:
+        """True when every vertex weight is an integer value."""
+        return self._integral_vertices
+
+    @property
+    def integral_net_weights(self) -> bool:
+        """True when every net weight is an integer value (the regime of
+        the exact integer cut ledger)."""
+        return self._integral_nets
+
+    # ------------------------------------------------------------------
+    # The immutable arrays and values derived from them
+    # ------------------------------------------------------------------
+    @property
+    def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int64 ``(net_ptr, net_pins, vtx_ptr, vtx_nets)``."""
+        return self._net_ptr, self._net_pins, self._vtx_ptr, self._vtx_nets
+
+    @property
+    def vertex_weight_array(self) -> np.ndarray:
+        """Read-only float64 vertex weights."""
+        return self._vertex_weights
+
+    @property
+    def net_weight_array(self) -> np.ndarray:
+        """Read-only float64 net weights."""
+        return self._net_weights
+
+    def cached(self, build: Callable[["Hypergraph"], Any]) -> Any:
+        """``build(self)``, computed once per hypergraph.
+
+        The memo for values derived from this hypergraph's immutable
+        arrays: consumers keep their per-instance statics here instead
+        of in module-level caches, so an entry is keyed on the instance
+        (and on ``build`` itself, which must therefore be a module-level
+        function) and dies with it.
+        """
+        derived = self._derived
+        try:
+            return derived[build]
+        except KeyError:
+            value = derived[build] = build(self)
+            return value
+
+    def int_net_weights(self) -> np.ndarray:
+        """Net weights rounded to read-only int64 (cached).
+
+        Raises ``ValueError`` unless every weight lies within 1e-9 of an
+        integer — the regime FM gain buckets require.
+        """
+        return self.cached(_int_net_weights)
+
+    @property
+    def max_weighted_degree(self) -> int:
+        """Largest sum of :meth:`int_net_weights` over one vertex's nets
+        (cached); ``2 * max_weighted_degree + 1`` bounds every FM gain
+        and CLIP key."""
+        return self.cached(_max_weighted_degree)
+
+    # ------------------------------------------------------------------
+    # Plain-list views for the interpreted loops
+    # ------------------------------------------------------------------
+    def _list_view(self, i: int) -> list:
+        """List copy of array ``i`` of :data:`_ARRAYS`, built on first use."""
+        view = self._lists[i]
+        if view is None:
+            view = self._lists[i] = getattr(self, _ARRAYS[i]).tolist()
+        return view
+
+    @property
+    def raw_csr(
+        self,
+    ) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """List views ``(net_ptr, net_pins, vtx_ptr, vtx_nets)``.
+
+        For the interpreted inner loops: built on first use and shared,
+        so callers must not mutate them.  Vectorized and compiled
+        consumers read :attr:`csr` instead.
+        """
+        view = self._list_view
+        return view(0), view(1), view(2), view(3)
+
+    @property
+    def vertex_weight_list(self) -> List[float]:
+        """Shared list view of the vertex weights (do not mutate)."""
+        return self._list_view(4)
+
+    @property
+    def net_weight_list(self) -> List[float]:
+        """Shared list view of the net weights (do not mutate)."""
+        return self._list_view(5)
+
     # ------------------------------------------------------------------
     # Weights and names
     # ------------------------------------------------------------------
     def vertex_weight(self, v: int) -> float:
         """Weight (area) of vertex ``v``."""
-        return self._vertex_weights[v]
+        return self._list_view(4)[v]
 
     def net_weight(self, e: int) -> float:
         """Weight of net ``e``."""
-        return self._net_weights[e]
+        return self._list_view(5)[e]
 
     @property
     def vertex_weights(self) -> List[float]:
         """All vertex weights (copy)."""
-        return list(self._vertex_weights)
+        return self._vertex_weights.tolist()
 
     @property
     def net_weights(self) -> List[float]:
         """All net weights (copy)."""
-        return list(self._net_weights)
+        return self._net_weights.tolist()
 
     def vertex_name(self, v: int) -> str:
         """External name of vertex ``v`` (synthesized if absent)."""
@@ -307,19 +426,23 @@ class Hypergraph:
     # ------------------------------------------------------------------
     def pins_of(self, e: int) -> List[int]:
         """Vertices on net ``e`` (fresh list)."""
-        return self._net_pins[self._net_ptr[e] : self._net_ptr[e + 1]]
+        net_ptr, net_pins = self._list_view(0), self._list_view(1)
+        return net_pins[net_ptr[e] : net_ptr[e + 1]]
 
     def nets_of(self, v: int) -> List[int]:
         """Nets incident to vertex ``v`` (fresh list)."""
-        return self._vtx_nets[self._vtx_ptr[v] : self._vtx_ptr[v + 1]]
+        vtx_ptr, vtx_nets = self._list_view(2), self._list_view(3)
+        return vtx_nets[vtx_ptr[v] : vtx_ptr[v + 1]]
 
     def net_size(self, e: int) -> int:
         """Number of pins of net ``e``."""
-        return self._net_ptr[e + 1] - self._net_ptr[e]
+        net_ptr = self._list_view(0)
+        return net_ptr[e + 1] - net_ptr[e]
 
     def degree(self, v: int) -> int:
         """Number of nets incident to vertex ``v``."""
-        return self._vtx_ptr[v + 1] - self._vtx_ptr[v]
+        vtx_ptr = self._list_view(2)
+        return vtx_ptr[v + 1] - vtx_ptr[v]
 
     def nets(self) -> range:
         """Iterable over net ids."""
@@ -328,41 +451,6 @@ class Hypergraph:
     def vertices(self) -> range:
         """Iterable over vertex ids."""
         return range(self._num_vertices)
-
-    def weight_fingerprint(self) -> Tuple[int, int, int, float, float]:
-        """Cheap, order-sensitive checksum of the weight vectors.
-
-        Hypergraphs are conceptually immutable, but nothing in Python
-        stops a caller from reaching into the weight arrays.  Engines
-        that cache per-hypergraph invariants (integer net weights, gain
-        bounds) key their caches on this fingerprint in addition to
-        object identity, so an out-of-band weight mutation invalidates
-        the cache instead of silently reusing stale gains.  Positional
-        weighting makes weight *swaps* visible too; this is a change
-        detector, not a cryptographic hash.
-        """
-        vw = 0.0
-        i = 1
-        for w in self._vertex_weights:
-            vw += i * w
-            i += 1
-        nw = 0.0
-        i = 1
-        for w in self._net_weights:
-            nw += i * w
-            i += 1
-        return (self._num_vertices, self._num_nets, len(self._net_pins), vw, nw)
-
-    # Raw CSR access for performance-critical consumers (FM engine).
-    @property
-    def raw_csr(
-        self,
-    ) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """Internal CSR arrays ``(net_ptr, net_pins, vtx_ptr, vtx_nets)``.
-
-        Exposed for the FM inner loops; callers must not mutate them.
-        """
-        return self._net_ptr, self._net_pins, self._vtx_ptr, self._vtx_nets
 
     # ------------------------------------------------------------------
     # Objective evaluation
@@ -376,7 +464,8 @@ class Hypergraph:
         if len(assignment) != self._num_vertices:
             raise ValueError("assignment length mismatch")
         total = 0.0
-        net_ptr, net_pins = self._net_ptr, self._net_pins
+        net_ptr, net_pins = self._list_view(0), self._list_view(1)
+        net_weights = self._list_view(5)
         for e in range(self._num_nets):
             lo, hi = net_ptr[e], net_ptr[e + 1]
             if hi - lo < 2:
@@ -384,7 +473,7 @@ class Hypergraph:
             first = assignment[net_pins[lo]]
             for i in range(lo + 1, hi):
                 if assignment[net_pins[i]] != first:
-                    total += self._net_weights[e]
+                    total += net_weights[e]
                     break
         return total
 
@@ -397,21 +486,23 @@ class Hypergraph:
         if len(assignment) != self._num_vertices:
             raise ValueError("assignment length mismatch")
         total = 0.0
-        net_ptr, net_pins = self._net_ptr, self._net_pins
+        net_ptr, net_pins = self._list_view(0), self._list_view(1)
+        net_weights = self._list_view(5)
         for e in range(self._num_nets):
             lo, hi = net_ptr[e], net_ptr[e + 1]
             if hi - lo < 2:
                 continue
             parts = {assignment[net_pins[i]] for i in range(lo, hi)}
             if len(parts) > 1:
-                total += self._net_weights[e] * (len(parts) - 1)
+                total += net_weights[e] * (len(parts) - 1)
         return total
 
     def part_weights(self, assignment: Sequence[int], k: int = 2) -> List[float]:
         """Total vertex weight per part under ``assignment``."""
         weights = [0.0] * k
+        vwt = self.vertex_weight_list
         for v in range(self._num_vertices):
-            weights[assignment[v]] += self._vertex_weights[v]
+            weights[assignment[v]] += vwt[v]
         return weights
 
     # ------------------------------------------------------------------
@@ -428,17 +519,19 @@ class Hypergraph:
         """
         keep = sorted(set(vertex_ids))
         old_to_new = {old: new for new, old in enumerate(keep)}
+        vertex_weights = self._list_view(4)
+        net_weights = self._list_view(5)
         new_nets: List[List[int]] = []
         new_net_weights: List[float] = []
         for e in range(self._num_nets):
             pins = [old_to_new[v] for v in self.pins_of(e) if v in old_to_new]
             if len(pins) >= 2:
                 new_nets.append(pins)
-                new_net_weights.append(self._net_weights[e])
+                new_net_weights.append(net_weights[e])
         sub = Hypergraph(
             new_nets,
             num_vertices=len(keep),
-            vertex_weights=[self._vertex_weights[v] for v in keep],
+            vertex_weights=[vertex_weights[v] for v in keep],
             net_weights=new_net_weights,
             vertex_names=(
                 [self._vertex_names[v] for v in keep]
@@ -455,23 +548,126 @@ class Hypergraph:
         )
 
 
+# ----------------------------------------------------------------------
+#: The array slots, in the order of :meth:`Hypergraph._list_view` indices.
+_ARRAYS = (
+    "_net_ptr",
+    "_net_pins",
+    "_vtx_ptr",
+    "_vtx_nets",
+    "_vertex_weights",
+    "_net_weights",
+)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only contiguous 1-d array of ``dtype``
+    (adopted without a copy when it already is one)."""
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    if arr.ndim != 1:
+        raise ValueError("CSR and weight arrays must be one-dimensional")
+    arr.flags.writeable = False
+    return arr
+
+
+def _integral(weights: np.ndarray) -> bool:
+    """True when every weight is a finite integer value."""
+    return bool((np.mod(weights, 1.0) == 0.0).all())
+
+
+def checked_weights(values, count: int, kind: str) -> np.ndarray:
+    """Validated float64 copy of a ``kind`` ("vertex"/"net") weight
+    vector; unit weights when ``values`` is ``None``."""
+    if values is None:
+        return np.ones(count, dtype=np.float64)
+    if len(values) != count:
+        raise ValueError(f"{kind}_weights length mismatch")
+    arr = np.array(values, dtype=np.float64)
+    negative = np.flatnonzero(arr < 0)
+    if negative.size:
+        i = int(negative[0])
+        raise ValueError(f"{kind} {i} has negative weight {float(arr[i])}")
+    return arr
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of int64 ``keys`` in ``[0, bound)``.
+
+    Sorting the distinct composites ``key * len + slot`` gives the same
+    order several times faster than numpy's stable argsort; keys too
+    wide for the composite to fit int64 take the argsort.
+    """
+    size = keys.shape[0]
+    if size == 0 or bound * size >= 1 << 62:
+        return np.argsort(keys, kind="stable")
+    return np.sort(keys * size + np.arange(size, dtype=np.int64)) % size
+
+
+def repeated_pins(
+    net_ptr: np.ndarray, pins: np.ndarray, num_vertices: int
+) -> np.ndarray:
+    """Mask of the pin slots that repeat an earlier pin of their net
+    (one stable sort by (net, pin); out-of-range pins compare as the
+    nearest out-of-range value)."""
+    num_nets = net_ptr.shape[0] - 1
+    owner = np.repeat(np.arange(num_nets, dtype=np.int64), np.diff(net_ptr))
+    width = num_vertices + 2
+    key = owner * width + (np.clip(pins, -1, num_vertices) + 1)
+    order = stable_order(key, num_nets * width)
+    repeat = np.zeros(pins.shape[0], dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return repeat
+
+
+def _check_pins(net_ptr: np.ndarray, pins: np.ndarray, num_vertices: int) -> None:
+    """Raise for the first pin (in CSR order) that is out of range or
+    repeats an earlier pin of its net."""
+    bad = (pins < 0) | (pins >= num_vertices)
+    flagged = np.flatnonzero(bad | repeated_pins(net_ptr, pins, num_vertices))
+    if flagged.size == 0:
+        return
+    i = int(flagged[0])
+    e = int(np.searchsorted(net_ptr, i, side="right")) - 1
+    v = int(pins[i])
+    if bad[i]:
+        raise ValueError(
+            f"net {e} references vertex {v} outside [0, {num_vertices})"
+        )
+    raise ValueError(f"net {e} has duplicate pin {v}")
+
+
 def _build_transpose(
-    num_vertices: int,
-    num_nets: int,
-    net_ptr: List[int],
-    flat_pins: List[int],
-) -> Tuple[List[int], List[int]]:
-    """Vertex -> nets CSR from the net -> pins CSR, by counting sort."""
-    vtx_ptr = [0] * (num_vertices + 1)
-    for v in flat_pins:
-        vtx_ptr[v + 1] += 1
-    for v in range(num_vertices):
-        vtx_ptr[v + 1] += vtx_ptr[v]
-    vtx_nets = [0] * len(flat_pins)
-    cursor = list(vtx_ptr)
-    for e in range(num_nets):
-        for i in range(net_ptr[e], net_ptr[e + 1]):
-            v = flat_pins[i]
-            vtx_nets[cursor[v]] = e
-            cursor[v] += 1
-    return vtx_ptr, vtx_nets
+    num_vertices: int, net_ptr: np.ndarray, net_pins: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertex -> nets CSR from the net -> pins CSR (nets ascending per
+    vertex): a stable sort of the pin slots by vertex."""
+    vtx_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(net_pins, minlength=num_vertices), out=vtx_ptr[1:])
+    owner = np.repeat(
+        np.arange(net_ptr.shape[0] - 1, dtype=np.int64), np.diff(net_ptr)
+    )
+    return vtx_ptr, owner[stable_order(net_pins, num_vertices)]
+
+
+def _int_net_weights(hg: Hypergraph) -> np.ndarray:
+    nw = hg.net_weight_array
+    rounded = np.rint(nw)
+    off = np.flatnonzero(~(np.abs(nw - rounded) <= 1e-9))
+    if off.size:
+        e = int(off[0])
+        raise ValueError(
+            "FM gain buckets require integral net weights; "
+            f"net {e} has weight {float(nw[e])}"
+        )
+    out = rounded.astype(np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _max_weighted_degree(hg: Hypergraph) -> int:
+    if hg.num_vertices == 0:
+        return 0
+    _, _, vtx_ptr, vtx_nets = hg.csr
+    prefix = np.zeros(vtx_nets.shape[0] + 1, dtype=np.int64)
+    np.cumsum(hg.int_net_weights()[vtx_nets], out=prefix[1:])
+    return int((prefix[vtx_ptr[1:]] - prefix[vtx_ptr[:-1]]).max())

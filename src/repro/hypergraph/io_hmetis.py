@@ -12,10 +12,13 @@ Format (hMetis 1.5 user manual):
 from __future__ import annotations
 
 import io
+import warnings
 from pathlib import Path
 from typing import List, Optional, TextIO, Union
 
-from repro.hypergraph.hypergraph import Hypergraph
+import numpy as np
+
+from repro.hypergraph.hypergraph import Hypergraph, checked_weights, repeated_pins
 
 PathLike = Union[str, Path]
 
@@ -30,19 +33,19 @@ def read_hgr(source: Union[PathLike, TextIO]) -> Hypergraph:
     """Read a hypergraph in hMetis ``.hgr`` format.
 
     ``source`` may be a path or an open text stream.  Raises
-    ``ValueError`` on malformed input.
+    ``ValueError`` on malformed input.  Duplicate pins within a net are
+    merged (first occurrence kept).
     """
     stream = _open_text(source, "r")
     close = isinstance(source, (str, Path))
     try:
-        lines = [
-            ln.strip()
-            for ln in stream
-            if ln.strip() and not ln.lstrip().startswith("%")
-        ]
+        text = stream.read()
     finally:
         if close:
             stream.close()
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
+    if "%" in text:
+        lines = [ln for ln in lines if not ln.startswith("%")]
     if not lines:
         raise ValueError("empty .hgr file")
 
@@ -60,10 +63,108 @@ def read_hgr(source: Union[PathLike, TextIO]) -> Hypergraph:
             f".hgr truncated: expected {expected} lines, got {len(lines)}"
         )
 
+    net_lines = lines[1 : 1 + num_nets]
+    parsed = _parse_nets(net_lines, num_vertices, has_net_weights)
+    if parsed is None:
+        nets, net_weights = _parse_nets_by_line(
+            net_lines, num_vertices, has_net_weights
+        )
+    vertex_weights: Optional[List[float]] = None
+    if has_vertex_weights:
+        vertex_weights = list(
+            map(float, lines[1 + num_nets : 1 + num_nets + num_vertices])
+        )
+    if parsed is None:
+        return Hypergraph(
+            nets,
+            num_vertices=num_vertices,
+            vertex_weights=vertex_weights,
+            net_weights=net_weights,
+        )
+    net_ptr, pins, net_weights = parsed
+    return Hypergraph.from_csr(
+        net_ptr,
+        pins,
+        num_vertices,
+        checked_weights(vertex_weights, num_vertices, "vertex"),
+        checked_weights(net_weights, num_nets, "net"),
+    )
+
+
+def _parse_nets(
+    net_lines: List[str], num_vertices: int, has_net_weights: bool
+) -> Optional[tuple]:
+    """``(net_ptr, pins, net_weights)`` of the net lines, parsed by one
+    numpy call over all of them.
+
+    Returns ``None`` when anything is unusual — a token numpy does not
+    read as a number, a non-integral or out-of-range pin — so the caller
+    re-parses line by line and raises exactly the error that names the
+    offending net.
+    """
+    num_nets = len(net_lines)
+    block = "\n".join(net_lines)
+    with warnings.catch_warnings():
+        # A token numpy cannot parse raises, or on older numpy ends the
+        # array early with a DeprecationWarning (the length check).
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            tokens = np.fromstring(
+                block,
+                dtype=np.float64 if has_net_weights else np.int64,
+                sep=" ",
+            )
+        except ValueError:
+            return None
+    # Every byte numpy accepted is part of a number or whitespace, so a
+    # token starts at each non-space byte after a space, and newlines
+    # number the nets.
+    raw = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8)
+    space = raw <= 32
+    starts = ~space
+    starts[1:] &= space[:-1]
+    net_of_token = np.searchsorted(
+        np.flatnonzero(raw == 10), np.flatnonzero(starts)
+    )
+    counts = np.bincount(net_of_token, minlength=num_nets).astype(np.int64)
+    if counts.shape[0] != num_nets or tokens.shape[0] != int(counts.sum()):
+        return None
+    net_weights = None
+    if has_net_weights:
+        first = np.cumsum(counts) - counts
+        net_weights = tokens[first]
+        is_pin = np.ones(tokens.shape[0], dtype=bool)
+        is_pin[first] = False
+        values = tokens[is_pin]
+        if not (values == np.floor(values)).all():
+            return None
+        pins = values.astype(np.int64) - 1
+        counts = counts - 1
+    else:
+        pins = tokens - 1
+    if ((pins < 0) | (pins >= num_vertices)).any():
+        return None
+    net_ptr = np.zeros(num_nets + 1, dtype=np.int64)
+    np.cumsum(counts, out=net_ptr[1:])
+    repeat = repeated_pins(net_ptr, pins, num_vertices)
+    if repeat.any():
+        owner = np.repeat(np.arange(num_nets, dtype=np.int64), counts)
+        pins = pins[~repeat]
+        np.cumsum(
+            np.bincount(owner[~repeat], minlength=num_nets), out=net_ptr[1:]
+        )
+    return net_ptr, pins, net_weights
+
+
+def _parse_nets_by_line(
+    net_lines: List[str], num_vertices: int, has_net_weights: bool
+) -> tuple:
+    """Reference line-by-line parse: ``(nets, net_weights)``; raises on
+    the first malformed net."""
     nets: List[List[int]] = []
     net_weights: Optional[List[float]] = [] if has_net_weights else None
-    for e in range(num_nets):
-        fields = lines[1 + e].split()
+    for e, line in enumerate(net_lines):
+        fields = line.split()
         if has_net_weights:
             assert net_weights is not None
             net_weights.append(float(fields[0]))
@@ -78,19 +179,7 @@ def read_hgr(source: Union[PathLike, TextIO]) -> Hypergraph:
                 seen.add(v)
                 pins.append(v)
         nets.append(pins)
-
-    vertex_weights: Optional[List[float]] = None
-    if has_vertex_weights:
-        vertex_weights = [
-            float(lines[1 + num_nets + v]) for v in range(num_vertices)
-        ]
-
-    return Hypergraph(
-        nets,
-        num_vertices=num_vertices,
-        vertex_weights=vertex_weights,
-        net_weights=net_weights,
-    )
+    return nets, net_weights
 
 
 def write_hgr(

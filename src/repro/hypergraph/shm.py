@@ -21,22 +21,23 @@ aligned)::
     float64 vertex_weights [num_vertices]
     float64 net_weights    [num_nets]
 
-Both incidence directions are exported, so attaching never re-runs the
-transpose counting sort.
+Both incidence directions are exported, so attaching never rebuilds
+the transpose.  The segment holds exactly the hypergraph's own
+representation — read-only int64/float64 arrays — so an attached
+hypergraph is an ordinary one; only where its memory lives differs
+(:func:`attach_hypergraph`):
 
-Two attach modes (:func:`attach_hypergraph`):
-
-* ``materialize=True`` (default) — the arrays are copied into plain
-  Python lists via ``ndarray.tolist()`` (one C-speed pass per array) and
-  the mapping is dropped immediately.  The FM inner loops index single
-  elements millions of times, where list indexing beats scalar numpy
-  access by ~1.5x; one bulk copy per (worker, instance) buys back every
-  hot-loop access.
-* ``materialize=False`` — true zero copy: read-only numpy views into the
+* ``materialize=True`` (default) — the arrays are copied out of the
+  segment (one memcpy each) and the mapping is dropped immediately, so
+  the hypergraph's lifetime is decoupled from the segment's.
+* ``materialize=False`` — true zero copy: the read-only views into the
   segment are adopted by the trusted
   :meth:`~repro.hypergraph.hypergraph.Hypergraph.from_csr` constructor
-  (``validate=False``).  Bit-identical results, lowest memory, slower
-  inner loops; the mapping must stay alive until :func:`detach_handle`.
+  (``validate=False``); the mapping must stay alive until
+  :func:`detach_handle`.
+
+Either way the interpreted loops build their list views privately on
+first use.
 
 Lifecycle.  Segment names are process-wide kernel objects, so leaks
 outlive the interpreter.  Three guards keep them bounded:
@@ -223,7 +224,6 @@ def share_hypergraph(hg: Hypergraph) -> ShmHandle:
     """
     if not shm_available():
         return _fallback_handle(hg)
-    net_ptr, net_pins, vtx_ptr, vtx_nets = hg.raw_csr
     handle = ShmHandle(
         segment="pending",
         num_vertices=hg.num_vertices,
@@ -246,15 +246,9 @@ def share_hypergraph(hg: Hypergraph) -> ShmHandle:
         vertex_names=handle.vertex_names,
         net_names=handle.net_names,
     )
-    a_net_ptr, a_net_pins, a_vtx_ptr, a_vtx_nets, a_vw, a_nw = _arrays(
-        handle, shm.buf
-    )
-    a_net_ptr[:] = net_ptr
-    a_net_pins[:] = net_pins
-    a_vtx_ptr[:] = vtx_ptr
-    a_vtx_nets[:] = vtx_nets
-    a_vw[:] = hg.vertex_weights
-    a_nw[:] = hg.net_weights
+    sources = hg.csr + (hg.vertex_weight_array, hg.net_weight_array)
+    for target, source in zip(_arrays(handle, shm.buf), sources):
+        target[:] = source
     with _REGISTRY_LOCK:
         _MAPPINGS[shm.name] = _Mapping(shm)
     return handle
@@ -270,10 +264,10 @@ def attach_hypergraph(
     and adopt the arrays through the trusted ``from_csr`` constructor —
     validation was done when the original hypergraph was built.
 
-    With ``materialize=True`` the mapping is released before returning;
-    with ``materialize=False`` the returned hypergraph reads the
-    segment in place (read-only views) and the caller owes one
-    :func:`detach_handle` when done with it.
+    With ``materialize=True`` the arrays are copied and the mapping is
+    released before returning; with ``materialize=False`` the returned
+    hypergraph reads the segment in place (read-only views) and the
+    caller owes one :func:`detach_handle` when done with it.
     """
     if not handle.is_shared:
         if handle.fallback is None:
@@ -288,13 +282,8 @@ def attach_hypergraph(
     try:
         arrays = _arrays(handle, mapping.shm.buf)
         if materialize:
-            (net_ptr, net_pins, vtx_ptr, vtx_nets, vw, nw) = (
-                a.tolist() for a in arrays
-            )
-        else:
-            for a in arrays:
-                a.flags.writeable = False
-            net_ptr, net_pins, vtx_ptr, vtx_nets, vw, nw = arrays
+            arrays = [a.copy() for a in arrays]
+        net_ptr, net_pins, vtx_ptr, vtx_nets, vw, nw = arrays
         return Hypergraph.from_csr(
             net_ptr,
             net_pins,

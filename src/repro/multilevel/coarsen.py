@@ -24,7 +24,9 @@ same float weight accumulation order — but computes it on flat arrays:
   weight accumulation order bit for bit,
 * coarse CSR assembled flat and adopted by the trusted
   :meth:`Hypergraph.from_csr` fast path — no re-validation of pins the
-  kernel just constructed.
+  kernel just constructed.  The compiled backends hand their int64
+  output arrays over as they are, so a coarse level never exists as
+  Python lists unless an interpreted loop asks for them.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def coarsen(
         if level is not None:
             return level
     net_ptr, net_pins, _, _ = hypergraph.raw_csr
-    vwt = hypergraph._vertex_weights
-    net_weights = hypergraph._net_weights
+    vwt = hypergraph.vertex_weight_list
+    net_weights = hypergraph.net_weight_list
     ws = _WS
 
     # ----- dense renumbering in first-encounter order -----------------
@@ -234,9 +236,9 @@ def _coarsen_kernel(
     t0: float,
 ) -> Optional[CoarseLevel]:
     """Contract through a compiled backend kernel (bit-identical)."""
-    from repro.backends.flatcache import flat_csr
-
-    net_ptr, net_pins, _, _, vwt, net_w = flat_csr(hypergraph)
+    net_ptr, net_pins, _, _ = hypergraph.csr
+    vwt = hypergraph.vertex_weight_array
+    net_w = hypergraph.net_weight_array
     n = hypergraph.num_vertices
     m = hypergraph.num_nets
     cluster_np = _np.array(cluster_of, dtype=_np.int64)
@@ -258,12 +260,13 @@ def _coarsen_kernel(
     num_coarse = int(out[0])
     num_groups = int(out[1])
     cpos = int(out[2])
+    # Copies, so the level does not pin the fine-sized output buffers.
     coarse = Hypergraph.from_csr(
-        coarse_net_ptr[: num_groups + 1].tolist(),
-        coarse_pins[:cpos].tolist(),
+        coarse_net_ptr[: num_groups + 1].copy(),
+        coarse_pins[:cpos].copy(),
         num_vertices=num_coarse,
-        vertex_weights=weights[:num_coarse].tolist(),
-        net_weights=coarse_net_w[:num_groups].tolist(),
+        vertex_weights=weights[:num_coarse].copy(),
+        net_weights=coarse_net_w[:num_groups].copy(),
     )
     if perf is not None:
         perf.coarsen_nets_projected += m

@@ -38,32 +38,51 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
+import numpy as _np
+
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 def _kernels(backend: Optional[str]):
     """Resolve a backend request to a KernelSet (None = interpreted)."""
-    if _np is None:
-        return None
     from repro.backends import active_kernels
 
     return active_kernels(backend)[1]
 
 
 def _kernel_prep(hypergraph: Hypergraph, max_net_size: int, ks):
-    """Flat CSR arrays plus per-net scores for the matching kernels."""
-    from repro.backends.flatcache import flat_csr
-
-    net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, net_w = flat_csr(hypergraph)
+    """The hypergraph's CSR arrays plus per-net scores for the matching
+    kernels."""
+    net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.csr
     score = _np.empty(hypergraph.num_nets, dtype=_np.float64)
-    ks.net_scores(net_ptr, net_w, max_net_size, score)
-    return net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, score
+    ks.net_scores(net_ptr, hypergraph.net_weight_array, max_net_size, score)
+    return (net_ptr, net_pins, vtx_ptr, vtx_nets,
+            hypergraph.vertex_weight_array, score)
+
+
+def _encode_fixed(fixed_parts, n: int) -> _np.ndarray:
+    """Fixed-side map as int64, -1 for unconstrained vertices (an empty
+    array when there is no map)."""
+    if fixed_parts is None:
+        return _np.empty(0, dtype=_np.int64)
+    return _np.array([-1 if p is None else p for p in fixed_parts],
+                     dtype=_np.int64)
+
+
+def _shuffled_order(n: int, rng: random.Random, ks) -> _np.ndarray:
+    """``range(n)`` after ``rng.shuffle``, as int64, shuffled by the
+    kernel set's Mersenne-Twister replay of CPython's shuffle: the same
+    draws, and ``rng`` is left in the state ``rng.shuffle`` leaves."""
+    version, state, gauss_next = rng.getstate()
+    mt = _np.array(state[:-1], dtype=_np.int64)
+    mti_io = _np.array(state[-1:], dtype=_np.int64)
+    perm = _np.empty((1, n), dtype=_np.int64)
+    ks.shuffle_rows(mt, mti_io, _np.arange(n, dtype=_np.int64), perm)
+    rng.setstate(
+        (version, tuple(mt.tolist()) + (int(mti_io[0]),), gauss_next)
+    )
+    return perm[0]
 
 
 class _Workspace:
@@ -168,7 +187,7 @@ def _net_scores(
     semantics let such nets extend the candidate order.
     """
     net_ptr = hypergraph.raw_csr[0]
-    net_weights = hypergraph._net_weights
+    net_weights = hypergraph.net_weight_list
     score = ws.score
     for e in range(hypergraph.num_nets):
         size = net_ptr[e + 1] - net_ptr[e]
@@ -202,21 +221,15 @@ def heavy_edge_matching(
         max_cluster_weight = _default_cluster_cap(hypergraph)
     ks = _kernels(backend)
     if ks is not None:
-        # The RNG draw stays on the Python side (one shuffle, exactly as
-        # below) so every backend consumes the same stream; the kernel
-        # replays the selection loop over the shuffled order.
-        from repro.backends.flatcache import encode_fixed
-
+        # The kernel replays the one ``rng.shuffle`` below draw for draw,
+        # so every backend consumes the same stream, then the selection
+        # loop over the shuffled order.
         k_np, k_pins, k_vp, k_vn, k_vwt, score = _kernel_prep(
             hypergraph, max_net_size, ks
         )
-        order_np = _np.arange(n, dtype=_np.int64)
-        order_l = order_np.tolist()
-        rng.shuffle(order_l)
-        order_np[:] = order_l
+        order_np = _shuffled_order(n, rng, ks)
         use_fixed = 1 if fixed_parts is not None else 0
-        fixed = (encode_fixed(fixed_parts, n) if use_fixed
-                 else _np.empty(0, dtype=_np.int64))
+        fixed = _encode_fixed(fixed_parts, n)
         cluster_np = _np.full(n, -1, dtype=_np.int64)
         out = _np.zeros(2, dtype=_np.int64)
         ks.hem_match(
@@ -228,7 +241,7 @@ def heavy_edge_matching(
             perf.coarsen_neighbors_touched += int(out[1])
         return cluster_np.tolist()
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
-    vwt = hypergraph._vertex_weights
+    vwt = hypergraph.vertex_weight_list
     ws = _WS
     ws.ensure(n, hypergraph.num_nets)
     score = _net_scores(hypergraph, max_net_size, ws)
@@ -307,18 +320,12 @@ def first_choice_clustering(
         max_cluster_weight = _default_cluster_cap(hypergraph)
     ks = _kernels(backend)
     if ks is not None:
-        from repro.backends.flatcache import encode_fixed
-
         k_np, k_pins, k_vp, k_vn, k_vwt, score = _kernel_prep(
             hypergraph, max_net_size, ks
         )
-        order_np = _np.arange(n, dtype=_np.int64)
-        order_l = order_np.tolist()
-        rng.shuffle(order_l)
-        order_np[:] = order_l
+        order_np = _shuffled_order(n, rng, ks)
         use_fixed = 1 if fixed_parts is not None else 0
-        fixed = (encode_fixed(fixed_parts, n) if use_fixed
-                 else _np.empty(0, dtype=_np.int64))
+        fixed = _encode_fixed(fixed_parts, n)
         cluster_np = _np.full(n, -1, dtype=_np.int64)
         out = _np.zeros(2, dtype=_np.int64)
         ks.fc_cluster(
@@ -329,7 +336,7 @@ def first_choice_clustering(
             perf.coarsen_neighbors_touched += int(out[1])
         return cluster_np.tolist()
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
-    vwt = hypergraph._vertex_weights
+    vwt = hypergraph.vertex_weight_list
     ws = _WS
     ws.ensure(n, hypergraph.num_nets)
     score = _net_scores(hypergraph, max_net_size, ws)
@@ -419,35 +426,32 @@ def hyperedge_coarsening(
     n = hypergraph.num_vertices
     if max_cluster_weight is None:
         max_cluster_weight = _default_cluster_cap(hypergraph)
-    net_ptr, net_pins, _, _ = hypergraph.raw_csr
-    vwt = hypergraph._vertex_weights
-    net_weights = hypergraph._net_weights
     ks = _kernels(backend)
     if ks is not None:
-        # Shuffle and the heaviest-first stable sort stay on the Python
-        # side (same RNG stream, same tie order); the kernel replays the
-        # contraction loop over the resulting net order.
-        from repro.backends.flatcache import encode_fixed, flat_csr
-
-        k_np, k_pins, _, _, k_vwt, _ = flat_csr(hypergraph)
-        order = list(hypergraph.nets())
-        rng.shuffle(order)
-        order.sort(
-            key=lambda e: (-net_weights[e], net_ptr[e + 1] - net_ptr[e])
-        )
-        order_np = _np.array(order, dtype=_np.int64)
+        # Same shuffle draws as below; the heaviest-first order is the
+        # same stable sort, done by lexsort (stable too), and the kernel
+        # replays the contraction loop over the resulting net order.
+        k_np, k_pins, _, _ = hypergraph.csr
+        shuffled = _shuffled_order(hypergraph.num_nets, rng, ks)
+        order_np = shuffled[_np.lexsort((
+            _np.diff(k_np)[shuffled],
+            -hypergraph.net_weight_array[shuffled],
+        ))]
         use_fixed = 1 if fixed_parts is not None else 0
-        fixed = (encode_fixed(fixed_parts, n) if use_fixed
-                 else _np.empty(0, dtype=_np.int64))
+        fixed = _encode_fixed(fixed_parts, n)
         cluster_np = _np.full(n, -1, dtype=_np.int64)
         out = _np.zeros(2, dtype=_np.int64)
         ks.hec_contract(
-            k_np, k_pins, k_vwt, order_np, fixed, use_fixed,
+            k_np, k_pins, hypergraph.vertex_weight_array, order_np,
+            fixed, use_fixed,
             float(max_cluster_weight), max_net_size, cluster_np, out,
         )
         if perf is not None:
             perf.coarsen_neighbors_touched += int(out[1])
         return cluster_np.tolist()
+    net_ptr, net_pins, _, _ = hypergraph.raw_csr
+    vwt = hypergraph.vertex_weight_list
+    net_weights = hypergraph.net_weight_list
     cluster = [-1] * n
     order = list(hypergraph.nets())
     rng.shuffle(order)
@@ -521,10 +525,7 @@ def restricted_matching(
         k_np, k_pins, k_vp, k_vn, k_vwt, score = _kernel_prep(
             hypergraph, max_net_size, ks
         )
-        order_np = _np.arange(n, dtype=_np.int64)
-        order_l = order_np.tolist()
-        rng.shuffle(order_l)
-        order_np[:] = order_l
+        order_np = _shuffled_order(n, rng, ks)
         assign_np = _np.array(assignment, dtype=_np.int64)
         cluster_np = _np.full(n, -1, dtype=_np.int64)
         out = _np.zeros(2, dtype=_np.int64)
@@ -537,7 +538,7 @@ def restricted_matching(
             perf.coarsen_neighbors_touched += int(out[1])
         return cluster_np.tolist()
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
-    vwt = hypergraph._vertex_weights
+    vwt = hypergraph.vertex_weight_list
     ws = _WS
     ws.ensure(n, hypergraph.num_nets)
     score = _net_scores(hypergraph, max_net_size, ws)
@@ -679,7 +680,7 @@ def net_proposal_chunk(
     Returns ``(size_ok, totals, conflicts)``, one entry per net.
     """
     net_ptr, net_pins, _, _ = hypergraph.raw_csr
-    vwt = hypergraph._vertex_weights
+    vwt = hypergraph.vertex_weight_list
     size_ok = [False] * (hi - lo)
     totals = [0.0] * (hi - lo)
     conflicts = [False] * (hi - lo)
@@ -712,10 +713,8 @@ def _default_cluster_cap(hypergraph: Hypergraph) -> float:
     least the largest existing vertex (macros must stay placeable)."""
     n = max(hypergraph.num_vertices, 1)
     avg = hypergraph.total_vertex_weight / n
-    biggest = max(
-        (hypergraph.vertex_weight(v) for v in hypergraph.vertices()),
-        default=1.0,
-    )
+    weights = hypergraph.vertex_weight_array
+    biggest = float(weights.max()) if weights.size else 1.0
     return max(4.0 * avg, biggest)
 
 

@@ -290,11 +290,10 @@ class MLPartitioner:
             coarsest, balance, rng, coarsest_fixed, init_engine
         )
 
-        make_part = Partition2 if self.oracle else Partition2.fast
         assignment = part.assignment
         for level, level_fixed in reversed(levels):
             assignment = self._project(level, assignment)
-            fine_part = make_part(
+            fine_part = Partition2(
                 level.fine,
                 assignment,
                 [p is not None for p in level_fixed] if level_fixed else None,
@@ -302,7 +301,7 @@ class MLPartitioner:
             self._note_perf(refine_engine.refine(fine_part))
             assignment = fine_part.assignment
 
-        final = make_part(
+        final = Partition2(
             hypergraph,
             assignment,
             [p is not None for p in fixed] if fixed else None,
@@ -423,11 +422,9 @@ class MLPartitioner:
         cfg = self.config
         if self.oracle:
             match, contract = _oracle.seed_restricted_matching, _oracle.seed_coarsen
-            make_part = Partition2
         else:
             match = partial(restricted_matching, backend=self.backend)
             contract = partial(coarsen, backend=self.backend)
-            make_part = Partition2.fast
         levels: List[CoarseLevel] = []
         fixed_per_level: List[List[bool]] = []
         hg = part.hypergraph
@@ -456,17 +453,17 @@ class MLPartitioner:
             assignment = coarse_assignment
             fixed = coarse_fixed
 
-        coarse_part = make_part(hg, assignment, fixed)
+        coarse_part = Partition2(hg, assignment, fixed)
         self._note_perf(engine.refine(coarse_part))
         assignment = coarse_part.assignment
         for level, level_fixed in zip(reversed(levels), reversed(fixed_per_level)):
             assignment = self._project(level, assignment)
-            fine_part = make_part(level.fine, assignment, level_fixed)
+            fine_part = Partition2(level.fine, assignment, level_fixed)
             self._note_perf(engine.refine(fine_part))
             assignment = fine_part.assignment
 
         # Write the improved assignment back into ``part``.
-        improved = make_part(part.hypergraph, assignment, part.fixed)
+        improved = Partition2(part.hypergraph, assignment, part.fixed)
         if improved.cut <= part.cut:
             part.assignment = improved.assignment
             part.part_weights = improved.part_weights

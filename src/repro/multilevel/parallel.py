@@ -498,7 +498,7 @@ def _merge_heavy_edge(
     if max_cluster_weight is None:
         max_cluster_weight = _default_cluster_cap(hypergraph)
     offsets, nbrs, conns, tch = props
-    vwt = hypergraph._vertex_weights
+    vwt = hypergraph.vertex_weight_list
     cluster = [-1] * n
     order = list(range(n))
     rng.shuffle(order)
@@ -539,7 +539,7 @@ def _merge_first_choice(
     if max_cluster_weight is None:
         max_cluster_weight = _default_cluster_cap(hypergraph)
     offsets, nbrs, conns, tch = props
-    vwt = hypergraph._vertex_weights
+    vwt = hypergraph.vertex_weight_list
     cluster = [-1] * n
     cluster_weight: List[float] = []
     cluster_fixed: List[Optional[int]] = []
@@ -590,7 +590,7 @@ def _merge_hyperedge(
         max_cluster_weight = _default_cluster_cap(hypergraph)
     size_ok, totals, conflicts = props
     net_ptr, net_pins, _, _ = hypergraph.raw_csr
-    net_weights = hypergraph._net_weights
+    net_weights = hypergraph.net_weight_list
     cluster = [-1] * n
     order = list(hypergraph.nets())
     rng.shuffle(order)

@@ -12,7 +12,7 @@ property-based over random hypergraphs.
 
 Also here: the float-accumulation tie regression for
 :meth:`FMEngine._best_prefix` (the bug the integer cut ledger fixes),
-the weight-fingerprint scratch-cache invalidation test, and the
+the read-only-hypergraph scratch-cache tests, and the
 perf-counter smoke test (counters, not wall-clock, so tier-1 safe).
 """
 
@@ -286,11 +286,11 @@ class TestBestPrefixFloatTieRegression:
 
 
 class TestScratchCacheInvalidation:
-    """The kernel scratch is keyed on (identity, weight fingerprint,
-    insertion order), not identity alone — out-of-band weight mutation
-    must rebuild the invariants instead of reusing stale gains."""
+    """The kernel scratch is keyed on (identity, insertion order) alone:
+    a hypergraph's arrays are read-only, so nothing cached from them can
+    go stale behind the engine's back."""
 
-    def test_weight_mutation_invalidates_scratch(self):
+    def test_weights_are_read_only(self):
         hg = generate_circuit(60, seed=1)
         bal = BalanceConstraint(hg.total_vertex_weight, 0.2)
         engine = FMEngine(bal, FMConfig(max_passes=2), random.Random(0))
@@ -299,18 +299,15 @@ class TestScratchCacheInvalidation:
         first_scratch = engine._scratch
         assert first_scratch is not None
 
-        # Same hypergraph, untouched: scratch is reused.
+        # Same hypergraph: scratch is reused.
         engine.refine(part.copy())
         assert engine._scratch is first_scratch
 
-        # Mutate a net weight behind the hypergraph's back (conceptually
-        # immutable, but nothing in Python stops this).  The integer
-        # weights cached in the scratch are now stale.
-        hg._net_weights[0] += 1.0
-        engine.refine(Partition2(hg, part.assignment))
-        assert engine._scratch is not first_scratch
-        assert engine._scratch.net_w[0] == first_scratch.net_w[0] + 1
-        hg._net_weights[0] -= 1.0  # tidy up the shared instance
+        # Out-of-band mutation is impossible rather than detected.
+        for arr in hg.csr + (hg.vertex_weight_array, hg.net_weight_array):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0] + 1
+        assert first_scratch.net_w == hg.int_net_weights().tolist()
 
     def test_insertion_order_change_invalidates_scratch(self):
         hg = generate_circuit(60, seed=1)
@@ -325,16 +322,18 @@ class TestScratchCacheInvalidation:
         engine.refine(part.copy())
         assert engine._scratch is not s1
 
-    def test_swapped_weights_change_fingerprint(self):
-        # Positional weighting: swapping two unequal weights keeps the
-        # sum but must still change the fingerprint.
+    def test_pickled_hypergraph_stays_read_only(self):
+        # Unpickled numpy arrays come back writeable; the hypergraph must
+        # re-freeze them, and must not ship its per-instance caches.
+        import pickle
+
         hg = Hypergraph([[0, 1], [1, 2]], 3, vertex_weights=[1.0, 2.0, 4.0])
-        fp1 = hg.weight_fingerprint()
-        hg._vertex_weights[0], hg._vertex_weights[2] = (
-            hg._vertex_weights[2],
-            hg._vertex_weights[0],
-        )
-        assert hg.weight_fingerprint() != fp1
+        hg.raw_csr  # populate the list views
+        clone = pickle.loads(pickle.dumps(hg))
+        assert clone.raw_csr == hg.raw_csr
+        assert clone.vertex_weights == hg.vertex_weights
+        for arr in clone.csr + (clone.vertex_weight_array,):
+            assert not arr.flags.writeable
 
 
 class TestPerfCountersSmoke:

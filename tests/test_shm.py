@@ -48,7 +48,10 @@ class TestRoundTrip:
             assert got.raw_csr == tuple(list(a) for a in hg.raw_csr)
             assert got.vertex_weights == hg.vertex_weights
             assert got.net_weights == hg.net_weights
-            assert got.weight_fingerprint() == hg.weight_fingerprint()
+            assert all(
+                (a == b).all() and not a.flags.writeable
+                for a, b in zip(got.csr, hg.csr)
+            )
         finally:
             shm.unlink_handle(handle)
 
@@ -80,7 +83,7 @@ class TestRoundTrip:
         try:
             views = Hypergraph.from_shared(handle, materialize=False)
             with pytest.raises((ValueError, RuntimeError)):
-                views.raw_csr[1][0] = 999
+                views.csr[1][0] = 999
             del views
         finally:
             shm.detach_handle(handle)
@@ -99,8 +102,8 @@ class TestRoundTrip:
             views = Hypergraph.from_shared(handle, materialize=False)
             # The weight *properties* return copies; the arrays the
             # kernels read are the adopted segment-backed ones.
-            arrays = list(views.raw_csr) + [
-                views._vertex_weights, views._net_weights
+            arrays = list(views.csr) + [
+                views.vertex_weight_array, views.net_weight_array
             ]
             assert len(arrays) == 6
             for arr in arrays:
@@ -394,10 +397,10 @@ class TestFromCsrTranspose:
             hg.net_weights,
             transpose=(list(vtx_ptr), list(vtx_nets)),
         )
-        rebuilt = _build_transpose(
-            hg.num_vertices, hg.num_nets, list(net_ptr), list(net_pins)
+        rebuilt = _build_transpose(hg.num_vertices, *hg.csr[:2])
+        assert (built.raw_csr[2], built.raw_csr[3]) == tuple(
+            a.tolist() for a in rebuilt
         )
-        assert (built.raw_csr[2], built.raw_csr[3]) == rebuilt
         assert built.nets_of(0) == hg.nets_of(0)
         assert built.degree(hg.num_vertices - 1) == hg.degree(
             hg.num_vertices - 1

@@ -89,30 +89,3 @@ def test_bench_cut_from_scratch(benchmark):
     rng = random.Random(0)
     assignment = [rng.randint(0, 1) for _ in range(hg.num_vertices)]
     benchmark(lambda: hg.cut_size(assignment))
-
-
-def test_bench_fm_kernel_vs_seed():
-    """Kernel-vs-seed microbenchmark; writes ``BENCH_fm_kernel.json``.
-
-    The machine-readable record (per-config timings, speedup, perf
-    counters, move-for-move equivalence verdict) lands both in the
-    repository root — the regression artifact named by the issue — and
-    under ``benchmarks/results`` with the other bench outputs.
-    """
-    from pathlib import Path
-
-    from repro.bench import bench_fm_kernel, render_fm_bench, write_fm_bench_json
-
-    from _common import RESULTS_DIR, emit
-
-    result = bench_fm_kernel(scale=bench_scale(), repeats=3)
-    emit("BENCH_fm_kernel", render_fm_bench(result))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    write_fm_bench_json(result, str(RESULTS_DIR / "BENCH_fm_kernel.json"))
-    write_fm_bench_json(
-        result, str(Path(__file__).resolve().parent.parent / "BENCH_fm_kernel.json")
-    )
-    assert result["equivalent"], "kernel diverged from the seed engine"
-    assert result["speedup"] >= 1.5, (
-        f"kernel speedup regressed: {result['speedup']:.2f}x < 1.5x"
-    )

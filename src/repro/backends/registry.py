@@ -18,10 +18,9 @@ shuffle/cumsum/prefix-min) as flat-array kernels.  Registered backends:
 * ``cnative`` — the C translation (:mod:`repro.backends.cnative`),
   compiled once per source hash with the system C compiler and loaded
   via ctypes.  Unavailable when no working compiler is found.
-* ``cython`` — reserved name for a future Cython build; currently
-  always unavailable with a recorded reason (kept registered so
-  ``--backend cython`` fails loudly with the reason instead of a typo
-  error, and so the extras name is stable).
+
+:func:`backend_status` reports every registered backend's availability
+and, for an unavailable one, the reason.
 
 **Activation contract.**  A backend activates lazily on first request:
 import/compile, then a mandatory self-check
@@ -53,7 +52,6 @@ BACKEND_NAMES: Tuple[str, ...] = (
     "flatref",
     "numba",
     "cnative",
-    "cython",
 )
 
 #: Preference order for ``auto``: compiled backends first.
@@ -148,11 +146,6 @@ def _activate(name: str) -> BackendInfo:
     """Build (import/compile + self-check) one backend; never raises."""
     if name == "numpy":
         return BackendInfo("numpy", True, reason="interpreted reference")
-    if name == "cython":
-        return BackendInfo(
-            "cython", False,
-            reason="cython backend not built in this distribution",
-        )
     t0 = time.perf_counter()
     try:
         if name == "flatref":

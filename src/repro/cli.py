@@ -180,356 +180,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def _parse_backends(value: Optional[str]):
-    """``--backends`` flag value -> list for the bench sweep (None =
-    every available backend, empty string = skip the sweep)."""
-    if value is None:
-        return None
-    names = [b.strip() for b in value.split(",") if b.strip()]
-    return names
-
-
-def cmd_bench_fm(args: argparse.Namespace) -> int:
-    """FM kernel microbenchmark vs the frozen seed engine.
-
-    Prints a table, writes machine-readable JSON, and (with
-    ``--min-speedup``) acts as a regression gate: exit code 1 when the
-    kernel is slower than required or diverges move-for-move.
-    """
-    from repro.bench import bench_fm_kernel, render_fm_bench, write_fm_bench_json
-
-    configs = [c.strip() for c in args.configs.split(",") if c.strip()]
-    result = bench_fm_kernel(
-        instance=args.instance,
-        scale=args.scale,
-        repeats=args.repeats,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        configs=configs,
-        max_passes=args.max_passes,
-        backends=_parse_backends(args.backends),
-    )
-    print(render_fm_bench(result))
-    write_fm_bench_json(result, args.output)
-    print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print("error: kernel is NOT move-for-move equivalent to the seed",
-              file=sys.stderr)
-        return 1
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"error: speedup {result['speedup']:.2f}x below required "
-            f"{args.min_speedup:g}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_ml(args: argparse.Namespace) -> int:
-    """Multilevel coarsening/pooling bench vs the frozen seed-oracle path.
-
-    Prints a summary, writes machine-readable JSON, and gates: exit
-    code 1 when the pooled kernel path is below ``--min-speedup`` or
-    any per-start cut diverges from the oracle baseline.
-    """
-    from repro.bench import bench_ml_coarsen, render_ml_bench, write_bench_json
-
-    result = bench_ml_coarsen(
-        instance=args.instance,
-        scale=args.scale,
-        repeats=args.repeats,
-        num_starts=args.num_starts,
-        pool_size=args.pool_size,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        clip=args.clip,
-        backends=_parse_backends(args.backends),
-    )
-    print(render_ml_bench(result))
-    write_bench_json(result, args.output)
-    print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print(
-            "error: pooled kernel cuts diverged from the seed-oracle path",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"error: speedup {result['speedup']:.2f}x below required "
-            f"{args.min_speedup:g}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_eval(args: argparse.Namespace) -> int:
-    """Evaluation-bootstrap bench vs the frozen pure-Python oracle.
-
-    Prints a summary, writes machine-readable JSON, and gates: exit
-    code 1 when the vectorized engine is below ``--min-speedup`` or any
-    bootstrap statistic diverges from the oracle.
-    """
-    from repro.bench import bench_eval_bootstrap, render_eval_bench, write_bench_json
-
-    result = bench_eval_bootstrap(
-        num_records=args.records,
-        num_heuristics=args.heuristics,
-        tau_points=args.taus,
-        num_shuffles=args.shuffles,
-        repeats=args.repeats,
-        seed=args.seed,
-        backends=_parse_backends(args.backends),
-    )
-    print(render_eval_bench(result))
-    write_bench_json(result, args.output)
-    print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print(
-            "error: vectorized bootstrap diverged from the frozen oracle",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"error: speedup {result['speedup']:.2f}x below required "
-            f"{args.min_speedup:g}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_orchestrate(args: argparse.Namespace) -> int:
-    """Campaign orchestration bench vs the frozen pre-PR worker pool.
-
-    Prints a summary, writes machine-readable JSON, and gates: exit
-    code 1 when the shm/batched/sticky pool is below ``--min-speedup``
-    or any record stream diverges (transport vs the frozen pool, sticky
-    parallel vs sticky serial).
-    """
-    from repro.bench import (
-        bench_orchestrate,
-        render_orchestrate_bench,
-        write_bench_json,
-    )
-
-    result = bench_orchestrate(
-        instance=args.instance,
-        scale=args.scale,
-        repeats=args.repeats,
-        num_starts=args.num_starts,
-        workers=args.workers,
-        pool_size=args.pool_size,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
-    print(render_orchestrate_bench(result))
-    write_bench_json(result, args.output)
-    print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print(
-            "error: orchestrated records diverged "
-            f"(transport ok: {result['transport_equivalent']}, "
-            f"sticky ok: {result['sticky_equivalent']})",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"error: speedup {result['speedup']:.2f}x below required "
-            f"{args.min_speedup:g}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_backends(args: argparse.Namespace) -> int:
-    """Compiled-backend gate: registry backends vs the interpreted
-    engine on the fused FM pass kernel.
-
-    Prints the registry status + per-backend timing tables, writes
-    machine-readable JSON, and gates: exit code 1 when any backend
-    diverges move-for-move or the best compiled backend misses the
-    speedup floor.  On a numpy-only install the gate is *skipped* (no
-    compiled backend to hold to the floor) unless ``--require-compiled``
-    insists.
-    """
-    from repro.bench import (
-        bench_backends,
-        render_backends_bench,
-        write_bench_json,
-    )
-
-    configs = [c.strip() for c in args.configs.split(",") if c.strip()]
-    result = bench_backends(
-        instance=args.instance,
-        scale=args.scale,
-        repeats=args.repeats,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        configs=configs,
-        max_passes=args.max_passes,
-        floor=args.floor,
-    )
-    print(render_backends_bench(result))
-    write_bench_json(result, args.output)
-    print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print(
-            "error: a backend is NOT move-for-move equivalent to the "
-            "interpreted engine",
-            file=sys.stderr,
-        )
-        return 1
-    gate = result["gate"]
-    if gate["skipped"]:
-        if args.require_compiled:
-            print(
-                f"error: --require-compiled but {gate['skip_reason']}",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    if not gate["passed"]:
-        print(
-            f"error: gate backend {gate['backend']} at "
-            f"{gate['speedup']:.2f}x is below the {gate['floor']:g}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_all(args: argparse.Namespace) -> int:
-    """Run every bench target and print one summary table.
-
-    Gates only on the equivalence verdicts (every target's records and
-    statistics must be bit-identical); speedup floors stay with the
-    individual targets, whose workloads are sized for them.
-    """
-    from repro.bench import bench_all, render_all_bench, write_bench_json
-
-    result = bench_all(quick=not args.full)
-    print(render_all_bench(result))
-    if args.output:
-        write_bench_json(result, args.output)
-        print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print(
-            "error: a bench target reported non-equivalent results",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-#: One-line description per bench target, shown by bare ``repro bench``.
-BENCH_TARGETS = (
-    ("fm", "FM kernel vs the frozen seed engine (move-for-move gate)"),
-    ("ml", "multilevel coarsening + hierarchy pool vs the seed-oracle path"),
-    ("eval", "vectorized evaluation bootstrap vs the pure-Python oracle"),
-    ("orchestrate", "campaign orchestration plane vs the frozen worker pool"),
-    ("inrun", "in-run parallel coarsening/multistart vs the serial engine"),
-    ("kway", "k-way + terminal-propagation scenarios across every "
-             "execution plane"),
-    ("backends", "compiled kernel backends vs the interpreted engine "
-                 "(bit-identity + speedup-floor gate)"),
-    ("all", "every target once, one summary table"),
-)
-
-
-def cmd_bench_list(args: argparse.Namespace) -> int:
-    """Bare ``repro bench``: list the available targets and exit 0."""
-    print("available bench targets (repro bench <target> --help):")
-    for name, desc in BENCH_TARGETS:
-        print(f"  {name:12s} {desc}")
-    return 0
-
-
-def cmd_bench_inrun(args: argparse.Namespace) -> int:
-    """In-run parallelism bench vs the serial multistart engine.
-
-    Prints a summary, writes machine-readable JSON, and gates: exit
-    code 1 when the pooled fan-out is below ``--min-speedup`` or any
-    record stream diverges from the serial engine at any worker count.
-    """
-    from repro.bench import bench_inrun, render_inrun_bench, write_bench_json
-
-    result = bench_inrun(
-        instance=args.instance,
-        scale=args.scale,
-        repeats=args.repeats,
-        num_starts=args.num_starts,
-        workers=args.workers,
-        pool_size=args.pool_size,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
-    print(render_inrun_bench(result))
-    write_bench_json(result, args.output)
-    print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print(
-            "error: in-run parallel records diverged from the serial engine",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"error: speedup {result['speedup']:.2f}x below required "
-            f"{args.min_speedup:g}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_kway(args: argparse.Namespace) -> int:
-    """K-way / terminal-propagation scenario bench across every
-    execution plane.
-
-    Prints a summary, writes machine-readable JSON, and gates: exit
-    code 1 when any plane's record stream diverges from serial inline
-    or any k violates its documented balance window.  The serial-vs-
-    pool speedup is informational only.
-    """
-    from repro.bench import bench_kway, render_kway_bench, write_bench_json
-
-    ks = tuple(int(k.strip()) for k in args.ks.split(",") if k.strip())
-    result = bench_kway(
-        instance=args.instance,
-        scale=args.scale,
-        repeats=args.repeats,
-        num_starts=args.num_starts,
-        workers=args.workers,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        ks=ks,
-    )
-    print(render_kway_bench(result))
-    write_bench_json(result, args.output)
-    print(f"\nwrote {args.output}")
-    if not result["equivalent"]:
-        print(
-            "error: scenario records diverged across execution planes",
-            file=sys.stderr,
-        )
-        return 1
-    if not result["legal"]:
-        print(
-            "error: a scenario produced an illegal partition "
-            "(balance window violated)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-# ----------------------------------------------------------------------
 def _print_perf_totals(store) -> None:
     """Per-heuristic kernel counters aggregated across all workers
     (``perf.json``, campaign-cumulative across resumes)."""
@@ -758,7 +408,6 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# ----------------------------------------------------------------------
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the persistent campaign service until interrupted."""
     import time
@@ -977,203 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
-        "bench",
-        help="microbenchmarks with machine-readable regression output",
-    )
-    p.set_defaults(func=cmd_bench_list)
-    bsub = p.add_subparsers(dest="bench_command")
-
-    b = bsub.add_parser(
-        "fm",
-        help="FM kernel vs frozen seed engine (writes BENCH_fm_kernel.json)",
-    )
-    b.add_argument("--instance", default="ibm01s",
-                   help="synthetic suite instance (default ibm01s)")
-    b.add_argument("--scale", type=int, default=16,
-                   help="suite scale divisor (default 16 = acceptance size)")
-    b.add_argument("--repeats", type=int, default=3,
-                   help="timed runs per engine per config (min is reported)")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tolerance", type=float, default=0.1)
-    b.add_argument("--configs", default="flat,clip",
-                   help="comma-separated kernel configs (flat,clip)")
-    b.add_argument("--max-passes", type=int, default=4)
-    b.add_argument("--backends", default=None,
-                   help="comma-separated registry backends for the "
-                   "per-backend columns (default: every available one; "
-                   "pass '' to skip the sweep)")
-    b.add_argument("--min-speedup", type=float, default=0.0,
-                   help="fail (exit 1) below this geomean speedup")
-    b.add_argument("-o", "--output", default="BENCH_fm_kernel.json")
-    b.set_defaults(func=cmd_bench_fm)
-
-    b = bsub.add_parser(
-        "ml",
-        help="multilevel coarsening kernel + hierarchy pool vs the frozen "
-        "seed-oracle path (writes BENCH_ml_coarsen.json)",
-    )
-    b.add_argument("--instance", default="ibm01s",
-                   help="synthetic suite instance (default ibm01s)")
-    b.add_argument("--scale", type=int, default=16,
-                   help="suite scale divisor (default 16 = acceptance size)")
-    b.add_argument("--repeats", type=int, default=3,
-                   help="multistart runs per path (min is reported)")
-    b.add_argument("--num-starts", type=int, default=8,
-                   help="starts per multistart run (acceptance: 8)")
-    b.add_argument("--pool-size", type=int, default=2,
-                   help="pooled hierarchies (default 2)")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tolerance", type=float, default=0.02)
-    b.add_argument("--clip", action="store_true",
-                   help="CLIP refinement instead of flat LIFO FM")
-    b.add_argument("--backends", default=None,
-                   help="comma-separated registry backends for extra "
-                   "pooled-run columns (default: every available one; "
-                   "pass '' to skip)")
-    b.add_argument("--min-speedup", type=float, default=2.0,
-                   help="fail (exit 1) below this end-to-end speedup "
-                   "(default 2.0; pass 0 to disable the gate)")
-    b.add_argument("-o", "--output", default="BENCH_ml_coarsen.json")
-    b.set_defaults(func=cmd_bench_ml)
-
-    b = bsub.add_parser(
-        "eval",
-        help="vectorized evaluation bootstrap vs the frozen pure-Python "
-        "oracle (writes BENCH_eval_bootstrap.json)",
-    )
-    b.add_argument("--records", type=int, default=10000,
-                   help="synthetic trial records in the workload "
-                   "(default 10000 = acceptance size)")
-    b.add_argument("--heuristics", type=int, default=2,
-                   help="heuristics the records are split over (default 2)")
-    b.add_argument("--taus", type=int, default=12,
-                   help="tau grid points (default 12, the report default)")
-    b.add_argument("--shuffles", type=int, default=50,
-                   help="bootstrap shuffles per (heuristic, tau) (default 50)")
-    b.add_argument("--repeats", type=int, default=3,
-                   help="timed runs per path (min is reported)")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--backends", default=None,
-                   help="comma-separated registry backends for extra "
-                   "bootstrap columns (default: every available one; "
-                   "pass '' to skip)")
-    b.add_argument("--min-speedup", type=float, default=10.0,
-                   help="fail (exit 1) below this speedup "
-                   "(default 10.0; pass 0 to disable the gate)")
-    b.add_argument("-o", "--output", default="BENCH_eval_bootstrap.json")
-    b.set_defaults(func=cmd_bench_eval)
-
-    b = bsub.add_parser(
-        "orchestrate",
-        help="campaign orchestration plane vs the frozen pre-PR worker "
-        "pool (writes BENCH_orchestrate.json)",
-    )
-    b.add_argument("--instance", default="ibm01s",
-                   help="synthetic suite instance (default ibm01s)")
-    b.add_argument("--scale", type=int, default=16,
-                   help="suite scale divisor (default 16 = acceptance size)")
-    b.add_argument("--repeats", type=int, default=3,
-                   help="timed campaigns per pool (min is reported)")
-    b.add_argument("--num-starts", type=int, default=48,
-                   help="short trials in the campaign (default 48)")
-    b.add_argument("--workers", type=int, default=2,
-                   help="pool workers for both pools (default 2)")
-    b.add_argument("--pool-size", type=int, default=1,
-                   help="hierarchies per sticky cache block (default 1)")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tolerance", type=float, default=0.1)
-    b.add_argument("--min-speedup", type=float, default=2.0,
-                   help="fail (exit 1) below this end-to-end speedup "
-                   "(default 2.0; pass 0 to disable the gate)")
-    b.add_argument("-o", "--output", default="BENCH_orchestrate.json")
-    b.set_defaults(func=cmd_bench_orchestrate)
-
-    b = bsub.add_parser(
-        "inrun",
-        help="in-run parallel coarsening + multistart fan-out vs the "
-        "serial engine (writes BENCH_inrun.json)",
-    )
-    b.add_argument("--instance", default="ibm01s",
-                   help="synthetic suite instance (default ibm01s)")
-    b.add_argument("--scale", type=int, default=16,
-                   help="suite scale divisor (default 16 = acceptance size)")
-    b.add_argument("--repeats", type=int, default=3,
-                   help="timed multistart runs per path (min is reported)")
-    b.add_argument("--num-starts", type=int, default=24,
-                   help="starts per multistart run (default 24)")
-    b.add_argument("--workers", type=int, default=4,
-                   help="in-run workers for the parallel path (default 4)")
-    b.add_argument("--pool-size", type=int, default=1,
-                   help="hierarchies in the shared pool (default 1)")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tolerance", type=float, default=0.1)
-    b.add_argument("--min-speedup", type=float, default=2.0,
-                   help="fail (exit 1) below this end-to-end speedup "
-                   "(default 2.0; pass 0 to disable the gate)")
-    b.add_argument("-o", "--output", default="BENCH_inrun.json")
-    b.set_defaults(func=cmd_bench_inrun)
-
-    b = bsub.add_parser(
-        "kway",
-        help="k-way + terminal-propagation scenarios across every "
-        "execution plane (writes BENCH_kway.json)",
-    )
-    b.add_argument("--instance", default="ibm01s",
-                   help="suite or adversarial instance (default ibm01s)")
-    b.add_argument("--scale", type=int, default=16,
-                   help="instance scale divisor (default 16)")
-    b.add_argument("--repeats", type=int, default=3,
-                   help="timed campaign runs per plane (min is reported)")
-    b.add_argument("--num-starts", type=int, default=4,
-                   help="independent starts per scenario (default 4)")
-    b.add_argument("--workers", type=int, default=2,
-                   help="worker-pool size for the parallel planes "
-                   "(default 2)")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tolerance", type=float, default=0.1)
-    b.add_argument("--ks", default="2,4,8",
-                   help="comma-separated k values (default 2,4,8)")
-    b.add_argument("-o", "--output", default="BENCH_kway.json")
-    b.set_defaults(func=cmd_bench_kway)
-
-    b = bsub.add_parser(
-        "backends",
-        help="compiled kernel backends vs the interpreted engine "
-        "(writes BENCH_backends.json)",
-    )
-    b.add_argument("--instance", default="ibm01s",
-                   help="synthetic suite instance (default ibm01s)")
-    b.add_argument("--scale", type=int, default=16,
-                   help="suite scale divisor (default 16 = acceptance size)")
-    b.add_argument("--repeats", type=int, default=5,
-                   help="timed runs per backend per config (min is "
-                   "reported)")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tolerance", type=float, default=0.1)
-    b.add_argument("--configs", default="flat,clip",
-                   help="comma-separated kernel configs (flat,clip)")
-    b.add_argument("--max-passes", type=int, default=4)
-    b.add_argument("--floor", type=float, default=5.0,
-                   help="required geomean speedup of the best compiled "
-                   "backend over the interpreted engine (default 5.0)")
-    b.add_argument("--require-compiled", action="store_true",
-                   help="fail instead of skipping the gate when no "
-                   "compiled backend is available")
-    b.add_argument("-o", "--output", default="BENCH_backends.json")
-    b.set_defaults(func=cmd_bench_backends)
-
-    b = bsub.add_parser(
-        "all",
-        help="run every bench target once and print one summary table",
-    )
-    b.add_argument("--full", action="store_true",
-                   help="each target at its own default workload instead "
-                   "of the quick sizes")
-    b.add_argument("-o", "--output", default=None,
-                   help="also write the combined JSON here")
-    b.set_defaults(func=cmd_bench_all)
-
-    p = sub.add_parser(
         "campaign",
         help="orchestrated campaigns: parallel, journaled, resumable",
     )
@@ -1210,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument(
             "--backend", default=None,
             help="kernel backend for every trial (numpy, flatref, "
-            "numba, cnative, cython, or auto = best available "
+            "numba, cnative, or auto = best available "
             "compiled); backends are selectable only when "
             "bit-identical, so records never change — unavailable "
             "backends fall back to numpy with the reason recorded",
@@ -1354,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "against the service fleet; records unchanged)")
     j.add_argument("--backend", default=None,
                    help="kernel backend for this job's trials (numpy, "
-                   "flatref, numba, cnative, cython, auto); selectable "
+                   "flatref, numba, cnative, auto); selectable "
                    "only when bit-identical, so records never change")
     j.add_argument("--wait", action="store_true",
                    help="follow the job and exit when it finishes")

@@ -10,7 +10,7 @@ The package exposes:
 * :class:`Partition2` / :class:`BalanceConstraint` — incremental
   partition state and the paper's percentage balance semantics;
 * :class:`PerfCounters` — kernel event counters attached to every
-  :class:`FMResult` (see ``repro bench fm``);
+  :class:`FMResult`;
 * :func:`run_multistart` — independent-start experiment driver.
 """
 

@@ -33,9 +33,9 @@ are fused into a single sweep over the moved vertex's nets (using
 pre-move pin counts, exactly as the classic gain-update rule requires),
 and the balance margin is computed with scalar comparisons instead of
 generator expressions.  The move-for-move behavior of the seed engine
-(:class:`repro.core._seed_engine.SeedFMEngine`) is preserved exactly —
-the equivalence suite asserts identical move sequences, kept prefixes
-and final cuts for every configuration combination.
+(``SeedFMEngine`` in ``tests/oracles/_seed_engine.py``) is preserved
+exactly — the equivalence suite asserts identical move sequences, kept
+prefixes and final cuts for every configuration combination.
 
 Because :class:`~repro.core.partition.Partition2` maintains an exact
 integer cut ledger for integral net weights, the logged cut values here
@@ -165,7 +165,7 @@ class _PassScratch:
         self.move_log = [0] * n
         self.cut_log = [0.0] * n
         self.dist_log = [0.0] * n
-        # Snapshot-restore rollback state (see FMEngine.snapshot_rollback).
+        # Snapshot-restore rollback state (see FMEngine._run_pass).
         # Restore-then-replay reorders the floating-point part-weight
         # updates relative to reverse rollback, so the fast path is only
         # exact — hence only taken — when vertex weights are integral
@@ -204,28 +204,18 @@ class FMEngine:
     record_moves:
         When True, each :class:`PassStats` carries the full move
         sequence of its pass (``move_log``).  Used by the equivalence
-        suite and the kernel microbenchmark; off by default because the
-        per-pass list copy is pure overhead in production runs.
-    snapshot_rollback:
-        When True (default), a pass snapshots the partition state
-        (assignment, pin counts, part weights) before moving and, when
-        the rollback suffix is long, restores the snapshot and replays
-        only the kept prefix instead of undoing move by move.  FM
-        rollback is typically ~97% of applied moves — almost every pass
-        keeps a short prefix of a long speculative move sequence — so
-        restore-and-replay is far cheaper than reverse rollback.  The
-        fast path engages only when vertex weights are integral (the
-        two orders are then bit-identical); set False to force the
-        seed engine's reverse rollback everywhere, e.g. as the
-        pre-pooling baseline in ``repro bench ml``.
-    vector_seed:
-        When True (default), the per-pass gain seeding is computed with
-        numpy on the flat incidence arrays instead of the Python
-        per-vertex loop, for hypergraphs large enough to amortize the
-        array round-trip.  Gains are exact integers either way, so the
-        results are bit-identical; the flag (like ``snapshot_rollback``)
-        exists so the benchmark baseline can run the faithful
-        pre-vectorization code path.
+        suite; off by default because the per-pass list copy is pure
+        overhead in production runs.
+
+    The interpreted pass takes two exact fast paths, chosen from the
+    input.  With integral vertex weights and an integral cut ledger it
+    snapshots the partition state before moving and, when the rollback
+    suffix is long, restores the snapshot and replays only the kept
+    prefix instead of undoing move by move (FM rolls back ~97% of its
+    applied moves).  With an integral ledger and at least
+    ``_VECTOR_SEED_MIN_VERTICES`` vertices it seeds the pass's gains
+    with numpy on the flat incidence arrays instead of the per-vertex
+    loop.  Both reproduce the seed engine's results bit for bit.
     """
 
     #: Scratch entries kept per engine before the cache is reset.  A
@@ -241,16 +231,12 @@ class FMEngine:
         config: Optional[FMConfig] = None,
         rng: Optional[random.Random] = None,
         record_moves: bool = False,
-        snapshot_rollback: bool = True,
-        vector_seed: bool = True,
         backend: Optional[str] = None,
     ) -> None:
         self.balance = balance
         self.config = config if config is not None else FMConfig()
         self.rng = rng if rng is not None else random.Random(0)
         self.record_moves = record_moves
-        self.snapshot_rollback = snapshot_rollback
-        self.vector_seed = vector_seed
         # Kernel backend: the explicit argument wins over
         # ``config.backend``, which wins over the process default /
         # REPRO_BACKEND (resolved lazily on first refine so import
@@ -568,11 +554,7 @@ class FMEngine:
         # an integral cut ledger: the replay re-derives part weights and
         # the cut in forward order, which for floats is not
         # bit-identical to undoing in reverse.
-        snap = (
-            self.snapshot_rollback
-            and sc.vw_integral
-            and partition.integral_nets
-        )
+        snap = sc.vw_integral and partition.integral_nets
         if snap:
             sc.snap_assign[:] = assign
             sc.snap_pins0[:] = pins0
@@ -606,11 +588,7 @@ class FMEngine:
         elig = sc.eligible
         gain_arr = sc.gain
         ecount = 0
-        if (
-            self.vector_seed
-            and n >= _VECTOR_SEED_MIN_VERTICES
-            and partition.integral_nets
-        ):
+        if n >= _VECTOR_SEED_MIN_VERTICES and partition.integral_nets:
             # Vectorized seeding: gains are integer sums over incident
             # nets, so numpy int arithmetic reproduces the loop below
             # bit for bit (the integral-ledger gate keeps the near-

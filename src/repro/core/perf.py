@@ -195,8 +195,7 @@ class PerfCounters:
         return self.moves_applied / self.total_seconds
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (used by ``BENCH_fm_kernel.json``
-        and experiment records)."""
+        """JSON-serializable snapshot (used by experiment records)."""
         return {
             "passes": self.passes,
             "vertices_seeded": self.vertices_seeded,

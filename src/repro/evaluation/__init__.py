@@ -19,9 +19,10 @@ principled way to run and report metaheuristic experiments —
 * :mod:`~repro.evaluation.streaming` — live reports tailed from a
   running campaign's journal (import the submodule directly; it reaches
   into :mod:`repro.orchestrate` and is kept out of this namespace to
-  avoid an import cycle);
-* :mod:`~repro.evaluation._seed_eval` — the frozen pure-Python
-  bootstrap the vectorized kernels are verified bit-identical against.
+  avoid an import cycle).
+
+The vectorized kernels are verified bit-identical against the frozen
+pure-Python bootstrap in ``tests/oracles/_seed_eval.py``.
 """
 
 from repro.evaluation.bsf import (

@@ -42,7 +42,7 @@ def non_dominated(points: Iterable[PerfPoint]) -> List[PerfPoint]:
     tracking the best cost among strictly-earlier time groups decides
     every point.  Output is identical — element for element, ties in
     original input order — to the quadratic scan it replaced (frozen in
-    :mod:`repro.evaluation._seed_eval`).
+    ``tests/oracles/_seed_eval.py``).
     """
     pts = sorted(points, key=lambda p: (p.time, p.cost))
     frontier: List[PerfPoint] = []

@@ -13,7 +13,6 @@ from repro.multilevel.matching import (
 from repro.multilevel.mlpart import MLConfig, MLPartitioner
 from repro.multilevel.parallel import (
     InRunPool,
-    build_hierarchy_parallel,
     clamp_inrun_workers,
     close_inrun_pools,
     get_inrun_pool,
@@ -36,7 +35,6 @@ __all__ = [
     "MLConfig",
     "MLPartitioner",
     "build_hierarchy",
-    "build_hierarchy_parallel",
     "clamp_inrun_workers",
     "close_inrun_pools",
     "coarsen",

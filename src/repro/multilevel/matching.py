@@ -25,7 +25,7 @@ seen, so repeated coarsening (multistart pools, V-cycles) touches no
 allocator at all.
 
 The rewrite is *behaviourally identical* to the frozen seed oracle
-(``repro.multilevel._seed_coarsen``): identical cluster maps, identical
+(``tests/oracles/_seed_coarsen.py``): identical cluster maps, identical
 RNG stream consumption (one ``rng.shuffle`` per call), identical float
 accumulation order, and identical tie-breaking — including the subtle
 invariant that a zero-weight eligible net still inserts its pins into

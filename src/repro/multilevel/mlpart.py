@@ -24,13 +24,6 @@ runs serve any number of starts.  When a hierarchy is supplied the
 per-start RNG feeds *only* initial partitioning and refinement, which is
 what makes a pooled run bit-identical to a serial run that rebuilds the
 same hierarchies from the same hierarchy seeds.
-
-**Oracle mode.**  ``MLPartitioner(oracle=True)`` routes every coarsening
-step through the frozen seed implementation
-(:mod:`repro.multilevel._seed_coarsen`), builds fresh engines with the
-seed engine's reverse rollback, and uncoarsens with freshly allocated
-projections — the faithful pre-kernel code path that ``repro bench ml``
-measures the kernels against.
 """
 
 from __future__ import annotations
@@ -38,10 +31,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.core._seed_engine import SeedFMEngine
 from repro.core.balance import BalanceConstraint
 from repro.core.config import FMConfig
 from repro.core.engine import FMEngine
@@ -50,7 +41,6 @@ from repro.core.partition import Partition2
 from repro.core.partitioner import PartitionResult
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.multilevel import _seed_coarsen as _oracle
 from repro.multilevel.coarsen import CoarseLevel, coarsen
 from repro.multilevel.matching import restricted_matching
 from repro.multilevel.pool import Hierarchy, build_hierarchy
@@ -121,19 +111,14 @@ class MLPartitioner:
     ----------
     config, tolerance, name:
         As before (configuration, balance tolerance, report label).
-    oracle:
-        When True, run the frozen seed coarsening/rollback code paths
-        end to end (see module docstring).  The benchmark baseline;
-        never faster, always bit-equivalent.
     inrun_workers:
         Overrides ``config.inrun_workers`` when given: in-run parallel
         workers for hierarchy construction (bit-identical to serial;
-        clamped to 1 inside daemonic pool workers and in oracle mode).
+        clamped to 1 inside daemonic pool workers).
     backend:
         Overrides the configured kernel backend when given (explicit
         argument > ``fm_config.backend`` > ``config.backend`` > process
-        default).  Bit-identical across backends; oracle mode ignores
-        it (the frozen seed code has no kernels).
+        default).  Bit-identical across backends.
     """
 
     def __init__(
@@ -141,13 +126,11 @@ class MLPartitioner:
         config: Optional[MLConfig] = None,
         tolerance: float = 0.02,
         name: Optional[str] = None,
-        oracle: bool = False,
         inrun_workers: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.config = config if config is not None else MLConfig()
         self.tolerance = tolerance
-        self.oracle = oracle
         if backend is None:
             backend = self.config.fm_config.backend
         if backend is None:
@@ -171,12 +154,11 @@ class MLPartitioner:
         #: Display name in experiment reports; override to label
         #: configurations distinctly.
         self.name = name if name is not None else self.config.describe()
-        # Engines cached across partition() calls (kernel mode only):
-        # their per-hypergraph kernel scratch then persists across the
-        # starts of a multistart run — every level of a pooled hierarchy
-        # hits warm scratch from start 2 on.  Balance and RNG are
-        # rebound per call; the engine reads both through ``self`` so
-        # rebinding is exact.
+        # Engines cached across partition() calls: their per-hypergraph
+        # kernel scratch then persists across the starts of a multistart
+        # run — every level of a pooled hierarchy hits warm scratch from
+        # start 2 on.  Balance and RNG are rebound per call; the engine
+        # reads both through ``self`` so rebinding is exact.
         self._refine_engine: Optional[FMEngine] = None
         self._init_engine: Optional[FMEngine] = None
         # Uncoarsening projection buffers, one per level size.
@@ -196,24 +178,10 @@ class MLPartitioner:
 
     # ------------------------------------------------------------------
     def _engines(self, balance: BalanceConstraint, rng: random.Random):
-        """(initial, refine) engines for one start.
-
-        Oracle mode constructs fresh frozen seed engines; kernel mode
-        rebinds the cached :class:`FMEngine` pair.
-        """
-        cfg = self.config
-        refine_cfg = replace(cfg.fm_config, max_passes=cfg.refine_passes)
-        if self.oracle:
-            # The fully frozen reference: the seed FM engine (the PR
-            # that introduced the flat FM kernel froze it for exactly
-            # this purpose), constructed fresh per start as the seed
-            # multilevel code did.  Bit-identical results to the kernel
-            # engines below — the equivalence suites assert it.
-            return (
-                SeedFMEngine(balance, cfg.fm_config, rng),
-                SeedFMEngine(balance, refine_cfg, rng),
-            )
+        """The cached (initial, refine) engine pair, rebound to one start."""
         if self._refine_engine is None:
+            cfg = self.config
+            refine_cfg = replace(cfg.fm_config, max_passes=cfg.refine_passes)
             self._init_engine = FMEngine(
                 balance, cfg.fm_config, rng, backend=self.backend
             )
@@ -228,13 +196,11 @@ class MLPartitioner:
         return self._init_engine, self._refine_engine
 
     def _project(self, level, assignment: List[int]) -> List[int]:
-        """Lift ``assignment`` through one level (buffered in kernel mode).
+        """Lift ``assignment`` through one level into a reused buffer.
 
         The buffer is safe to reuse because :class:`Partition2` copies
         the assignment it is given.
         """
-        if self.oracle:
-            return level.project_assignment(assignment)
         n = level.fine.num_vertices
         buf = self._proj_bufs.get(n)
         if buf is None:
@@ -255,8 +221,11 @@ class MLPartitioner:
         When ``hierarchy`` is supplied (pooled multistart), coarsening
         is skipped and the per-start RNG drives only initial
         partitioning and refinement; the hierarchy must have been built
-        for this hypergraph, the same fixed assignment, and the same
-        coarsening implementation (oracle vs. kernel).
+        for this hypergraph and the same fixed assignment.  Without one,
+        the start coarsens for itself, in-run parallel when
+        ``inrun_workers > 1`` (bit-identical to serial, so the choice —
+        including the daemon clamp inside campaign workers — changes
+        only wall-clock).
         """
         start_time = time.perf_counter()
         rng = random.Random(seed)
@@ -265,16 +234,19 @@ class MLPartitioner:
         fixed = list(fixed_parts) if fixed_parts else None
 
         if hierarchy is None:
-            hierarchy = self._build_hierarchy(hypergraph, cfg, rng, fixed)
+            hierarchy = build_hierarchy(
+                hypergraph,
+                cfg,
+                rng,
+                fixed_parts=fixed,
+                perf=self.perf,
+                backend=self.backend,
+                inrun_workers=self.inrun_workers,
+            )
         else:
             if hierarchy.hypergraph is not hypergraph:
                 raise ValueError(
                     "hierarchy was built for a different hypergraph"
-                )
-            if hierarchy.oracle != self.oracle:
-                raise ValueError(
-                    "hierarchy coarsening mode (oracle vs kernel) does not "
-                    "match this partitioner"
                 )
             sig = tuple(fixed) if fixed is not None else None
             if sig != hierarchy.fixed_signature:
@@ -315,43 +287,6 @@ class MLPartitioner:
             part_weights=list(final.part_weights),
             legal=balance.is_legal(final.part_weights),
             runtime_seconds=time.perf_counter() - start_time,
-        )
-
-    # ------------------------------------------------------------------
-    def _build_hierarchy(self, hypergraph, cfg, rng, fixed) -> Hierarchy:
-        """Coarsen for one standalone start, in-run parallel when asked.
-
-        The parallel-proposal build is bit-identical to the serial one,
-        so the choice (including the daemon clamp inside campaign
-        workers) never changes the result — only wall-clock.  The
-        frozen oracle path always builds serially.
-        """
-        if self.inrun_workers > 1 and not self.oracle:
-            from repro.multilevel.parallel import (
-                build_hierarchy_parallel,
-                clamp_inrun_workers,
-                get_inrun_pool,
-            )
-
-            effective = clamp_inrun_workers(self.inrun_workers)
-            if effective > 1:
-                return build_hierarchy_parallel(
-                    hypergraph,
-                    cfg,
-                    rng,
-                    get_inrun_pool(effective),
-                    fixed_parts=fixed,
-                    perf=self.perf,
-                    backend=self.backend,
-                )
-        return build_hierarchy(
-            hypergraph,
-            cfg,
-            rng,
-            fixed_parts=fixed,
-            oracle=self.oracle,
-            perf=self.perf,
-            backend=self.backend,
         )
 
     # ------------------------------------------------------------------
@@ -417,22 +352,19 @@ class MLPartitioner:
 
         V-cycle coarsening depends on the current assignment, so it
         cannot come from the hierarchy pool; it still uses the kernel
-        matching/contraction (or the oracle in oracle mode).
+        matching/contraction.
         """
         cfg = self.config
-        if self.oracle:
-            match, contract = _oracle.seed_restricted_matching, _oracle.seed_coarsen
-        else:
-            match = partial(restricted_matching, backend=self.backend)
-            contract = partial(coarsen, backend=self.backend)
         levels: List[CoarseLevel] = []
         fixed_per_level: List[List[bool]] = []
         hg = part.hypergraph
         assignment = list(part.assignment)
         fixed = list(part.fixed)
         while hg.num_vertices > cfg.coarsest_size:
-            cluster = match(hg, assignment, rng)
-            level = contract(hg, cluster)
+            cluster = restricted_matching(
+                hg, assignment, rng, backend=self.backend
+            )
+            level = coarsen(hg, cluster, backend=self.backend)
             if level.coarse.num_vertices >= hg.num_vertices:
                 break  # stall guard: no progress at all
             if (

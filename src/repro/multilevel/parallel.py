@@ -17,6 +17,9 @@ proposal floats are accumulated in the serial kernels' exact order (see
 :func:`~repro.multilevel.matching.vertex_proposal_chunk`), the merged
 cluster map is identical to the serial epoch-stamped ``_Workspace``
 result for the same seed, bit for bit.
+:func:`~repro.multilevel.pool.build_hierarchy` runs every level's
+clustering through :func:`parallel_clustering` when given
+``inrun_workers > 1``.
 
 **Multistart fan-out.**  Initial partitioning + FM refinement of
 different starts are independent given the split RNG streams of
@@ -58,20 +61,13 @@ from repro.core.multistart import MultistartResult, StartRecord
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.shm import attach_hypergraph, detach_handle, unlink_handle
-from repro.multilevel.coarsen import coarsen
 from repro.multilevel.matching import (
     _default_cluster_cap,
     _fixed_conflict,
     net_proposal_chunk,
     vertex_proposal_chunk,
 )
-from repro.multilevel.pool import (
-    Hierarchy,
-    config_backend,
-    hierarchy_seed,
-    project_fixed,
-    supports_hierarchy,
-)
+from repro.multilevel.pool import supports_hierarchy
 
 _ORPHAN_POLL_SECONDS = 5.0
 #: Poll cadence of the driver's result wait — how quickly a dead in-run
@@ -679,62 +675,6 @@ def parallel_clustering(
         return cluster
     finally:
         pool.drop_hypergraph(key)
-
-
-def build_hierarchy_parallel(
-    hypergraph: Hypergraph,
-    config,
-    rng: random.Random,
-    pool: InRunPool,
-    fixed_parts: Optional[Sequence[Optional[int]]] = None,
-    perf: Optional[PerfCounters] = None,
-    seed: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Hierarchy:
-    """Parallel-proposal counterpart of
-    :func:`~repro.multilevel.pool.build_hierarchy` (kernel path only —
-    the frozen oracle stays serial by definition).  Level guards,
-    fixed-side projection and contraction are shared code; only the
-    clustering pass differs, and it is bit-identical, so the returned
-    hierarchy equals the serial one level for level.  ``backend``
-    selects the contraction kernel (the chunked proposal/merge passes
-    stay interpreted — they are already fanned out across workers).
-    """
-    t0 = time.perf_counter() if perf is not None else 0.0
-    if backend is None:
-        backend = config_backend(config)
-    levels: List[Tuple[object, Optional[List[Optional[int]]]]] = []
-    hg = hypergraph
-    # Truthiness on purpose — must agree with build_hierarchy (see its
-    # fixed_parts note).
-    fixed = list(fixed_parts) if fixed_parts else None
-    while hg.num_vertices > config.coarsest_size:
-        cluster = parallel_clustering(
-            config.clustering, hg, rng, pool, fixed_parts=fixed, perf=perf
-        )
-        level = coarsen(hg, cluster, perf=perf, backend=backend)
-        if level.coarse.num_vertices >= hg.num_vertices:
-            break  # stall guard, same as build_hierarchy
-        if level.coarse.num_vertices > hg.num_vertices / config.min_reduction:
-            break
-        coarse_fixed = project_fixed(level, fixed)
-        levels.append((level, fixed))
-        if perf is not None:
-            perf.coarsen_levels += 1
-        hg = level.coarse
-        fixed = coarse_fixed
-    if perf is not None:
-        perf.coarsen_seconds += time.perf_counter() - t0
-        perf.hierarchies_built += 1
-    return Hierarchy(
-        hypergraph=hypergraph,
-        levels=levels,
-        coarsest=hg,
-        coarsest_fixed=fixed,
-        fixed_signature=tuple(fixed_parts) if fixed_parts else None,
-        seed=seed,
-        oracle=False,
-    )
 
 
 # ----------------------------------------------------------------------

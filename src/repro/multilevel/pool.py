@@ -20,10 +20,9 @@ derives two *independent* RNG streams:
 Because the streams are split, a *serial* run that rebuilds hierarchy
 ``i % K`` from scratch for every start produces **bit-identical per-start
 records** to the pooled run — the pool changes where the hierarchy comes
-from, never what it is.  ``repro bench ml`` exploits exactly this
-equivalence: its baseline rebuilds per start with the frozen seed
-coarsening oracle, its subject draws from a kernel-built pool, and the
-per-start cuts must match exactly while only the wall-clock differs.
+from, never what it is.  ``tests/test_hierarchy_pool.py`` holds the
+pooled kernel path to the frozen seed coarsening and FM oracles start
+for start.
 
 V-cycles are *not* pooled: restricted matching depends on the current
 assignment, so V-cycle coarsening is inherently per-start (it still uses
@@ -42,7 +41,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.multistart import MultistartResult, StartRecord
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.multilevel import _seed_coarsen as _oracle
 from repro.multilevel.coarsen import coarsen
 from repro.multilevel.matching import (
     first_choice_clustering,
@@ -117,8 +115,6 @@ class Hierarchy:
     seed:
         The hierarchy seed it was built from (``None`` when built from a
         caller-supplied RNG).
-    oracle:
-        True when built with the frozen seed coarsening oracle.
     """
 
     hypergraph: Hypergraph
@@ -127,7 +123,6 @@ class Hierarchy:
     coarsest_fixed: Optional[List[Optional[int]]]
     fixed_signature: Optional[Tuple[Optional[int], ...]] = None
     seed: Optional[int] = None
-    oracle: bool = False
 
     @property
     def num_levels(self) -> int:
@@ -162,19 +157,13 @@ def config_backend(config) -> Optional[str]:
     return backend
 
 
-def _cluster_fn(clustering: str, oracle: bool):
-    if oracle:
-        table = {
-            "first_choice": _oracle.seed_first_choice_clustering,
-            "hyperedge": _oracle.seed_hyperedge_coarsening,
-            "heavy_edge": _oracle.seed_heavy_edge_matching,
-        }
-    else:
-        table = {
-            "first_choice": first_choice_clustering,
-            "hyperedge": hyperedge_coarsening,
-            "heavy_edge": heavy_edge_matching,
-        }
+def _cluster_fn(clustering: str):
+    # Looked up at call time, so a patched module global takes effect.
+    table = {
+        "first_choice": first_choice_clustering,
+        "hyperedge": hyperedge_coarsening,
+        "heavy_edge": heavy_edge_matching,
+    }
     try:
         return table[clustering]
     except KeyError:
@@ -186,22 +175,27 @@ def build_hierarchy(
     config,
     rng: random.Random,
     fixed_parts: Optional[Sequence[Optional[int]]] = None,
-    oracle: bool = False,
     perf: Optional[PerfCounters] = None,
     seed: Optional[int] = None,
     backend: Optional[str] = None,
+    inrun_workers: int = 1,
 ) -> Hierarchy:
     """Coarsen ``hypergraph`` until small; returns the full hierarchy.
 
     ``config`` supplies ``coarsest_size``, ``min_reduction`` and
     ``clustering`` (an :class:`~repro.multilevel.mlpart.MLConfig` or any
-    object with those attributes).  ``oracle=True`` uses the frozen seed
-    matching/contraction code instead of the kernels — the reference
-    path the equivalence tests and ``repro bench ml`` compare against.
-    ``backend`` selects the kernel backend for matching/contraction
-    (``None`` reads it off ``config`` via :func:`config_backend`);
-    every backend is bit-identical, so the hierarchy never depends on
-    it.
+    object with those attributes).  ``backend`` selects the kernel
+    backend for matching/contraction (``None`` reads it off ``config``
+    via :func:`config_backend`); every backend is bit-identical, so the
+    hierarchy never depends on it.
+
+    ``inrun_workers > 1`` computes each clustering pass as chunked
+    proposals on the in-run pool, merged in fixed order
+    (:func:`~repro.multilevel.parallel.parallel_clustering`).  The merge
+    is bit-identical to the serial kernel, so only wall-clock changes;
+    the count is clamped by
+    :func:`~repro.multilevel.parallel.clamp_inrun_workers` (to 1 inside
+    daemonic campaign workers).
 
     Coarsening stops at ``coarsest_size``, when a level shrinks by less
     than ``min_reduction``, or — the stall guard — when a level fails to
@@ -209,9 +203,19 @@ def build_hierarchy(
     ``min_reduction <= 1.0`` against looping forever on clique-like
     instances where matching cannot pair anything.
     """
+    inrun_pool = None
+    if inrun_workers > 1:
+        from repro.multilevel.parallel import (
+            clamp_inrun_workers,
+            get_inrun_pool,
+            parallel_clustering,
+        )
+
+        effective = clamp_inrun_workers(inrun_workers)
+        if effective > 1:
+            inrun_pool = get_inrun_pool(effective)
     t0 = time.perf_counter() if perf is not None else 0.0
-    cluster_fn = _cluster_fn(config.clustering, oracle)
-    contract = _oracle.seed_coarsen if oracle else coarsen
+    cluster_fn = _cluster_fn(config.clustering)
     if backend is None:
         backend = config_backend(config)
     levels: List[Tuple[object, Optional[List[Optional[int]]]]] = []
@@ -221,14 +225,18 @@ def build_hierarchy(
     # fixed-signature validation must agree with it.
     fixed = list(fixed_parts) if fixed_parts else None
     while hg.num_vertices > config.coarsest_size:
-        if oracle:
-            cluster = cluster_fn(hg, rng, fixed_parts=fixed)
-            level = contract(hg, cluster)
+        if inrun_pool is not None:
+            # The chunked proposal/merge passes stay interpreted: they
+            # are already fanned out across workers.
+            cluster = parallel_clustering(
+                config.clustering, hg, rng, inrun_pool,
+                fixed_parts=fixed, perf=perf,
+            )
         else:
             cluster = cluster_fn(
                 hg, rng, fixed_parts=fixed, perf=perf, backend=backend
             )
-            level = contract(hg, cluster, perf=perf, backend=backend)
+        level = coarsen(hg, cluster, perf=perf, backend=backend)
         if level.coarse.num_vertices >= hg.num_vertices:
             break  # stall: no progress at all (see docstring)
         if level.coarse.num_vertices > hg.num_vertices / config.min_reduction:
@@ -249,7 +257,6 @@ def build_hierarchy(
         coarsest_fixed=fixed,
         fixed_signature=tuple(fixed_parts) if fixed_parts else None,
         seed=seed,
-        oracle=oracle,
     )
 
 
@@ -264,10 +271,9 @@ class HierarchyPool:
     ``get`` is safe under concurrent callers (in-run workers racing for
     the same slot): a double-checked build lock guarantees exactly one
     build per slot, so ``num_built`` and the perf counters never count a
-    hierarchy twice.  ``inrun_workers > 1`` builds hierarchies with the
-    parallel-proposal engine (:mod:`repro.multilevel.parallel`), which
-    is bit-identical to the serial build; the frozen seed oracle always
-    builds serially.
+    hierarchy twice.  ``inrun_workers > 1`` builds hierarchies with
+    parallel clustering proposals (see :func:`build_hierarchy`), which is
+    bit-identical to the serial build.
     """
 
     def __init__(
@@ -277,7 +283,6 @@ class HierarchyPool:
         size: int,
         base_seed: int = 0,
         fixed_parts: Optional[Sequence[Optional[int]]] = None,
-        oracle: bool = False,
         perf: Optional[PerfCounters] = None,
         inrun_workers: int = 1,
         backend: Optional[str] = None,
@@ -291,7 +296,6 @@ class HierarchyPool:
         self.size = size
         self.base_seed = base_seed
         self.fixed_parts = list(fixed_parts) if fixed_parts else None
-        self.oracle = oracle
         self.perf = perf if perf is not None else PerfCounters()
         self.inrun_workers = inrun_workers
         self.backend = backend if backend is not None else config_backend(config)
@@ -300,35 +304,15 @@ class HierarchyPool:
 
     def _build(self, j: int) -> Hierarchy:
         seed = hierarchy_seed(self.base_seed, j)
-        rng = random.Random(seed)
-        if self.inrun_workers > 1 and not self.oracle:
-            from repro.multilevel.parallel import (
-                build_hierarchy_parallel,
-                clamp_inrun_workers,
-                get_inrun_pool,
-            )
-
-            effective = clamp_inrun_workers(self.inrun_workers)
-            if effective > 1:
-                return build_hierarchy_parallel(
-                    self.hypergraph,
-                    self.config,
-                    rng,
-                    get_inrun_pool(effective),
-                    fixed_parts=self.fixed_parts,
-                    perf=self.perf,
-                    seed=seed,
-                    backend=self.backend,
-                )
         return build_hierarchy(
             self.hypergraph,
             self.config,
-            rng,
+            random.Random(seed),
             fixed_parts=self.fixed_parts,
-            oracle=self.oracle,
             perf=self.perf,
             seed=seed,
             backend=self.backend,
+            inrun_workers=self.inrun_workers,
         )
 
     def get(self, start_index: int) -> Hierarchy:
@@ -413,7 +397,6 @@ def run_multistart_pooled(
             pool_size,
             base_seed=base_seed,
             fixed_parts=fixed_parts,
-            oracle=getattr(partitioner, "oracle", False),
             backend=getattr(partitioner, "backend", None),
         )
     elif pool.hypergraph is not hypergraph:

@@ -272,7 +272,6 @@ class _TrialExecutor:
                 self.sticky_pool_size,
                 base_seed=base_seed,
                 fixed_parts=fp,
-                oracle=getattr(partitioner, "oracle", False),
                 inrun_workers=self.inrun_workers,
                 backend=pool_backend,
             )

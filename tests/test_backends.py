@@ -55,6 +55,22 @@ def clean_registry(monkeypatch):
     set_default_backend(None)
 
 
+@pytest.fixture
+def no_numba(monkeypatch):
+    """Force numba activation failure even where numba is installed:
+    poison the import, drop cached module + activation, and re-probe
+    cleanly afterwards."""
+    monkeypatch.setitem(sys.modules, "numba", None)
+    monkeypatch.delitem(
+        sys.modules, "repro.backends.numba_backend", raising=False
+    )
+    registry_mod.reset("numba")
+    yield
+    monkeypatch.undo()
+    registry_mod.reset("numba")
+    get_backend("numba")
+
+
 def _available():
     return [
         name
@@ -90,12 +106,11 @@ class TestResolution:
         assert name == "numpy"
         assert "fortran77" in note and "unknown" in note
 
-    def test_unavailable_falls_back_with_reason(self):
-        # cython is registered but never built in this distribution.
-        name, note = resolve_backend("cython")
+    def test_unavailable_falls_back_with_reason(self, no_numba):
+        name, note = resolve_backend("numba")
         assert name == "numpy"
-        assert "cython" in note
-        assert get_backend("cython").reason in note
+        assert "numba" in note
+        assert get_backend("numba").reason in note
 
     def test_auto_prefers_compiled_else_numpy(self):
         name, note = resolve_backend("auto")
@@ -196,21 +211,6 @@ class TestSelfCheck:
 # Fallback: blocked numba import degrades silently to numpy
 # ----------------------------------------------------------------------
 class TestNumbaFallback:
-    @pytest.fixture
-    def no_numba(self, monkeypatch):
-        """Force numba activation failure even where numba is
-        installed: poison the import, drop cached module + activation,
-        and re-probe cleanly afterwards."""
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delitem(
-            sys.modules, "repro.backends.numba_backend", raising=False
-        )
-        registry_mod.reset("numba")
-        yield
-        monkeypatch.undo()
-        registry_mod.reset("numba")
-        get_backend("numba")
-
     def test_unavailable_with_recorded_reason(self, no_numba):
         info = get_backend("numba")
         assert not info.available

@@ -3,7 +3,7 @@
 Mirrors ``test_kernel_equivalence.py`` one layer up: the rewritten
 matching/contraction kernels (:mod:`repro.multilevel.matching`,
 :mod:`repro.multilevel.coarsen`) are pinned to the frozen seed oracle
-(:mod:`repro.multilevel._seed_coarsen`) — identical cluster maps,
+(:mod:`tests.oracles._seed_coarsen`) — identical cluster maps,
 identical coarse hypergraphs (CSR arrays and weights), identical RNG
 stream consumption — across every clustering scheme, the
 ``max_net_size``/``max_cluster_weight`` knobs, fixed vertices, and
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.core import BalanceConstraint, Partition2
 from repro.hypergraph import Hypergraph
 from repro.instances import generate_circuit, random_hypergraph
-from repro.multilevel import _seed_coarsen as _oracle
 from repro.multilevel import (
     coarsen,
     first_choice_clustering,
@@ -33,6 +32,7 @@ from repro.multilevel import (
     hyperedge_coarsening,
     restricted_matching,
 )
+from tests.oracles import _seed_coarsen as _oracle
 
 SETTINGS = settings(
     max_examples=30,

@@ -4,7 +4,7 @@ Same methodology as ``tests/test_kernel_equivalence.py`` (FM engine) and
 ``tests/test_coarsen_equivalence.py`` (coarsener): the vectorized
 bootstrap kernels in :mod:`repro.evaluation.bsf` /
 :mod:`repro.evaluation.pareto` must be *bit-identical* to the frozen
-pure-Python reference in :mod:`repro.evaluation._seed_eval` — element
+pure-Python reference in :mod:`tests.oracles._seed_eval` — element
 for element, float for float — under the contract
 
     kernel(records, ..., seed=s) == oracle(records, ..., rng=random.Random(s))
@@ -21,7 +21,6 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation import _seed_eval
 from repro.evaluation.bsf import (
     c_tau_samples,
     eval_seed,
@@ -31,6 +30,7 @@ from repro.evaluation.bsf import (
 from repro.evaluation.pareto import PerfPoint, non_dominated
 from repro.evaluation.ranking import ranking_diagram
 from repro.evaluation.records import TrialRecord
+from tests.oracles import _seed_eval
 
 SETTINGS = settings(
     max_examples=40,

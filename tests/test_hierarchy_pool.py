@@ -1,18 +1,17 @@
-"""Tests for hierarchy pooling, stall guards, and the ML bench harness.
+"""Tests for hierarchy pooling and coarsening stall guards.
 
 The pooling contract (:mod:`repro.multilevel.pool`): coarsening
 randomness and refinement randomness are split into independent
 streams, so a pooled multistart is **bit-identical** to a serial run
 that rebuilds the same hierarchies from the same hierarchy seeds — and
-bit-identical to the frozen seed-oracle path, which is what turns the
-``repro bench ml`` timing into an apples-to-apples regression gate.
+bit-identical to the frozen seed-oracle path (:mod:`tests.oracles.seed_ml`).
 """
 
 import random
 
 import pytest
 
-from repro.core.config import FMConfig
+from repro.backends import BACKEND_NAMES, get_backend
 from repro.core.perf import PerfCounters
 from repro.hypergraph import Hypergraph
 from repro.instances import generate_circuit
@@ -25,11 +24,29 @@ from repro.multilevel import (
     run_multistart_pooled,
     shmetis,
 )
+from tests.oracles.seed_ml import seed_build_hierarchy, seed_ml_partition
 
 
 @pytest.fixture
 def hg():
     return generate_circuit(300, seed=21)
+
+
+def seed_oracle_cuts(hg, num_starts, pool_size=2):
+    """Per-start cuts of the frozen seed path, each start rebuilding
+    hierarchy ``i % pool_size`` from its pooling seed (base seed 0)."""
+    cfg = MLConfig()
+    return [
+        seed_ml_partition(
+            seed_build_hierarchy(
+                hg, cfg, random.Random(hierarchy_seed(0, i % pool_size))
+            ),
+            cfg,
+            0.1,
+            seed=i,
+        ).cut
+        for i in range(num_starts)
+    ]
 
 
 class TestHierarchySeed:
@@ -60,13 +77,12 @@ class TestBuildHierarchy:
     def test_oracle_and_kernel_hierarchies_identical(self, hg):
         cfg = MLConfig()
         hk = build_hierarchy(hg, cfg, random.Random(3))
-        ho = build_hierarchy(hg, cfg, random.Random(3), oracle=True)
+        ho = seed_build_hierarchy(hg, cfg, random.Random(3))
         assert hk.num_levels == ho.num_levels
         for (lk, fk), (lo, fo) in zip(hk.levels, ho.levels):
             assert lk.cluster_of == lo.cluster_of
             assert fk == fo
         assert hk.coarsest.num_vertices == ho.coarsest.num_vertices
-        assert not hk.oracle and ho.oracle
 
     def test_perf_counters(self, hg):
         perf = PerfCounters()
@@ -108,7 +124,7 @@ class TestStallGuard:
     def test_oracle_build_terminates(self):
         hg = self._clique_like()
         cfg = MLConfig(min_reduction=1.0, coarsest_size=40)
-        h = build_hierarchy(hg, cfg, random.Random(0), oracle=True)
+        h = seed_build_hierarchy(hg, cfg, random.Random(0))
         assert h.num_levels == 0
 
     def test_partition_terminates_and_is_legal(self):
@@ -213,11 +229,6 @@ class TestPartitionWithHierarchy:
         with pytest.raises(ValueError, match="different hypergraph"):
             MLPartitioner().partition(hg, hierarchy=h)
 
-    def test_oracle_mismatch_rejected(self, hg):
-        h = build_hierarchy(hg, MLConfig(), random.Random(0), oracle=True)
-        with pytest.raises(ValueError, match="oracle"):
-            MLPartitioner().partition(hg, hierarchy=h)
-
     def test_fixed_mismatch_rejected(self, hg):
         fixed = [None] * hg.num_vertices
         fixed[0] = 0
@@ -257,22 +268,26 @@ class TestPooledMultistart:
         assert [s.cut for s in pooled.starts] == serial_cuts
 
     def test_kernel_equals_seed_oracle(self, hg):
-        """The bench equivalence at test scale: pooled kernel path vs
-        per-start oracle rebuild with frozen seed engines."""
+        """Pooled kernel path vs per-start oracle rebuild with frozen
+        seed engines."""
         pooled = run_multistart_pooled(
             MLPartitioner(tolerance=0.1), hg, 4, base_seed=0, pool_size=2
         )
-        oracle_engine = MLPartitioner(tolerance=0.1, oracle=True)
-        cfg = MLConfig()
-        oracle_cuts = []
-        for i in range(4):
-            h = build_hierarchy(
-                hg, cfg, random.Random(hierarchy_seed(0, i % 2)), oracle=True
-            )
-            oracle_cuts.append(
-                oracle_engine.partition(hg, seed=i, hierarchy=h).cut
-            )
-        assert [s.cut for s in pooled.starts] == oracle_cuts
+        assert [s.cut for s in pooled.starts] == seed_oracle_cuts(hg, 4)
+
+    @pytest.mark.parametrize(
+        "backend",
+        [n for n in BACKEND_NAMES
+         if n != "numpy" and get_backend(n).available],
+    )
+    def test_backend_equals_seed_oracle(self, hg, backend):
+        """The same pooled run with matching, contraction and FM on a
+        registry backend."""
+        pooled = run_multistart_pooled(
+            MLPartitioner(tolerance=0.1, backend=backend),
+            hg, 4, base_seed=0, pool_size=2,
+        )
+        assert [s.cut for s in pooled.starts] == seed_oracle_cuts(hg, 4)
 
     def test_best_assignment_matches_best_cut(self, hg):
         ms = run_multistart_pooled(
@@ -297,75 +312,3 @@ class TestPooledMultistart:
         assert max(weights) <= 0.55 * total + max(
             hg.vertex_weight(v) for v in hg.vertices()
         )
-
-
-class TestEngineFastPathFlags:
-    """The snapshot-rollback and vectorized-seeding fast paths are exact:
-    disabling them must not change a single refinement outcome."""
-
-    def test_flags_do_not_change_results(self):
-        from repro.core import BalanceConstraint, FMEngine, Partition2
-
-        # Big enough to cross _VECTOR_SEED_MIN_VERTICES.
-        big = generate_circuit(400, seed=13)
-        bal = BalanceConstraint(big.total_vertex_weight, 0.1)
-        base = Partition2.random_balanced(big, bal, random.Random(1))
-        results = []
-        for snap in (False, True):
-            for vec in (False, True):
-                part = base.copy()
-                eng = FMEngine(
-                    bal,
-                    FMConfig(max_passes=4),
-                    random.Random(9),
-                    snapshot_rollback=snap,
-                    vector_seed=vec,
-                )
-                res = eng.refine(part)
-                results.append((res.final_cut, tuple(part.assignment)))
-        assert len(set(results)) == 1
-
-
-class TestBenchMlSmoke:
-    def test_bench_and_cli_gate(self, capsys):
-        from repro.bench import bench_ml_coarsen, render_ml_bench
-
-        result = bench_ml_coarsen(
-            scale=64, repeats=1, num_starts=2, pool_size=2
-        )
-        assert result["equivalent"]
-        assert result["benchmark"] == "ml_coarsen"
-        assert len(result["cuts"]) == 2
-        assert result["perf"]["hierarchies_built"] == 2
-        text = render_ml_bench(result)
-        assert "bit-identical: yes" in text
-
-    def test_cli_writes_json(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import main
-
-        out = tmp_path / "BENCH_ml_coarsen.json"
-        rc = main(
-            [
-                "bench", "ml",
-                "--scale", "64", "--repeats", "1", "--num-starts", "2",
-                "--min-speedup", "0",
-                "-o", str(out),
-            ]
-        )
-        assert rc == 0
-        data = json.loads(out.read_text())
-        assert data["equivalent"] is True
-        assert "speedup" in data
-        assert "wrote" in capsys.readouterr().out
-
-    def test_bad_params_rejected(self):
-        from repro.bench import bench_ml_coarsen
-
-        with pytest.raises(ValueError):
-            bench_ml_coarsen(repeats=0)
-        with pytest.raises(ValueError):
-            bench_ml_coarsen(num_starts=0)
-        with pytest.raises(ValueError):
-            bench_ml_coarsen(pool_size=0)

@@ -22,7 +22,6 @@ from repro.multilevel import (
     MLConfig,
     MLPartitioner,
     build_hierarchy,
-    build_hierarchy_parallel,
     clamp_inrun_workers,
     close_inrun_pools,
     get_inrun_pool,
@@ -122,9 +121,9 @@ class TestHierarchyDeterminism:
         serial = build_hierarchy(
             hg, cfg, random.Random(42), fixed_parts=parts
         )
-        pool = get_inrun_pool(workers)
-        parallel = build_hierarchy_parallel(
-            hg, cfg, random.Random(42), pool, fixed_parts=parts
+        parallel = build_hierarchy(
+            hg, cfg, random.Random(42), fixed_parts=parts,
+            inrun_workers=workers,
         )
         assert hierarchy_key(parallel) == hierarchy_key(serial)
 
@@ -134,9 +133,7 @@ class TestHierarchyDeterminism:
         cfg = MLConfig()
         ps, pp = PerfCounters(), PerfCounters()
         build_hierarchy(hg, cfg, random.Random(9), perf=ps)
-        build_hierarchy_parallel(
-            hg, cfg, random.Random(9), get_inrun_pool(2), perf=pp
-        )
+        build_hierarchy(hg, cfg, random.Random(9), perf=pp, inrun_workers=2)
         for name in PerfCounters.COUNT_FIELDS:
             assert getattr(pp, name) == getattr(ps, name), name
         assert pp.inrun_proposal_seconds > 0.0
@@ -484,26 +481,3 @@ class TestSelfHealing:
         killer.join()
         assert not victim.is_alive()
         assert key(half.outcomes()) == key(ref_store.outcomes())
-
-
-# ----------------------------------------------------------------------
-class TestBenchAndCli:
-    def test_bare_bench_lists_targets(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench"]) == 0
-        out = capsys.readouterr().out
-        for target in ("fm", "ml", "eval", "orchestrate", "inrun"):
-            assert target in out
-
-    def test_bench_inrun_validation(self):
-        from repro.bench import bench_inrun
-
-        with pytest.raises(ValueError):
-            bench_inrun(repeats=0)
-        with pytest.raises(ValueError):
-            bench_inrun(num_starts=0)
-        with pytest.raises(ValueError):
-            bench_inrun(workers=0)
-        with pytest.raises(ValueError):
-            bench_inrun(pool_size=0)

@@ -4,7 +4,7 @@ The paper's central claim is that implicit implementation decisions
 change results; a faster kernel that silently resolves one of them
 differently is therefore *wrong*, not merely different.  These tests
 pin the rewritten :class:`repro.core.engine.FMEngine` to the frozen
-seed reference (:class:`repro.core._seed_engine.SeedFMEngine`)
+seed reference (:class:`tests.oracles._seed_engine.SeedFMEngine`)
 **move-for-move**: identical per-pass move sequences, kept prefixes,
 logged cuts, stuck flags, final cuts and final assignments —
 exhaustively over every FMConfig combination on fixed instances, and
@@ -34,9 +34,10 @@ from repro.core import (
     TieBias,
     UpdatePolicy,
 )
-from repro.core._seed_engine import SeedFMEngine
+from repro.core.engine import _VECTOR_SEED_MIN_VERTICES
 from repro.hypergraph import Hypergraph
 from repro.instances import generate_circuit
+from tests.oracles._seed_engine import SeedFMEngine
 
 SETTINGS = settings(
     max_examples=30,
@@ -141,6 +142,23 @@ class TestExhaustiveConfigGrid:
         base = Partition2.random_balanced(hg, bal, random.Random(1))
         for clip in (False, True):
             assert_equivalent(bal, FMConfig(clip=clip), base)
+
+
+class TestVectorSeedPath:
+    """From ``_VECTOR_SEED_MIN_VERTICES`` vertices on, the engine seeds a
+    pass's gains with numpy instead of the per-vertex loop; every other
+    case in this suite is too small to take that path."""
+
+    @pytest.mark.parametrize("clip", [False, True], ids=["lifo", "clip"])
+    @pytest.mark.parametrize(
+        "unit_areas", [False, True], ids=["weighted", "unit"]
+    )
+    def test_matches_seed_engine(self, unit_areas, clip):
+        hg = generate_circuit(400, seed=13, unit_areas=unit_areas)
+        assert hg.num_vertices >= _VECTOR_SEED_MIN_VERTICES
+        bal = BalanceConstraint(hg.total_vertex_weight, 0.1)
+        base = Partition2.random_balanced(hg, bal, random.Random(1))
+        assert_equivalent(bal, FMConfig(clip=clip, max_passes=4), base)
 
 
 @st.composite

@@ -161,7 +161,7 @@ class TestScenarioHeuristic:
 class TestScenarioCampaignDeterminism:
     @pytest.fixture(scope="class")
     def spec(self, hg):
-        heuristics = kway_axes(ks=(2, 4)) + [
+        heuristics = kway_axes(ks=(2, 4, 8)) + [
             ScenarioHeuristic(
                 Scenario(kind="terminal-propagation", objective="hpwl")
             )
@@ -179,6 +179,9 @@ class TestScenarioCampaignDeterminism:
         return run_campaign(spec).records
 
     def test_records_stamped(self, serial_records):
+        # Every k's outcome lands inside its balance window (the legal
+        # flag is that check; see test_kway_legal_matches_balance_window).
+        assert all(r.legal for r in serial_records)
         by_heuristic = {r.heuristic: r for r in serial_records}
         assert by_heuristic["rb-k4-connectivity[flat-lifo]"].k == 4
         assert (

@@ -1,13 +1,18 @@
-/* Flat-array kernels: line-for-line C translation of flatref.py.
+/* Flat-array kernels behind the cnative backend.
  *
  * Built by repro/backends/cnative.py with the system C compiler
  * (-O2 -fPIC -shared, deliberately WITHOUT -ffast-math: every float
- * operation must round exactly like CPython/numpy so the registry
- * self-check and the equivalence suites hold bit for bit).
+ * operation must round exactly like CPython/numpy).
  *
- * Conventions mirrored from flatref.py:
- *   - all index/count/gain arrays are int64_t (cut arithmetic is exact
- *     in the integral regime the FM kernel requires);
+ * Contract: every kernel takes flatref.py's arguments and leaves every
+ * output array bit-identical to flatref's, including the Mersenne
+ * Twister state and the counters in out[].  The registry self-check
+ * (selfcheck.py, run on activation), the cross-backend fuzz suite and
+ * the oracle-equivalence suites pin this.  The matching, contraction
+ * and bootstrap kernels follow flatref line for line; fm_pass computes
+ * the same pass on its own working set (see the FM section):
+ *   - all index/count/gain arguments are int64_t (cut arithmetic is
+ *     exact in the integral regime the FM kernel requires);
  *   - float accumulations run in the same order as the Python kernels;
  *   - the Mersenne Twister replicates CPython's _randommodule.c
  *     (genrand_uint32 twist + temper, genrand_res53 for random(),
@@ -61,6 +66,102 @@ mt_random(int64_t *mt, int64_t *mti)
 /* ------------------------------------------------------------------ */
 /* FM pass kernel                                                      */
 /* ------------------------------------------------------------------ */
+
+/* Working set of one pass, private to it:
+ *   - fm_vertex, one 16-byte record per vertex: its gain-bucket links,
+ *     its bucket index (gain key + max_abs), its side and whether it is
+ *     still free.  A vertex sits in exactly one side's bucket structure,
+ *     so one set of links serves both sides, and a neighbour update
+ *     reads one record per pin.
+ *   - int32_t[2] per net: the pass's copy of the pin counts per side.
+ *   - fm_bucket[2][span]: head and tail of each bucket list per side.
+ *   - fm_log per move: cut and balance margin after it.
+ * The caller's assign/pins/pw/cut are read at entry and receive only
+ * the kept prefix, replayed at the end; a pass that errors leaves them
+ * untouched.  Vertex ids, pin counts and bucket indices are 32-bit, so
+ * fm_pass declines (out[7] = 2) when n, m, the pin count or the span
+ * 2*max_abs+1 reaches 2^31, or when an allocation fails.  out[7] = 1 is
+ * flatref's gain-window error. */
+typedef struct {
+    int32_t prev;
+    int32_t next;
+    int32_t key;
+    uint8_t side;
+    uint8_t pres;
+} fm_vertex;
+
+typedef struct {
+    int32_t head;
+    int32_t tail;
+} fm_bucket;
+
+typedef struct {
+    int64_t cut;
+    double dist;
+} fm_log;
+
+static inline void
+fm_unlink(fm_vertex *vr, fm_bucket *b, const fm_vertex *r)
+{
+    if (r->prev != -1)
+        vr[r->prev].next = r->next;
+    else
+        b[r->key].head = r->next;
+    if (r->next != -1)
+        vr[r->next].prev = r->prev;
+    else
+        b[r->key].tail = r->prev;
+}
+
+static inline void
+fm_link(fm_vertex *vr, fm_bucket *b, int32_t y, int at_head)
+{
+    int32_t old = b->head;
+    if (old == -1) {
+        b->head = y;
+        b->tail = y;
+        vr[y].prev = -1;
+        vr[y].next = -1;
+    } else if (at_head) {
+        vr[y].next = old;
+        vr[y].prev = -1;
+        vr[old].prev = y;
+        b->head = y;
+    } else {
+        int32_t tl = b->tail;
+        vr[y].prev = tl;
+        vr[y].next = -1;
+        vr[tl].next = y;
+        b->tail = y;
+    }
+}
+
+/* Best legal move of one side under the illegal-head policy; returns
+ * the vertex (-1 if none) and its bucket index through *idx_out. */
+static inline int32_t
+fm_select(const fm_vertex *vr, const fm_bucket *b, int64_t *maxi,
+          const int64_t *vwt, int64_t dest_weight, double hi,
+          int scan_bucket, int skip_part, int64_t *idx_out)
+{
+    while (*maxi >= 0 && b[*maxi].head == -1)
+        *maxi -= 1;
+    for (int64_t idx = *maxi; idx >= 0; idx--) {
+        int32_t u = b[idx].head;
+        while (u != -1) {
+            if ((double)(dest_weight + vwt[u]) <= hi) {
+                *idx_out = idx;
+                return u;
+            }
+            if (!scan_bucket)
+                break;
+            u = vr[u].next;
+        }
+        if (u != -1 && skip_part)
+            break;
+    }
+    return -1;
+}
+
 void
 fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
         const int64_t *vtx_ptr, const int64_t *vtx_nets,
@@ -75,703 +176,327 @@ fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
         int64_t *mt, int64_t *mti_io, int64_t *move_log, int64_t *out,
         int64_t n, int64_t m)
 {
+    /* Decline (out[7] = 2, state untouched) when 32-bit indices cannot
+     * hold a vertex id, a pin count or a bucket index. */
+    if (n > INT32_MAX || m > INT32_MAX || net_ptr[m] > INT32_MAX
+        || max_abs > (INT32_MAX - 1) / 2) {
+        out[7] = 2;
+        return;
+    }
     int64_t offset = max_abs;
     int64_t span = 2 * offset + 1;
     int64_t mti = mti_io[0];
-
-    int64_t *snap_assign = malloc(sizeof(int64_t) * (size_t)n);
-    int64_t *snap_pins0 = malloc(sizeof(int64_t) * (size_t)m);
-    int64_t *snap_pins1 = malloc(sizeof(int64_t) * (size_t)m);
-    int64_t *heads0 = malloc(sizeof(int64_t) * (size_t)span);
-    int64_t *tails0 = malloc(sizeof(int64_t) * (size_t)span);
-    int64_t *heads1 = malloc(sizeof(int64_t) * (size_t)span);
-    int64_t *tails1 = malloc(sizeof(int64_t) * (size_t)span);
-    int64_t *prev0 = malloc(sizeof(int64_t) * (size_t)n);
-    int64_t *next0 = malloc(sizeof(int64_t) * (size_t)n);
-    int64_t *prev1 = malloc(sizeof(int64_t) * (size_t)n);
-    int64_t *next1 = malloc(sizeof(int64_t) * (size_t)n);
-    int64_t *key0 = calloc((size_t)n, sizeof(int64_t));
-    int64_t *key1 = calloc((size_t)n, sizeof(int64_t));
-    uint8_t *pres0 = calloc((size_t)n, sizeof(uint8_t));
-    uint8_t *pres1 = calloc((size_t)n, sizeof(uint8_t));
-    int64_t *gain = calloc((size_t)n, sizeof(int64_t));
-    int64_t *elig = calloc((size_t)n, sizeof(int64_t));
-    int64_t *cut_log = calloc((size_t)n, sizeof(int64_t));
-    double *dist_log = calloc((size_t)n, sizeof(double));
-
-    memcpy(snap_assign, assign, sizeof(int64_t) * (size_t)n);
-    memcpy(snap_pins0, pins0, sizeof(int64_t) * (size_t)m);
-    memcpy(snap_pins1, pins1, sizeof(int64_t) * (size_t)m);
-    int64_t snap_pw0 = pw[0];
-    int64_t snap_pw1 = pw[1];
-    int64_t cut_before = cut_io[0];
-    int64_t cut = cut_before;
-
-    for (int64_t i = 0; i < span; i++) {
-        heads0[i] = -1;
-        tails0[i] = -1;
-        heads1[i] = -1;
-        tails1[i] = -1;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        prev0[i] = -1;
-        next0[i] = -1;
-        prev1[i] = -1;
-        next1[i] = -1;
-    }
-    int64_t maxi0 = -1;
-    int64_t maxi1 = -1;
-
     int rnd_order = order_code == 2;
     int head_order = order_code == 0;
 
-    /* ----- seed gains and collect eligible vertices --------------- */
+    /* Private per-pass state: the caller's arrays only receive the kept
+     * prefix, replayed at the end, so an error leaves them untouched. */
+    fm_vertex *vr = malloc(sizeof(fm_vertex) * ((size_t)n + 1));
+    int32_t (*cnt)[2] = malloc(sizeof(int32_t[2]) * ((size_t)m + 1));
+    fm_bucket *bk = malloc(sizeof(fm_bucket) * 2 * (size_t)span);
+    fm_log *logs = malloc(sizeof(fm_log) * ((size_t)n + 1));
+    int32_t *elig = malloc(sizeof(int32_t) * 2 * ((size_t)n + 1));
+    int64_t *order = calloc((size_t)span + 1, sizeof(int64_t));
+    if (vr == NULL || cnt == NULL || bk == NULL || logs == NULL
+        || elig == NULL || order == NULL) {
+        out[7] = 2;
+        goto cleanup;
+    }
+    fm_bucket *bks[2] = {bk, bk + span};
+    for (int64_t e = 0; e < m; e++) {
+        cnt[e][0] = (int32_t)pins0[e];
+        cnt[e][1] = (int32_t)pins1[e];
+    }
+    for (int64_t i = 0; i < 2 * span; i++) {
+        bk[i].head = -1;
+        bk[i].tail = -1;
+    }
+    int64_t maxi[2] = {-1, -1};
+    int64_t cut_before = cut_io[0];
+    int64_t cut = cut_before;
+    int64_t pwl[2] = {pw[0], pw[1]};
+    int64_t error = 0;
+
+    /* ----- seed gains and fill the buckets ------------------------- */
     int64_t ecount = 0;
     for (int64_t v = 0; v < n; v++) {
+        fm_vertex *r = &vr[v];
+        r->side = (uint8_t)assign[v];
+        r->pres = 0;
         if (fixed[v] != 0)
             continue;
         if (guard != 0 && (double)vwt[v] > slack)
             continue;
+        int s = r->side;
         int64_t g = 0;
-        if (assign[v] == 0) {
-            for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
-                int64_t e = vtx_nets[i];
-                if (pins0[e] == 1)
-                    g += net_w[e];
-                if (pins1[e] == 0)
-                    g -= net_w[e];
-            }
-        } else {
-            for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
-                int64_t e = vtx_nets[i];
-                if (pins1[e] == 1)
-                    g += net_w[e];
-                if (pins0[e] == 0)
-                    g -= net_w[e];
-            }
+        for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
+            int64_t e = vtx_nets[i];
+            if (cnt[e][s] == 1)
+                g += net_w[e];
+            if (cnt[e][1 - s] == 0)
+                g -= net_w[e];
         }
-        gain[v] = g;
-        elig[ecount] = v;
+        int64_t idx = g + offset;
+        if (idx < 0 || idx >= span) {
+            /* Vertices are seeded in eligible order and a plain pass
+             * draws its coins while inserting, so stopping here
+             * consumes exactly the draws the reference does. */
+            error = 1;
+            goto finish;
+        }
+        r->key = (int32_t)idx;
+        elig[ecount] = (int32_t)v;
         ecount += 1;
+        if (clip != 0)
+            continue;
+        /* Coin drawn before the empty-bucket branch, exactly as
+         * GainBuckets.insert does. */
+        int at_head = rnd_order ? mt_random(mt, &mti) < 0.5 : head_order;
+        fm_link(vr, &bks[s][idx], (int32_t)v, at_head);
+        r->pres = 1;
+        if (idx > maxi[s])
+            maxi[s] = idx;
     }
-
-    int64_t error = 0;
     if (clip != 0) {
         /* Stable counting sort by initial gain, then head insertion
          * into each side's zero bucket (CLIP seeding). */
-        int64_t *cnt = calloc((size_t)(span + 1), sizeof(int64_t));
-        int64_t *sorted_elig = calloc((size_t)n, sizeof(int64_t));
         for (int64_t i = 0; i < ecount; i++)
-            cnt[gain[elig[i]] + offset] += 1;
+            order[vr[elig[i]].key] += 1;
         int64_t acc = 0;
         for (int64_t k = 0; k < span; k++) {
-            int64_t c = cnt[k];
-            cnt[k] = acc;
+            int64_t c = order[k];
+            order[k] = acc;
             acc += c;
         }
+        int32_t *sorted_elig = elig + n;
         for (int64_t i = 0; i < ecount; i++) {
-            int64_t v = elig[i];
-            int64_t idx = gain[v] + offset;
-            sorted_elig[cnt[idx]] = v;
-            cnt[idx] += 1;
+            int32_t v = elig[i];
+            sorted_elig[order[vr[v].key]++] = v;
         }
-        int64_t idx = offset;
         for (int64_t i = 0; i < ecount; i++) {
-            int64_t v = sorted_elig[i];
-            if (assign[v] == 0) {
-                int64_t old = heads0[idx];
-                if (old == -1) {
-                    heads0[idx] = v;
-                    tails0[idx] = v;
-                    prev0[v] = -1;
-                    next0[v] = -1;
-                } else {
-                    next0[v] = old;
-                    prev0[v] = -1;
-                    prev0[old] = v;
-                    heads0[idx] = v;
-                }
-                key0[v] = 0;
-                pres0[v] = 1;
-                maxi0 = idx;
-            } else {
-                int64_t old = heads1[idx];
-                if (old == -1) {
-                    heads1[idx] = v;
-                    tails1[idx] = v;
-                    prev1[v] = -1;
-                    next1[v] = -1;
-                } else {
-                    next1[v] = old;
-                    prev1[v] = -1;
-                    prev1[old] = v;
-                    heads1[idx] = v;
-                }
-                key1[v] = 0;
-                pres1[v] = 1;
-                maxi1 = idx;
-            }
-        }
-        free(cnt);
-        free(sorted_elig);
-    } else {
-        for (int64_t i = 0; i < ecount; i++) {
-            int64_t v = elig[i];
-            int64_t k = gain[v];
-            int64_t idx = k + offset;
-            if (idx < 0 || idx >= span) {
-                error = 1;
-                goto finish_error;
-            }
-            /* Coin drawn before the empty-bucket branch, exactly as
-             * GainBuckets.insert does. */
-            int at_head;
-            if (rnd_order)
-                at_head = mt_random(mt, &mti) < 0.5;
-            else
-                at_head = head_order;
-            if (assign[v] == 0) {
-                int64_t old = heads0[idx];
-                if (old == -1) {
-                    heads0[idx] = v;
-                    tails0[idx] = v;
-                    prev0[v] = -1;
-                    next0[v] = -1;
-                } else if (at_head) {
-                    next0[v] = old;
-                    prev0[v] = -1;
-                    prev0[old] = v;
-                    heads0[idx] = v;
-                } else {
-                    int64_t tl = tails0[idx];
-                    prev0[v] = tl;
-                    next0[v] = -1;
-                    next0[tl] = v;
-                    tails0[idx] = v;
-                }
-                key0[v] = k;
-                pres0[v] = 1;
-                if (idx > maxi0)
-                    maxi0 = idx;
-            } else {
-                int64_t old = heads1[idx];
-                if (old == -1) {
-                    heads1[idx] = v;
-                    tails1[idx] = v;
-                    prev1[v] = -1;
-                    next1[v] = -1;
-                } else if (at_head) {
-                    next1[v] = old;
-                    prev1[v] = -1;
-                    prev1[old] = v;
-                    heads1[idx] = v;
-                } else {
-                    int64_t tl = tails1[idx];
-                    prev1[v] = tl;
-                    next1[v] = -1;
-                    next1[tl] = v;
-                    tails1[idx] = v;
-                }
-                key1[v] = k;
-                pres1[v] = 1;
-                if (idx > maxi1)
-                    maxi1 = idx;
-            }
+            int32_t v = sorted_elig[i];
+            int s = vr[v].side;
+            fm_link(vr, &bks[s][offset], v, 1);
+            vr[v].key = (int32_t)offset;
+            vr[v].pres = 1;
+            maxi[s] = offset;
         }
     }
 
-    {
-        int scan_bucket = illegal_code == 2;
-        int skip_part = illegal_code == 1;
-        int bias_part0 = tie_bias == 1;
-        int bias_away = tie_bias == 0;
+    int scan_bucket = illegal_code == 2;
+    int skip_part = illegal_code == 1;
+    int bias_part0 = tie_bias == 1;
+    int bias_away = tie_bias == 0;
 
-        int64_t mcount = 0;
-        int64_t last_src = -1;
-        int64_t n_selects = 0;
-        int64_t n_updates = 0;
-        int64_t n_zero_skips = 0;
-        int64_t n_net_skips = 0;
+    int64_t mcount = 0;
+    int64_t last_src = -1;
+    int64_t n_selects = 0;
+    int64_t n_updates = 0;
+    int64_t n_zero_skips = 0;
+    int64_t n_net_skips = 0;
 
-        for (;;) {
-            /* ----- select the best legal move (per side) ---------- */
-            n_selects += 1;
-            while (maxi0 >= 0 && heads0[maxi0] == -1)
-                maxi0 -= 1;
-            int64_t v0 = -1;
-            int64_t k0 = 0;
-            int64_t dw = pw[1];
-            int64_t idx = maxi0;
-            if (scan_bucket) {
-                while (idx >= 0) {
-                    int64_t u = heads0[idx];
-                    while (u != -1) {
-                        if ((double)(dw + vwt[u]) <= hi) {
-                            v0 = u;
-                            k0 = idx - offset;
-                            break;
-                        }
-                        u = next0[u];
-                    }
-                    if (v0 >= 0)
-                        break;
-                    idx -= 1;
-                }
-            } else {
-                while (idx >= 0) {
-                    int64_t u = heads0[idx];
-                    if (u != -1) {
-                        if ((double)(dw + vwt[u]) <= hi) {
-                            v0 = u;
-                            k0 = idx - offset;
-                            break;
-                        }
-                        if (skip_part)
-                            break;
-                    }
-                    idx -= 1;
-                }
+    for (;;) {
+        /* ----- select the best legal move (per side) -------------- */
+        n_selects += 1;
+        int64_t k0 = 0, k1 = 0;
+        int32_t v0 = fm_select(vr, bks[0], &maxi[0], vwt, pwl[1], hi,
+                               scan_bucket, skip_part, &k0);
+        int32_t v1 = fm_select(vr, bks[1], &maxi[1], vwt, pwl[0], hi,
+                               scan_bucket, skip_part, &k1);
+        int32_t v;
+        if (v0 < 0) {
+            if (v1 < 0)
+                break;
+            v = v1;
+        } else if (v1 < 0) {
+            v = v0;
+        } else if (k0 > k1) {
+            v = v0;
+        } else if (k1 > k0) {
+            v = v1;
+        } else if (bias_part0 || last_src < 0) {
+            v = v0;
+        } else if (bias_away) {
+            v = last_src == 1 ? v0 : v1;
+        } else { /* TOWARD */
+            v = last_src == 0 ? v0 : v1;
+        }
+
+        fm_vertex *rv = &vr[v];
+        int src = rv->side;
+        int dst = 1 - src;
+        fm_unlink(vr, bks[src], rv);
+        rv->pres = 0; /* locked: also skips v among its nets' pins */
+        last_src = src;
+
+        /* ----- fused neighbour update + ledger update ------------- */
+        for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
+            int64_t e = vtx_nets[i];
+            int32_t f = cnt[e][src]; /* includes v */
+            int32_t t = cnt[e][dst];
+            cnt[e][src] = f - 1;
+            cnt[e][dst] = t + 1;
+            if (update_all == 0 && f > 2 && t > 1) {
+                n_net_skips += 1;
+                continue;
             }
-
-            while (maxi1 >= 0 && heads1[maxi1] == -1)
-                maxi1 -= 1;
-            int64_t v1 = -1;
-            int64_t k1 = 0;
-            dw = pw[0];
-            idx = maxi1;
-            if (scan_bucket) {
-                while (idx >= 0) {
-                    int64_t u = heads1[idx];
-                    while (u != -1) {
-                        if ((double)(dw + vwt[u]) <= hi) {
-                            v1 = u;
-                            k1 = idx - offset;
-                            break;
-                        }
-                        u = next1[u];
-                    }
-                    if (v1 >= 0)
-                        break;
-                    idx -= 1;
-                }
-            } else {
-                while (idx >= 0) {
-                    int64_t u = heads1[idx];
-                    if (u != -1) {
-                        if ((double)(dw + vwt[u]) <= hi) {
-                            v1 = u;
-                            k1 = idx - offset;
-                            break;
-                        }
-                        if (skip_part)
-                            break;
-                    }
-                    idx -= 1;
-                }
-            }
-
-            int64_t v;
-            if (v0 < 0) {
-                if (v1 < 0)
-                    break;
-                v = v1;
-            } else if (v1 < 0) {
-                v = v0;
-            } else {
-                if (k0 > k1)
-                    v = v0;
-                else if (k1 > k0)
-                    v = v1;
-                else if (bias_part0)
-                    v = v0;
-                else if (last_src < 0)
-                    v = v0;
-                else if (bias_away)
-                    v = last_src == 1 ? v0 : v1;
-                else /* TOWARD */
-                    v = last_src == 0 ? v0 : v1;
-            }
-
-            int64_t src = assign[v];
-
-            /* Unlink the chosen vertex from its bucket. */
-            if (src == 0) {
-                idx = key0[v] + offset;
-                int64_t p = prev0[v];
-                int64_t nn = next0[v];
-                if (p != -1)
-                    next0[p] = nn;
-                else
-                    heads0[idx] = nn;
-                if (nn != -1)
-                    prev0[nn] = p;
-                else
-                    tails0[idx] = p;
-                pres0[v] = 0;
-            } else {
-                idx = key1[v] + offset;
-                int64_t p = prev1[v];
-                int64_t nn = next1[v];
-                if (p != -1)
-                    next1[p] = nn;
-                else
-                    heads1[idx] = nn;
-                if (nn != -1)
-                    prev1[nn] = p;
-                else
-                    tails1[idx] = p;
-                pres1[v] = 0;
-            }
-            last_src = src;
-
-            /* ----- fused neighbour update + ledger update --------- */
-            for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
-                int64_t e = vtx_nets[i];
-                int64_t f, t;
-                if (src == 0) {
-                    f = pins0[e];
-                    t = pins1[e];
-                } else {
-                    f = pins1[e];
-                    t = pins0[e];
-                }
-                if (update_all == 0 && f > 2 && t > 1) {
-                    n_net_skips += 1;
-                    if (src == 0) {
-                        pins0[e] = f - 1;
-                        pins1[e] = t + 1;
-                    } else {
-                        pins1[e] = f - 1;
-                        pins0[e] = t + 1;
-                    }
+            int64_t w = net_w[e];
+            /* Delta gain of a free pin on the source (own count f ->
+             * f-1, other t -> t+1) and on the destination side. */
+            int64_t d_src = (f == 2 ? w : f == 1 ? -w : 0) + (t == 0 ? w : 0);
+            int64_t d_dst = (t == 0 ? w : t == 1 ? -w : 0) - (f == 1 ? w : 0);
+            for (int64_t j = net_ptr[e]; j < net_ptr[e + 1]; j++) {
+                int32_t y = (int32_t)net_pins[j];
+                fm_vertex *ry = &vr[y];
+                if (ry->pres == 0)
+                    continue; /* locked, fixed, or guarded out */
+                int64_t delta = ry->side == src ? d_src : d_dst;
+                if (delta == 0 && update_all == 0) {
+                    n_zero_skips += 1;
                     continue;
                 }
-                int64_t w = net_w[e];
-                for (int64_t j = net_ptr[e]; j < net_ptr[e + 1]; j++) {
-                    int64_t y = net_pins[j];
-                    if (y == v)
-                        continue;
-                    int same_side = assign[y] == src;
-                    int64_t delta;
-                    if (same_side) {
-                        if (src == 0) {
-                            if (pres0[y] == 0)
-                                continue;
-                        } else {
-                            if (pres1[y] == 0)
-                                continue;
-                        }
-                        if (f == 2)
-                            delta = w;
-                        else if (f == 1)
-                            delta = -w;
-                        else
-                            delta = 0;
-                        if (t == 0)
-                            delta += w;
-                    } else {
-                        if (src == 0) {
-                            if (pres1[y] == 0)
-                                continue;
-                        } else {
-                            if (pres0[y] == 0)
-                                continue;
-                        }
-                        if (t == 0)
-                            delta = w;
-                        else if (t == 1)
-                            delta = -w;
-                        else
-                            delta = 0;
-                        if (f == 1)
-                            delta -= w;
-                    }
-                    if (delta != 0 || update_all != 0) {
-                        n_updates += 1;
-                        /* Same side as the moved vertex -> source
-                         * structures; other side -> destination. */
-                        int on0 = (src == 0) == same_side;
-                        int64_t ky = on0 ? key0[y] : key1[y];
-                        int64_t nk = ky + delta;
-                        int64_t nidx = nk + offset;
-                        if (nidx < 0 || nidx >= span) {
-                            error = 1;
-                            break;
-                        }
-                        int64_t oidx = ky + offset;
-                        if (on0) {
-                            int64_t p = prev0[y];
-                            int64_t nn = next0[y];
-                            if (p != -1)
-                                next0[p] = nn;
-                            else
-                                heads0[oidx] = nn;
-                            if (nn != -1)
-                                prev0[nn] = p;
-                            else
-                                tails0[oidx] = p;
-                        } else {
-                            int64_t p = prev1[y];
-                            int64_t nn = next1[y];
-                            if (p != -1)
-                                next1[p] = nn;
-                            else
-                                heads1[oidx] = nn;
-                            if (nn != -1)
-                                prev1[nn] = p;
-                            else
-                                tails1[oidx] = p;
-                        }
-                        int at_head;
-                        if (rnd_order)
-                            at_head = mt_random(mt, &mti) < 0.5;
-                        else
-                            at_head = head_order;
-                        if (on0) {
-                            int64_t old = heads0[nidx];
-                            if (old == -1) {
-                                heads0[nidx] = y;
-                                tails0[nidx] = y;
-                                prev0[y] = -1;
-                                next0[y] = -1;
-                            } else if (at_head) {
-                                next0[y] = old;
-                                prev0[y] = -1;
-                                prev0[old] = y;
-                                heads0[nidx] = y;
-                            } else {
-                                int64_t tl = tails0[nidx];
-                                prev0[y] = tl;
-                                next0[y] = -1;
-                                next0[tl] = y;
-                                tails0[nidx] = y;
-                            }
-                            key0[y] = nk;
-                            if (nidx > maxi0)
-                                maxi0 = nidx;
-                        } else {
-                            int64_t old = heads1[nidx];
-                            if (old == -1) {
-                                heads1[nidx] = y;
-                                tails1[nidx] = y;
-                                prev1[y] = -1;
-                                next1[y] = -1;
-                            } else if (at_head) {
-                                next1[y] = old;
-                                prev1[y] = -1;
-                                prev1[old] = y;
-                                heads1[nidx] = y;
-                            } else {
-                                int64_t tl = tails1[nidx];
-                                prev1[y] = tl;
-                                next1[y] = -1;
-                                next1[tl] = y;
-                                tails1[nidx] = y;
-                            }
-                            key1[y] = nk;
-                            if (nidx > maxi1)
-                                maxi1 = nidx;
-                        }
-                    } else {
-                        n_zero_skips += 1;
-                    }
+                n_updates += 1;
+                int64_t nidx = ry->key + delta;
+                if (nidx < 0 || nidx >= span) {
+                    error = 1;
+                    goto finish;
                 }
-                if (error != 0)
-                    break;
-                /* Apply the move to this net's pin counts and cut. */
-                if (src == 0) {
-                    pins0[e] = f - 1;
-                    pins1[e] = t + 1;
-                } else {
-                    pins1[e] = f - 1;
-                    pins0[e] = t + 1;
-                }
-                if (t == 0) {
-                    if (f >= 2)
-                        cut += w;
-                } else if (f == 1) {
-                    cut -= w;
-                }
+                fm_bucket *b = bks[ry->side];
+                fm_unlink(vr, b, ry);
+                int at_head = rnd_order ? mt_random(mt, &mti) < 0.5
+                                        : head_order;
+                fm_link(vr, &b[nidx], y, at_head);
+                ry->key = (int32_t)nidx;
+                if (nidx > maxi[ry->side])
+                    maxi[ry->side] = nidx;
             }
-            if (error != 0)
-                break;
-
-            int64_t wv = vwt[v];
-            if (src == 0) {
-                assign[v] = 1;
-                pw[0] -= wv;
-                pw[1] += wv;
-            } else {
-                assign[v] = 0;
-                pw[1] -= wv;
-                pw[0] += wv;
-            }
-            move_log[mcount] = v;
-            cut_log[mcount] = cut;
-            double pw0 = (double)pw[0];
-            double pw1 = (double)pw[1];
-            double d = pw0 - lo;
-            double d2 = hi - pw0;
-            if (d2 < d)
-                d = d2;
-            d2 = pw1 - lo;
-            if (d2 < d)
-                d = d2;
-            d2 = hi - pw1;
-            if (d2 < d)
-                d = d2;
-            dist_log[mcount] = d;
-            mcount += 1;
-        }
-
-        if (error != 0)
-            goto finish_error;
-
-        /* ----- choose the best prefix (FMEngine._best_prefix) ----- */
-        int have = initial_legal != 0;
-        int64_t best_cut = cut_before;
-        for (int64_t k = 0; k < mcount; k++) {
-            if (dist_log[k] >= 0.0) {
-                int64_t c = cut_log[k];
-                if (!have || c < best_cut) {
-                    best_cut = c;
-                    have = 1;
-                }
-            }
-        }
-        int64_t best_k;
-        if (!have) {
-            best_k = 0;
-            double best_d = initial_distance;
-            for (int64_t k = 0; k < mcount; k++) {
-                if (dist_log[k] > best_d) {
-                    best_d = dist_log[k];
-                    best_k = k + 1;
-                }
-            }
-        } else if (best_choice == 0) { /* FIRST */
-            best_k = 0;
-            if (!(initial_legal != 0 && cut_before == best_cut)) {
-                for (int64_t k = 0; k < mcount; k++) {
-                    if (dist_log[k] >= 0.0 && cut_log[k] == best_cut) {
-                        best_k = k + 1;
-                        break;
-                    }
-                }
-            }
-        } else if (best_choice == 1) { /* LAST */
-            best_k = 0;
-            for (int64_t k = mcount - 1; k >= 0; k--) {
-                if (dist_log[k] >= 0.0 && cut_log[k] == best_cut) {
-                    best_k = k + 1;
-                    break;
-                }
-            }
-        } else { /* BALANCE */
-            best_k = -1;
-            double best_d = -INFINITY;
-            if (initial_legal != 0 && cut_before == best_cut) {
-                best_k = 0;
-                best_d = initial_distance;
-            }
-            for (int64_t k = 0; k < mcount; k++) {
-                if (dist_log[k] >= 0.0 && cut_log[k] == best_cut) {
-                    if (dist_log[k] > best_d) {
-                        best_d = dist_log[k];
-                        best_k = k + 1;
-                    }
-                }
+            if (t == 0) {
+                if (f >= 2)
+                    cut += w;
+            } else if (f == 1) {
+                cut -= w;
             }
         }
 
-        /* ----- rollback: restore snapshot, replay the prefix ------ */
-        if (best_k < mcount) {
-            memcpy(assign, snap_assign, sizeof(int64_t) * (size_t)n);
-            memcpy(pins0, snap_pins0, sizeof(int64_t) * (size_t)m);
-            memcpy(pins1, snap_pins1, sizeof(int64_t) * (size_t)m);
-            pw[0] = snap_pw0;
-            pw[1] = snap_pw1;
-            cut = cut_before;
-            for (int64_t i = 0; i < best_k; i++) {
-                int64_t v = move_log[i];
-                int64_t src = assign[v];
-                for (int64_t ii = vtx_ptr[v]; ii < vtx_ptr[v + 1]; ii++) {
-                    int64_t e = vtx_nets[ii];
-                    int64_t f, t;
-                    if (src == 0) {
-                        f = pins0[e];
-                        t = pins1[e];
-                        pins0[e] = f - 1;
-                        pins1[e] = t + 1;
-                    } else {
-                        f = pins1[e];
-                        t = pins0[e];
-                        pins1[e] = f - 1;
-                        pins0[e] = t + 1;
-                    }
-                    if (t == 0) {
-                        if (f >= 2)
-                            cut += net_w[e];
-                    } else if (f == 1) {
-                        cut -= net_w[e];
-                    }
-                }
-                int64_t wv = vwt[v];
-                if (src == 0) {
-                    assign[v] = 1;
-                    pw[0] -= wv;
-                    pw[1] += wv;
-                } else {
-                    assign[v] = 0;
-                    pw[1] -= wv;
-                    pw[0] += wv;
-                }
-            }
-        }
-
-        cut_io[0] = cut;
-        mti_io[0] = mti;
-        out[0] = mcount;
-        out[1] = best_k;
-        out[2] = ecount;
-        out[3] = n_selects;
-        out[4] = n_updates;
-        out[5] = n_zero_skips;
-        out[6] = n_net_skips;
-        out[7] = 0;
-        goto cleanup;
+        rv->side = (uint8_t)dst;
+        pwl[src] -= vwt[v];
+        pwl[dst] += vwt[v];
+        move_log[mcount] = v;
+        double pw0 = (double)pwl[0];
+        double pw1 = (double)pwl[1];
+        double d = pw0 - lo;
+        double d2 = hi - pw0;
+        if (d2 < d)
+            d = d2;
+        d2 = pw1 - lo;
+        if (d2 < d)
+            d = d2;
+        d2 = hi - pw1;
+        if (d2 < d)
+            d = d2;
+        logs[mcount].cut = cut;
+        logs[mcount].dist = d;
+        mcount += 1;
     }
 
-finish_error:
-    out[7] = 1;
+    /* ----- choose the best prefix (FMEngine._best_prefix) --------- */
+    int have = initial_legal != 0;
+    int64_t best_cut = cut_before;
+    for (int64_t k = 0; k < mcount; k++) {
+        if (logs[k].dist >= 0.0 && (!have || logs[k].cut < best_cut)) {
+            best_cut = logs[k].cut;
+            have = 1;
+        }
+    }
+    int64_t best_k;
+    if (!have) {
+        best_k = 0;
+        double best_d = initial_distance;
+        for (int64_t k = 0; k < mcount; k++) {
+            if (logs[k].dist > best_d) {
+                best_d = logs[k].dist;
+                best_k = k + 1;
+            }
+        }
+    } else if (best_choice == 0) { /* FIRST */
+        best_k = 0;
+        if (!(initial_legal != 0 && cut_before == best_cut)) {
+            for (int64_t k = 0; k < mcount; k++) {
+                if (logs[k].dist >= 0.0 && logs[k].cut == best_cut) {
+                    best_k = k + 1;
+                    break;
+                }
+            }
+        }
+    } else if (best_choice == 1) { /* LAST */
+        best_k = 0;
+        for (int64_t k = mcount - 1; k >= 0; k--) {
+            if (logs[k].dist >= 0.0 && logs[k].cut == best_cut) {
+                best_k = k + 1;
+                break;
+            }
+        }
+    } else { /* BALANCE */
+        best_k = -1;
+        double best_d = -INFINITY;
+        if (initial_legal != 0 && cut_before == best_cut) {
+            best_k = 0;
+            best_d = initial_distance;
+        }
+        for (int64_t k = 0; k < mcount; k++) {
+            if (logs[k].dist >= 0.0 && logs[k].cut == best_cut
+                && logs[k].dist > best_d) {
+                best_d = logs[k].dist;
+                best_k = k + 1;
+            }
+        }
+    }
+
+    /* ----- replay the kept prefix onto the caller's state --------- */
+    int64_t *pins[2] = {pins0, pins1};
+    cut = cut_before;
+    for (int64_t k = 0; k < best_k; k++) {
+        int64_t v = move_log[k];
+        int64_t s = assign[v];
+        int64_t *ps = pins[s];
+        int64_t *pd = pins[1 - s];
+        for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
+            int64_t e = vtx_nets[i];
+            int64_t f = ps[e];
+            int64_t t = pd[e];
+            ps[e] = f - 1;
+            pd[e] = t + 1;
+            if (t == 0) {
+                if (f >= 2)
+                    cut += net_w[e];
+            } else if (f == 1) {
+                cut -= net_w[e];
+            }
+        }
+        assign[v] = 1 - s;
+        pw[s] -= vwt[v];
+        pw[1 - s] += vwt[v];
+    }
+    cut_io[0] = cut;
+    out[0] = mcount;
+    out[1] = best_k;
+    out[2] = ecount;
+    out[3] = n_selects;
+    out[4] = n_updates;
+    out[5] = n_zero_skips;
+    out[6] = n_net_skips;
+
+finish:
+    out[7] = error;
     mti_io[0] = mti;
-    memcpy(assign, snap_assign, sizeof(int64_t) * (size_t)n);
-    memcpy(pins0, snap_pins0, sizeof(int64_t) * (size_t)m);
-    memcpy(pins1, snap_pins1, sizeof(int64_t) * (size_t)m);
-    pw[0] = snap_pw0;
-    pw[1] = snap_pw1;
-    cut_io[0] = cut_before;
 
 cleanup:
-    free(snap_assign);
-    free(snap_pins0);
-    free(snap_pins1);
-    free(heads0);
-    free(tails0);
-    free(heads1);
-    free(tails1);
-    free(prev0);
-    free(next0);
-    free(prev1);
-    free(next1);
-    free(key0);
-    free(key1);
-    free(pres0);
-    free(pres1);
-    free(gain);
+    free(vr);
+    free(cnt);
+    free(bk);
+    free(logs);
     free(elig);
-    free(cut_log);
-    free(dist_log);
+    free(order);
 }
 
 /* ------------------------------------------------------------------ */

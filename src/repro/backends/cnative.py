@@ -1,12 +1,11 @@
-"""C backend: :mod:`repro.backends.flatref` translated to C and loaded
+"""C backend: the :mod:`repro.backends.flatref` kernels in C, loaded
 via ctypes.
 
 ``_kernels.c`` (shipped next to this module) is compiled once per
 source hash with the system C compiler — ``-O2 -fPIC -shared`` and
 deliberately **no** ``-ffast-math``, because every float operation must
-round exactly like CPython/numpy for the registry self-check and the
-equivalence suites to hold bit for bit.  The shared object is cached
-under the first writable of:
+round exactly like CPython/numpy.  The shared object is cached under the
+first writable of:
 
 1. ``$REPRO_CNATIVE_CACHE``,
 2. ``_build/`` next to this module (git-ignored),
@@ -17,7 +16,16 @@ converts that into an unavailable-with-reason record and falls back to
 the interpreted paths, so machines without a C toolchain lose speed,
 never correctness.
 
-The exported functions reproduce the flatref signatures exactly (shape
+Every kernel's outputs are bit-identical to flatref's, as the registry
+self-check, the cross-backend fuzz suite and the oracle-equivalence
+suites pin.  The matching, contraction and bootstrap kernels translate
+flatref line for line.  ``fm_pass`` runs the same pass on a packed
+32-bit working set (one 16-byte record per vertex, a private copy of the
+pin counts; see ``_kernels.c``) and declines — ``out[7] == 2``, caller
+state untouched — when a size or the bucket span reaches 2**31, which
+sends the engine to its interpreted loop.
+
+The exported functions take the flatref signatures exactly (shape
 arguments the C ABI needs are derived from the arrays here), so the
 registry's :class:`~repro.backends.registry.KernelSet` wraps this
 module and :mod:`repro.backends.flatref` interchangeably.
@@ -32,6 +40,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 from typing import List
+
+import numpy as np
 
 _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
@@ -120,6 +130,18 @@ def _p(a):
     return a.ctypes.data
 
 
+def _check_state(arrays, size: int) -> None:
+    """Raise unless each array is C-contiguous int64 of length ``size``:
+    the kernels write through these pointers."""
+    for a in arrays:
+        if (a.dtype != np.int64 or not a.flags.c_contiguous
+                or a.shape != (size,)):
+            raise ValueError(
+                f"expected C-contiguous int64[{size}], got "
+                f"{a.dtype}{list(a.shape)}"
+            )
+
+
 # ----------------------------------------------------------------------
 # flatref-signature wrappers
 # ----------------------------------------------------------------------
@@ -128,6 +150,8 @@ def fm_pass(net_ptr, net_pins, vtx_ptr, vtx_nets, net_w, vwt,
             lo, hi, slack, initial_legal, initial_distance,
             clip, update_all, tie_bias, order_code, best_choice,
             illegal_code, guard, max_abs, mt, mti_io, move_log, out):
+    _check_state((assign, fixed, move_log), vtx_ptr.shape[0] - 1)
+    _check_state((pins0, pins1), net_ptr.shape[0] - 1)
     _LIB.fm_pass(
         _p(net_ptr), _p(net_pins), _p(vtx_ptr), _p(vtx_nets),
         _p(net_w), _p(vwt), _p(assign), _p(fixed),

@@ -21,7 +21,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.core.balance import BalanceConstraint
-from repro.core.partition import Partition2
+from repro.core.partition import ListPartition, Partition2
 from repro.core.partitioner import PartitionResult
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -77,12 +77,16 @@ class AnnealingPartitioner:
         balance = BalanceConstraint(
             hypergraph.total_vertex_weight, self.tolerance
         )
-        part = Partition2.random_balanced(hypergraph, balance, rng, fixed_parts)
+        start = Partition2.random_balanced(
+            hypergraph, balance, rng, fixed_parts
+        )
+        # The Metropolis loop indexes the state per proposal: lists.
+        part = ListPartition(start)
         movable = [
             v for v in range(hypergraph.num_vertices) if not part.fixed[v]
         ]
         if not movable:
-            return self._result(part, balance, t0)
+            return self._result(start, balance, t0)
 
         temperature = self._initial_temperature(part, movable, rng)
         floor = temperature * self.min_temperature_factor
@@ -114,12 +118,12 @@ class AnnealingPartitioner:
             if accepted == 0:
                 break  # frozen
 
-        final = Partition2(hypergraph, best_assignment, part.fixed)
+        final = Partition2(hypergraph, best_assignment, start.fixed)
         return self._result(final, balance, t0)
 
     # ------------------------------------------------------------------
     def _initial_temperature(
-        self, part: Partition2, movable, rng: random.Random
+        self, part: ListPartition, movable, rng: random.Random
     ) -> float:
         """Temperature at which ``initial_acceptance`` of sampled uphill
         moves would be accepted (standard auto-tuning)."""
@@ -139,7 +143,7 @@ class AnnealingPartitioner:
         part: Partition2, balance: BalanceConstraint, t0: float
     ) -> PartitionResult:
         return PartitionResult(
-            assignment=part.assignment,
+            assignment=part.assignment.tolist(),
             cut=part.cut,
             part_weights=list(part.part_weights),
             legal=balance.is_legal(part.part_weights),

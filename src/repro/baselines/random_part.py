@@ -65,7 +65,7 @@ def _result(
     part: Partition2, balance: BalanceConstraint, start_time: float
 ) -> PartitionResult:
     return PartitionResult(
-        assignment=part.assignment,
+        assignment=part.assignment.tolist(),
         cut=part.cut,
         part_weights=list(part.part_weights),
         legal=balance.is_legal(part.part_weights),

@@ -46,9 +46,13 @@ as, all intermediate values stayed exactly representable).
 
 Scratch is cached per ``(hypergraph identity, insertion order)``:
 hypergraphs are immutable, so identity alone keys every per-hypergraph
-invariant.  The compiled-backend path needs no scratch at all — it reads
-the hypergraph's read-only int64 CSR and its cached integer weights and
-gain bound directly.
+invariant.  The interpreted loop runs on a
+:class:`~repro.core.partition.ListPartition`, list copies of the
+partition taken once per ``refine()`` and stored back at its end.  The
+compiled-backend path needs neither: it hands the partition's own numpy
+arrays to the kernel, which updates them in place, and reads the
+hypergraph's read-only int64 CSR and its cached integer weights and gain
+bound directly.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from repro.core.gain_bucket import (
     InsertionOrder,
 )
 from repro.core.partition import (
+    ListPartition,
     Partition2,
     int_net_weight_list,
     ledger_weights,
@@ -278,19 +283,20 @@ class FMEngine:
             result = self._refine_kernel(partition, ks, start)
             if result is not None:
                 return result
-            # Kernel declined mid-run (gain-bound guard): the pass
-            # restored its entry state, so the interpreted loop below
-            # resumes exactly there and raises the engine's error.
+            # Kernel declined (gain-bound guard or 32-bit working set):
+            # the partition holds the state of the last completed pass,
+            # so the interpreted loop below resumes exactly there.
         self._ensure_scratch(partition)
         perf = PerfCounters()
         perf.backend = "numpy"  # interpreted pass loop below
-        initial_cut = partition.cut
+        work = ListPartition(partition)
+        initial_cut = work.cut
         stats: List[PassStats] = []
         total_moves = 0
         stuck = 0
         for _ in range(cfg.max_passes):
             t0 = time.perf_counter()
-            ps = self._run_pass(partition, perf)
+            ps = self._run_pass(work, perf)
             ps.seconds = time.perf_counter() - t0
             perf.passes += 1
             perf.pass_seconds.append(ps.seconds)
@@ -300,6 +306,7 @@ class FMEngine:
                 stuck += 1
             if ps.cut_before - ps.cut_after <= cfg.min_pass_improvement:
                 break
+        work.store(partition)
         perf.total_seconds = time.perf_counter() - start
         return FMResult(
             initial_cut=initial_cut,
@@ -365,13 +372,13 @@ class FMEngine:
 
         Bit-identical to the interpreted loop (the registry only hands
         out self-checked kernels, and this path is gated on the integral
-        regime where the restore-and-replay rollback is exact).  State
-        crosses into flat int64 arrays once per refine and is written
-        back once at the end — between passes nothing reads the
-        partition object.  Returns ``None`` when the kernel hit the
-        gain-bound guard: the pass entry state was restored, so the
-        caller's interpreted loop resumes exactly there and raises the
-        engine's normal error.
+        regime the kernels require).  The kernel updates the partition's
+        own assignment and pin-count arrays in place; only the two part
+        weights and the cut cross as scalars.  Returns ``None`` when the
+        kernel declined a pass (gain-bound guard, or a size its 32-bit
+        working set cannot index): that pass left the partition
+        untouched, so the caller's interpreted loop resumes exactly
+        there.
         """
         cfg = self.config
         bal = self.balance
@@ -382,11 +389,9 @@ class FMEngine:
         max_abs = 2 * hg.max_weighted_degree + 1
         n = hg.num_vertices
 
-        assign = np.array(partition.assignment, dtype=np.int64)
-        fixed = np.array(partition.fixed, dtype=bool).astype(np.int64)
-        pins0_l, pins1_l = partition.pins_in_part
-        pins0 = np.array(pins0_l, dtype=np.int64)
-        pins1 = np.array(pins1_l, dtype=np.int64)
+        assign = partition.assignment
+        fixed = partition.fixed.astype(np.int64)
+        pins0, pins1 = partition.pins_in_part
         pw_l = partition.part_weights
         pw = np.array([int(pw_l[0]), int(pw_l[1])], dtype=np.int64)
         cut_io = np.array([int(partition.cut)], dtype=np.int64)
@@ -448,20 +453,19 @@ class FMEngine:
                 mt, mti_io, move_log, out,
             )
             if out[7] != 0:
-                # Gain left the bounded window: the interpreted pass
-                # raises here.  The kernel restored its entry state and
-                # consumed no externally-visible randomness (we re-arm
-                # the pre-pass MT state), so falling back replays this
-                # exact pass and surfaces the identical ValueError.
+                # Gain left the bounded window (the interpreted pass
+                # raises there) or the kernel declined the sizes.  The
+                # pass changed no partition state and consumed no
+                # externally-visible randomness (we re-arm the pre-pass
+                # MT state), so the interpreted loop replays this exact
+                # pass.
                 if rnd:
                     self.rng.setstate((
                         st[0],
                         tuple(int(x) for x in mt_bak) + (mti_bak,),
                         st[2],
                     ))
-                self._writeback_kernel_state(
-                    partition, assign, pins0, pins1, pw, cut_io
-                )
+                self._store_scalars(partition, pw, cut_io)
                 return None
             mcount = int(out[0])
             best_k = int(out[1])
@@ -486,8 +490,7 @@ class FMEngine:
                 stuck=stuck,
                 seconds=seconds,
                 move_log=(
-                    [int(move_log[i]) for i in range(mcount)]
-                    if self.record_moves else None
+                    move_log[:mcount].tolist() if self.record_moves else None
                 ),
             ))
             total_moves += best_k
@@ -501,9 +504,7 @@ class FMEngine:
                 tuple(int(x) for x in mt) + (int(mti_io[0]),),
                 st[2],
             ))
-        self._writeback_kernel_state(
-            partition, assign, pins0, pins1, pw, cut_io
-        )
+        self._store_scalars(partition, pw, cut_io)
         perf.total_seconds = time.perf_counter() - start
         return FMResult(
             initial_cut=initial_cut,
@@ -517,23 +518,19 @@ class FMEngine:
         )
 
     @staticmethod
-    def _writeback_kernel_state(
-        partition: Partition2, assign, pins0, pins1, pw, cut_io
-    ) -> None:
-        """Publish kernel arrays back into the partition's Python state,
-        preserving the interpreted path's value types exactly (float
-        part weights carrying integral values, int cut ledger)."""
-        partition.assignment[:] = assign.tolist()
-        p0, p1 = partition.pins_in_part
-        p0[:] = pins0.tolist()
-        p1[:] = pins1.tolist()
+    def _store_scalars(partition: Partition2, pw, cut_io) -> None:
+        """Publish the kernel's part weights and cut, in the interpreted
+        path's value types (float part weights carrying integral values,
+        int cut ledger)."""
         pw_l = partition.part_weights
         pw_l[0] = float(pw[0])
         pw_l[1] = float(pw[1])
         partition.cut = int(cut_io[0])
 
     # ------------------------------------------------------------------
-    def _run_pass(self, partition: Partition2, perf: PerfCounters) -> PassStats:
+    def _run_pass(
+        self, partition: ListPartition, perf: PerfCounters
+    ) -> PassStats:
         cfg = self.config
         bal = self.balance
         hg = partition.hypergraph

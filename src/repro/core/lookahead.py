@@ -27,10 +27,10 @@ import heapq
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.balance import BalanceConstraint
-from repro.core.partition import Partition2
+from repro.core.partition import ListPartition, Partition2
 from repro.core.partitioner import PartitionResult
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -38,7 +38,7 @@ _INF = 1 << 30  # stands in for "net has a locked cell on this side"
 
 
 def gain_vector(
-    partition: Partition2,
+    partition: Union[Partition2, ListPartition],
     free_counts: Sequence[Sequence[int]],
     locked_counts: Sequence[Sequence[int]],
     v: int,
@@ -124,7 +124,7 @@ class LookaheadFM:
         )
         self.refine(part, balance)
         return PartitionResult(
-            assignment=part.assignment,
+            assignment=part.assignment.tolist(),
             cut=part.cut,
             part_weights=list(part.part_weights),
             legal=balance.is_legal(part.part_weights),
@@ -142,12 +142,15 @@ class LookaheadFM:
         initial = part.cut
         passes = 0
         moves = 0
+        # The passes index the state per move: work on list copies.
+        work = ListPartition(part)
         for _ in range(self.max_passes):
-            kept = self._pass(part, balance)
+            kept = self._pass(work, balance)
             passes += 1
             moves += kept[1]
             if kept[0] <= 0:
                 break
+        work.store(part)
         return LookaheadResult(
             initial_cut=initial,
             final_cut=part.cut,
@@ -157,7 +160,7 @@ class LookaheadFM:
 
     # ------------------------------------------------------------------
     def _pass(
-        self, part: Partition2, balance: BalanceConstraint
+        self, part: ListPartition, balance: BalanceConstraint
     ) -> Tuple[float, int]:
         hg = part.hypergraph
         n = hg.num_vertices

@@ -11,6 +11,14 @@ All FM engines, the multilevel refiner and the rollback logic operate on
 this object; its incremental bookkeeping is validated against from-scratch
 recomputation in the test suite (including hypothesis property tests).
 
+The state lives in numpy arrays beside the hypergraph's int64 CSR: the
+assignment (int64), the fixed mask (bool) and the two per-net pin-count
+arrays (int64), so the compiled FM kernel and the multilevel projection
+work on them in place.  Interpreted loops index Python lists several
+times faster than numpy arrays, so they work on a :class:`ListPartition`
+instead: list copies taken once, moved under the same rules, and stored
+back once.
+
 **Exact integer cut ledger.**  When every net weight is integral (the
 regime FM requires — and the only regime real netlists use), the net
 weights are stored as ``int`` and :attr:`Partition2.cut` is maintained
@@ -51,7 +59,8 @@ def ledger_weights(hypergraph: Hypergraph) -> list:
 
 
 def _checked_sides(assignment: Sequence[int]) -> np.ndarray:
-    """``assignment`` as int64, after checking every entry is 0 or 1."""
+    """``assignment`` as a fresh int64 array, after checking every entry
+    is 0 or 1."""
     raw = np.asarray(assignment)
     try:
         ok = bool(((raw == 0) | (raw == 1)).all())
@@ -66,7 +75,84 @@ def _checked_sides(assignment: Sequence[int]) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-class Partition2:
+class _MoveRules:
+    """The move and gain rules of a 2-way partition, shared by
+    :class:`Partition2` (numpy arrays) and :class:`ListPartition`
+    (lists): subclasses hold ``hypergraph``, ``assignment``, ``fixed``,
+    ``pins_in_part``, ``part_weights``, ``cut``, ``integral_nets`` and
+    ``_hot``."""
+
+    __slots__ = ()
+
+    def _bind(self) -> tuple:
+        """``(vtx_ptr, vtx_nets, ledger weights, vertex weights)`` list
+        views for the interpreted move/gain loops."""
+        hg = self.hypergraph
+        _, _, vtx_ptr, vtx_nets = hg.raw_csr
+        self._hot = (
+            vtx_ptr, vtx_nets, ledger_weights(hg), hg.vertex_weight_list
+        )
+        return self._hot
+
+    # ------------------------------------------------------------------
+    # Moves
+    # ------------------------------------------------------------------
+    def move(self, v: int) -> None:
+        """Move vertex ``v`` to the opposite part, updating all state.
+
+        Raises ``ValueError`` for fixed vertices.  Balance legality is
+        *not* enforced here — the FM engines decide legality; rollback
+        needs unrestricted moves.
+        """
+        if self.fixed[v]:
+            raise ValueError(f"vertex {v} is fixed")
+        vp, vn, net_w, vwt = self._hot or self._bind()
+        src = self.assignment[v]
+        dst = 1 - src
+        w = vwt[v]
+        self.assignment[v] = dst
+        self.part_weights[src] -= w
+        self.part_weights[dst] += w
+
+        pins_src = self.pins_in_part[src]
+        pins_dst = self.pins_in_part[dst]
+        for i in range(vp[v], vp[v + 1]):
+            e = vn[i]
+            f = pins_src[e]
+            t = pins_dst[e]
+            pins_src[e] = f - 1
+            pins_dst[e] = t + 1
+            # Cut transitions: net was cut iff both sides occupied.
+            if t == 0 and f >= 2:
+                self.cut += net_w[e]
+            elif f == 1 and t >= 1:
+                self.cut -= net_w[e]
+
+    # ------------------------------------------------------------------
+    # Gain computation (from scratch; the engines maintain gains
+    # incrementally but seed them from here at the start of each pass)
+    # ------------------------------------------------------------------
+    def gain(self, v: int) -> float:
+        """FM gain of moving ``v``: cut decrease if moved right now.
+
+        Exact ``int`` in the integral-net-weight regime.
+        """
+        src = self.assignment[v]
+        dst = 1 - src
+        pins_src = self.pins_in_part[src]
+        pins_dst = self.pins_in_part[dst]
+        g = 0 if self.integral_nets else 0.0
+        vp, vn, net_w, _ = self._hot or self._bind()
+        for i in range(vp[v], vp[v + 1]):
+            e = vn[i]
+            if pins_src[e] == 1:
+                g += net_w[e]
+            if pins_dst[e] == 0:
+                g -= net_w[e]
+        return g
+
+
+class Partition2(_MoveRules):
     """A mutable 2-way partition of a hypergraph.
 
     Parameters
@@ -78,6 +164,10 @@ class Partition2:
     fixed:
         Optional per-vertex flag; fixed vertices must never be moved
         (terminal propagation / pad constraints, cf. paper Section 2.1).
+
+    Both are copied: ``assignment`` into an int64 array, ``fixed`` into
+    a bool array.  ``pins_in_part`` holds the two int64 per-net pin-count
+    arrays; ``cut`` and ``part_weights`` are Python numbers.
     """
 
     __slots__ = (
@@ -102,13 +192,13 @@ class Partition2:
             raise ValueError("assignment length mismatch")
         sides = _checked_sides(assignment)
         self.hypergraph = hypergraph
-        self.assignment: List[int] = list(assignment)
+        self.assignment: np.ndarray = sides
         if fixed is None:
-            self.fixed: List[bool] = [False] * n
+            self.fixed: np.ndarray = np.zeros(n, dtype=bool)
         else:
             if len(fixed) != n:
                 raise ValueError("fixed length mismatch")
-            self.fixed = list(fixed)
+            self.fixed = np.array(fixed, dtype=bool)
         #: True when every net weight is integral: the cut ledger is then
         #: an exact ``int`` (no float drift, exact tie detection).
         self.integral_nets: bool = hypergraph.integral_net_weights
@@ -123,7 +213,7 @@ class Partition2:
         np.cumsum(sides[net_pins], out=ones[1:])
         pins1 = ones[net_ptr[1:]] - ones[net_ptr[:-1]]
         pins0 = np.diff(net_ptr) - pins1
-        self.pins_in_part = [pins0.tolist(), pins1.tolist()]
+        self.pins_in_part: List[np.ndarray] = [pins0, pins1]
         cut_nets = np.flatnonzero((pins0 > 0) & (pins1 > 0))
         if self.integral_nets:
             self.cut = int(hypergraph.int_net_weights()[cut_nets].sum())
@@ -159,16 +249,6 @@ class Partition2:
         """Alias of the constructor, kept for callers of the former numpy
         fast path: construction is vectorized in every weight regime."""
         return cls(hypergraph, assignment, fixed)
-
-    def _bind(self) -> tuple:
-        """``(vtx_ptr, vtx_nets, ledger weights, vertex weights)`` list
-        views for the interpreted move/gain loops."""
-        hg = self.hypergraph
-        _, _, vtx_ptr, vtx_nets = hg.raw_csr
-        self._hot = (
-            vtx_ptr, vtx_nets, ledger_weights(hg), hg.vertex_weight_list
-        )
-        return self._hot
 
     @staticmethod
     def random_balanced(
@@ -228,12 +308,12 @@ class Partition2:
         """Deep copy (cheap: arrays only)."""
         clone = Partition2.__new__(Partition2)
         clone.hypergraph = self.hypergraph
-        clone.assignment = list(self.assignment)
-        clone.fixed = list(self.fixed)
+        clone.assignment = self.assignment.copy()
+        clone.fixed = self.fixed.copy()
         clone.part_weights = list(self.part_weights)
         clone.pins_in_part = [
-            list(self.pins_in_part[0]),
-            list(self.pins_in_part[1]),
+            self.pins_in_part[0].copy(),
+            self.pins_in_part[1].copy(),
         ]
         clone.cut = self.cut
         clone.integral_nets = self.integral_nets
@@ -241,68 +321,11 @@ class Partition2:
         return clone
 
     # ------------------------------------------------------------------
-    # Moves
-    # ------------------------------------------------------------------
-    def move(self, v: int) -> None:
-        """Move vertex ``v`` to the opposite part, updating all state.
-
-        Raises ``ValueError`` for fixed vertices.  Balance legality is
-        *not* enforced here — the FM engines decide legality; rollback
-        needs unrestricted moves.
-        """
-        if self.fixed[v]:
-            raise ValueError(f"vertex {v} is fixed")
-        vp, vn, net_w, vwt = self._hot or self._bind()
-        src = self.assignment[v]
-        dst = 1 - src
-        w = vwt[v]
-        self.assignment[v] = dst
-        self.part_weights[src] -= w
-        self.part_weights[dst] += w
-
-        pins_src = self.pins_in_part[src]
-        pins_dst = self.pins_in_part[dst]
-        for i in range(vp[v], vp[v + 1]):
-            e = vn[i]
-            f = pins_src[e]
-            t = pins_dst[e]
-            pins_src[e] = f - 1
-            pins_dst[e] = t + 1
-            # Cut transitions: net was cut iff both sides occupied.
-            if t == 0 and f >= 2:
-                self.cut += net_w[e]
-            elif f == 1 and t >= 1:
-                self.cut -= net_w[e]
-
-    # ------------------------------------------------------------------
-    # Gain computation (from scratch; the engines maintain gains
-    # incrementally but seed them from here at the start of each pass)
-    # ------------------------------------------------------------------
-    def gain(self, v: int) -> float:
-        """FM gain of moving ``v``: cut decrease if moved right now.
-
-        Exact ``int`` in the integral-net-weight regime.
-        """
-        src = self.assignment[v]
-        dst = 1 - src
-        pins_src = self.pins_in_part[src]
-        pins_dst = self.pins_in_part[dst]
-        g = 0 if self.integral_nets else 0.0
-        vp, vn, net_w, _ = self._hot or self._bind()
-        for i in range(vp[v], vp[v + 1]):
-            e = vn[i]
-            if pins_src[e] == 1:
-                g += net_w[e]
-            if pins_dst[e] == 0:
-                g -= net_w[e]
-        return g
-
-    # ------------------------------------------------------------------
     # Verification helpers (used heavily by tests)
     # ------------------------------------------------------------------
     def recompute_cut(self) -> float:
         """Cut recomputed from scratch (ignores incremental state)."""
-        return self.hypergraph.cut_size(self.assignment)
+        return self.hypergraph.cut_size(self.assignment.tolist())
 
     def check_consistency(self) -> None:
         """Assert incremental state matches a from-scratch recomputation.
@@ -322,11 +345,8 @@ class Partition2:
                 f"cut drift: incremental {self.cut}, actual {expected.cut}"
             )
         for side in (0, 1):
-            if any(
-                a != b
-                for a, b in zip(
-                    expected.pins_in_part[side], self.pins_in_part[side]
-                )
+            if not np.array_equal(
+                expected.pins_in_part[side], self.pins_in_part[side]
             ):
                 raise AssertionError(f"pin counts drift on side {side}")
             if abs(expected.part_weights[side] - self.part_weights[side]) > 1e-6:
@@ -337,3 +357,42 @@ class Partition2:
             f"Partition2(cut={self.cut:g}, "
             f"weights=({self.part_weights[0]:g}, {self.part_weights[1]:g}))"
         )
+
+
+class ListPartition(_MoveRules):
+    """A working copy of a :class:`Partition2`'s state in Python lists.
+
+    Interpreted loops (the FM engine's numpy backend, annealing,
+    lookahead FM) index lists several times faster than numpy arrays.
+    They copy a partition in once, move and score vertices here under
+    the same rules, and :meth:`store` the result back once.
+    """
+
+    __slots__ = (
+        "hypergraph",
+        "assignment",
+        "fixed",
+        "part_weights",
+        "pins_in_part",
+        "cut",
+        "integral_nets",
+        "_hot",
+    )
+
+    def __init__(self, partition: Partition2) -> None:
+        self.hypergraph = partition.hypergraph
+        self.assignment: List[int] = partition.assignment.tolist()
+        self.fixed: List[bool] = partition.fixed.tolist()
+        self.pins_in_part = [p.tolist() for p in partition.pins_in_part]
+        self.part_weights = list(partition.part_weights)
+        self.cut = partition.cut
+        self.integral_nets = partition.integral_nets
+        self._hot = partition._hot
+
+    def store(self, partition: Partition2) -> None:
+        """Write this copy's state back into ``partition``."""
+        partition.assignment[:] = self.assignment
+        for target, pins in zip(partition.pins_in_part, self.pins_in_part):
+            target[:] = pins
+        partition.part_weights[:] = self.part_weights
+        partition.cut = self.cut

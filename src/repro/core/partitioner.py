@@ -109,7 +109,7 @@ class FMPartitioner:
         engine = FMEngine(balance, self.config, rng)
         engine_result = engine.refine(part)
         return PartitionResult(
-            assignment=part.assignment,
+            assignment=part.assignment.tolist(),
             cut=part.cut,
             part_weights=list(part.part_weights),
             legal=balance.is_legal(part.part_weights),

@@ -116,7 +116,7 @@ class PrunedMultistart:
             FMEngine(balance, self.config, rng).refine(part)
             if part.cut < best_cut:
                 best_cut = part.cut
-                best_assignment = list(part.assignment)
+                best_assignment = part.assignment.tolist()
                 best_weights = list(part.part_weights)
 
         assert best_assignment is not None and best_weights is not None

@@ -27,17 +27,23 @@ same float weight accumulation order — but computes it on flat arrays:
   kernel just constructed.  The compiled backends hand their int64
   output arrays over as they are, so a coarse level never exists as
   Python lists unless an interpreted loop asks for them.
+
+Cluster maps are int64 arrays: :attr:`CoarseLevel.cluster_of` is the
+contraction kernel's own ``mapped`` output, and projecting an
+assignment through a level is one ``np.take``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.multilevel.matching import _WS, _kernels, _np
+from repro.multilevel.matching import _WS, _kernels
 
 
 @dataclass
@@ -56,34 +62,30 @@ class CoarseLevel:
 
     fine: Hypergraph
     coarse: Hypergraph
-    cluster_of: List[int]
+    cluster_of: np.ndarray
 
-    def project_assignment(self, coarse_assignment: List[int]) -> List[int]:
+    def project_assignment(self, coarse_assignment) -> List[int]:
         """Lift a coarse assignment to the fine hypergraph (fresh list)."""
-        return [coarse_assignment[self.cluster_of[v]] for v in
-                range(self.fine.num_vertices)]
+        return np.take(coarse_assignment, self.cluster_of).tolist()
 
     def project_assignment_into(
-        self, coarse_assignment: List[int], out: List[int]
-    ) -> List[int]:
-        """Lift a coarse assignment into ``out`` (no allocation).
+        self, coarse_assignment, out: np.ndarray
+    ) -> np.ndarray:
+        """Lift a coarse assignment into the int64 array ``out``.
 
         ``out`` must have length ``fine.num_vertices``; it is returned
         for convenience.  Uncoarsening projects once per level per
         start, so the multilevel refiner reuses one buffer per level
-        size instead of building a fresh list each time.
+        size instead of allocating a fresh array each time.
         """
-        cluster_of = self.cluster_of
-        if len(out) != len(cluster_of):
+        if len(out) != len(self.cluster_of):
             raise ValueError("projection buffer length mismatch")
-        for v in range(len(cluster_of)):
-            out[v] = coarse_assignment[cluster_of[v]]
-        return out
+        return np.take(coarse_assignment, self.cluster_of, out=out)
 
 
 def coarsen(
     hypergraph: Hypergraph,
-    cluster_of: List[int],
+    cluster_of: Sequence[int],
     perf: Optional[PerfCounters] = None,
     backend: Optional[str] = None,
 ) -> CoarseLevel:
@@ -98,15 +100,18 @@ def coarsen(
     if len(cluster_of) != n:
         raise ValueError("cluster_of length mismatch")
     ks = _kernels(backend)
-    if ks is not None and n > 0 and max(cluster_of) < 2 * n:
-        # Dense-ish ids only (the same gate the interpreted path uses to
-        # pick the stamped remap array); sparse ids fall through to the
-        # dict-based renumbering below.  Negative ids are detected inside
-        # the kernel, which reports the first offending vertex so the
-        # error is identical to the interpreted path's.
-        level = _coarsen_kernel(hypergraph, cluster_of, ks, perf, t0)
-        if level is not None:
-            return level
+    if ks is not None and n > 0:
+        cluster_np = np.ascontiguousarray(cluster_of, dtype=np.int64)
+        if cluster_np.max() < 2 * n:
+            # Dense-ish ids only (the same gate the interpreted path
+            # uses to pick the stamped remap array); sparse ids fall
+            # through to the dict-based renumbering below.  Negative ids
+            # are detected inside the kernel, which reports the first
+            # offending vertex so the error is identical to the
+            # interpreted path's.
+            return _coarsen_kernel(hypergraph, cluster_np, ks, perf, t0)
+    if isinstance(cluster_of, np.ndarray):
+        cluster_of = cluster_of.tolist()
     net_ptr, net_pins, _, _ = hypergraph.raw_csr
     vwt = hypergraph.vertex_weight_list
     net_weights = hypergraph.net_weight_list
@@ -225,29 +230,32 @@ def coarsen(
         perf.coarsen_nets_merged += merged
         perf.coarsen_nets_dropped += dropped
         perf.coarsen_seconds += time.perf_counter() - t0
-    return CoarseLevel(fine=hypergraph, coarse=coarse, cluster_of=mapped)
+    return CoarseLevel(
+        fine=hypergraph,
+        coarse=coarse,
+        cluster_of=np.array(mapped, dtype=np.int64),
+    )
 
 
 def _coarsen_kernel(
     hypergraph: Hypergraph,
-    cluster_of: List[int],
+    cluster_np: np.ndarray,
     ks,
     perf: Optional[PerfCounters],
     t0: float,
-) -> Optional[CoarseLevel]:
+) -> CoarseLevel:
     """Contract through a compiled backend kernel (bit-identical)."""
     net_ptr, net_pins, _, _ = hypergraph.csr
     vwt = hypergraph.vertex_weight_array
     net_w = hypergraph.net_weight_array
     n = hypergraph.num_vertices
     m = hypergraph.num_nets
-    cluster_np = _np.array(cluster_of, dtype=_np.int64)
-    mapped = _np.zeros(n, dtype=_np.int64)
-    weights = _np.zeros(n, dtype=_np.float64)
-    coarse_net_ptr = _np.zeros(m + 1, dtype=_np.int64)
-    coarse_pins = _np.zeros(net_pins.shape[0], dtype=_np.int64)
-    coarse_net_w = _np.zeros(m, dtype=_np.float64)
-    out = _np.zeros(6, dtype=_np.int64)
+    mapped = np.zeros(n, dtype=np.int64)
+    weights = np.zeros(n, dtype=np.float64)
+    coarse_net_ptr = np.zeros(m + 1, dtype=np.int64)
+    coarse_pins = np.zeros(net_pins.shape[0], dtype=np.int64)
+    coarse_net_w = np.zeros(m, dtype=np.float64)
+    out = np.zeros(6, dtype=np.int64)
     ks.contract(
         net_ptr, net_pins, cluster_np, vwt, net_w,
         mapped, weights, coarse_net_ptr, coarse_pins, coarse_net_w, out,
@@ -255,7 +263,7 @@ def _coarsen_kernel(
     if out[5]:
         v = int(out[0])
         raise ValueError(
-            f"vertex {v} has negative cluster id {cluster_of[v]}"
+            f"vertex {v} has negative cluster id {int(cluster_np[v])}"
         )
     num_coarse = int(out[0])
     num_groups = int(out[1])
@@ -273,6 +281,4 @@ def _coarsen_kernel(
         perf.coarsen_nets_merged += int(out[3])
         perf.coarsen_nets_dropped += int(out[4])
         perf.coarsen_seconds += time.perf_counter() - t0
-    return CoarseLevel(
-        fine=hypergraph, coarse=coarse, cluster_of=mapped.tolist()
-    )
+    return CoarseLevel(fine=hypergraph, coarse=coarse, cluster_of=mapped)

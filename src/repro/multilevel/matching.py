@@ -36,7 +36,7 @@ the neighbour set (the insertion *order* side effect the seed dict had).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as _np
 
@@ -206,7 +206,7 @@ def heavy_edge_matching(
     fixed_parts: Optional[List[Optional[int]]] = None,
     perf: Optional[PerfCounters] = None,
     backend: Optional[str] = None,
-) -> List[int]:
+) -> _np.ndarray:
     """Heavy-edge matching; returns a cluster id per vertex.
 
     Vertices are visited in random order; each unmatched vertex picks
@@ -239,7 +239,7 @@ def heavy_edge_matching(
         )
         if perf is not None:
             perf.coarsen_neighbors_touched += int(out[1])
-        return cluster_np.tolist()
+        return cluster_np
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
     vwt = hypergraph.vertex_weight_list
     ws = _WS
@@ -297,7 +297,7 @@ def heavy_edge_matching(
         next_id += 1
     if perf is not None:
         perf.coarsen_neighbors_touched += touched
-    return cluster
+    return _np.array(cluster, dtype=_np.int64)
 
 
 def first_choice_clustering(
@@ -308,7 +308,7 @@ def first_choice_clustering(
     fixed_parts: Optional[List[Optional[int]]] = None,
     perf: Optional[PerfCounters] = None,
     backend: Optional[str] = None,
-) -> List[int]:
+) -> _np.ndarray:
     """First-choice clustering; returns a cluster id per vertex.
 
     Like heavy-edge matching, but a vertex may join the cluster of an
@@ -334,7 +334,7 @@ def first_choice_clustering(
         )
         if perf is not None:
             perf.coarsen_neighbors_touched += int(out[1])
-        return cluster_np.tolist()
+        return cluster_np
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
     vwt = hypergraph.vertex_weight_list
     ws = _WS
@@ -401,7 +401,7 @@ def first_choice_clustering(
                 cluster_fixed[best_cluster] = fv
     if perf is not None:
         perf.coarsen_neighbors_touched += touched
-    return cluster
+    return _np.array(cluster, dtype=_np.int64)
 
 
 def hyperedge_coarsening(
@@ -412,7 +412,7 @@ def hyperedge_coarsening(
     fixed_parts: Optional[List[Optional[int]]] = None,
     perf: Optional[PerfCounters] = None,
     backend: Optional[str] = None,
-) -> List[int]:
+) -> _np.ndarray:
     """hMetis-style hyperedge coarsening (HEC); returns cluster ids.
 
     Nets are visited heaviest-first (ties: smaller first, then random
@@ -448,7 +448,7 @@ def hyperedge_coarsening(
         )
         if perf is not None:
             perf.coarsen_neighbors_touched += int(out[1])
-        return cluster_np.tolist()
+        return cluster_np
     net_ptr, net_pins, _, _ = hypergraph.raw_csr
     vwt = hypergraph.vertex_weight_list
     net_weights = hypergraph.net_weight_list
@@ -499,18 +499,18 @@ def hyperedge_coarsening(
             next_id += 1
     if perf is not None:
         perf.coarsen_neighbors_touched += touched
-    return cluster
+    return _np.array(cluster, dtype=_np.int64)
 
 
 def restricted_matching(
     hypergraph: Hypergraph,
-    assignment: List[int],
+    assignment: Sequence[int],
     rng: random.Random,
     max_cluster_weight: Optional[float] = None,
     max_net_size: int = 40,
     perf: Optional[PerfCounters] = None,
     backend: Optional[str] = None,
-) -> List[int]:
+) -> _np.ndarray:
     """Partition-respecting matching for V-cycling (Karypis et al.).
 
     Identical to heavy-edge matching except that only vertices on the
@@ -526,7 +526,7 @@ def restricted_matching(
             hypergraph, max_net_size, ks
         )
         order_np = _shuffled_order(n, rng, ks)
-        assign_np = _np.array(assignment, dtype=_np.int64)
+        assign_np = _np.ascontiguousarray(assignment, dtype=_np.int64)
         cluster_np = _np.full(n, -1, dtype=_np.int64)
         out = _np.zeros(2, dtype=_np.int64)
         ks.hem_match(
@@ -536,7 +536,9 @@ def restricted_matching(
         )
         if perf is not None:
             perf.coarsen_neighbors_touched += int(out[1])
-        return cluster_np.tolist()
+        return cluster_np
+    if isinstance(assignment, _np.ndarray):
+        assignment = assignment.tolist()
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
     vwt = hypergraph.vertex_weight_list
     ws = _WS
@@ -593,7 +595,7 @@ def restricted_matching(
         next_id += 1
     if perf is not None:
         perf.coarsen_neighbors_touched += touched
-    return cluster
+    return _np.array(cluster, dtype=_np.int64)
 
 
 def vertex_proposal_chunk(

@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.balance import BalanceConstraint
 from repro.core.config import FMConfig
 from repro.core.engine import FMEngine
@@ -162,7 +164,7 @@ class MLPartitioner:
         self._refine_engine: Optional[FMEngine] = None
         self._init_engine: Optional[FMEngine] = None
         # Uncoarsening projection buffers, one per level size.
-        self._proj_bufs: Dict[int, List[int]] = {}
+        self._proj_bufs: Dict[int, np.ndarray] = {}
         #: Optional perf sink: when set, every refine call's counters
         #: (and non-pooled coarsening work) accumulate into it.  The
         #: orchestrator points this at a per-trial collector so
@@ -195,7 +197,7 @@ class MLPartitioner:
             self._refine_engine.rng = rng
         return self._init_engine, self._refine_engine
 
-    def _project(self, level, assignment: List[int]) -> List[int]:
+    def _project(self, level, assignment: np.ndarray) -> np.ndarray:
         """Lift ``assignment`` through one level into a reused buffer.
 
         The buffer is safe to reuse because :class:`Partition2` copies
@@ -204,7 +206,7 @@ class MLPartitioner:
         n = level.fine.num_vertices
         buf = self._proj_bufs.get(n)
         if buf is None:
-            buf = [0] * n
+            buf = np.empty(n, dtype=np.int64)
             self._proj_bufs[n] = buf
         return level.project_assignment_into(assignment, buf)
 
@@ -282,7 +284,7 @@ class MLPartitioner:
             self._one_vcycle(final, balance, rng, refine_engine)
 
         return PartitionResult(
-            assignment=final.assignment,
+            assignment=final.assignment.tolist(),
             cut=final.cut,
             part_weights=list(final.part_weights),
             legal=balance.is_legal(final.part_weights),
@@ -308,11 +310,11 @@ class MLPartitioner:
         rng = random.Random(seed)
         balance = BalanceConstraint(hypergraph.total_vertex_weight, self.tolerance)
         _, refine_engine = self._engines(balance, rng)
-        part = Partition2(hypergraph, list(assignment))
+        part = Partition2(hypergraph, assignment)
         for _ in range(rounds):
             self._one_vcycle(part, balance, rng, refine_engine)
         return PartitionResult(
-            assignment=part.assignment,
+            assignment=part.assignment.tolist(),
             cut=part.cut,
             part_weights=list(part.part_weights),
             legal=balance.is_legal(part.part_weights),
@@ -356,10 +358,10 @@ class MLPartitioner:
         """
         cfg = self.config
         levels: List[CoarseLevel] = []
-        fixed_per_level: List[List[bool]] = []
+        fixed_per_level: List[np.ndarray] = []
         hg = part.hypergraph
-        assignment = list(part.assignment)
-        fixed = list(part.fixed)
+        assignment = part.assignment
+        fixed = part.fixed
         while hg.num_vertices > cfg.coarsest_size:
             cluster = restricted_matching(
                 hg, assignment, rng, backend=self.backend
@@ -372,13 +374,15 @@ class MLPartitioner:
                 > hg.num_vertices / cfg.min_reduction
             ):
                 break
-            coarse_assignment = [0] * level.coarse.num_vertices
-            coarse_fixed = [False] * level.coarse.num_vertices
-            for v in range(hg.num_vertices):
-                c = level.cluster_of[v]
-                coarse_assignment[c] = assignment[v]
-                if fixed[v]:
-                    coarse_fixed[c] = True
+            # Restricted matching merges same-side vertices only, so
+            # every member of a cluster writes the same side.
+            cluster_of = level.cluster_of
+            coarse_assignment = np.empty(
+                level.coarse.num_vertices, dtype=np.int64
+            )
+            coarse_assignment[cluster_of] = assignment
+            coarse_fixed = np.zeros(level.coarse.num_vertices, dtype=bool)
+            coarse_fixed[cluster_of[fixed]] = True
             levels.append(level)
             fixed_per_level.append(fixed)
             hg = level.coarse

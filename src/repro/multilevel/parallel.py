@@ -57,6 +57,8 @@ import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.multistart import MultistartResult, StartRecord
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
@@ -637,12 +639,12 @@ def parallel_clustering(
     max_net_size: int = 40,
     fixed_parts: Optional[List[Optional[int]]] = None,
     perf: Optional[PerfCounters] = None,
-) -> List[int]:
+) -> np.ndarray:
     """One clustering pass: parallel proposals, serial fixed-order merge.
 
     Bit-identical to the serial kernel of the same ``scheme`` under the
     same ``rng`` state (the merge consumes exactly one ``rng.shuffle``,
-    like the kernel).
+    like the kernel), and returned as the same int64 cluster array.
     """
     if scheme == "hyperedge":
         count = hypergraph.num_nets
@@ -672,7 +674,7 @@ def parallel_clustering(
             t2 = time.perf_counter()
             perf.inrun_proposal_seconds += t1 - t0
             perf.inrun_merge_seconds += t2 - t1
-        return cluster
+        return np.array(cluster, dtype=np.int64)
     finally:
         pool.drop_hypergraph(key)
 

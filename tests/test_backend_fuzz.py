@@ -18,12 +18,14 @@ not tier-1 material.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import BACKEND_NAMES, get_backend
 from repro.core import BalanceConstraint, FMConfig, FMEngine, Partition2
+from repro.core.perf import PerfCounters
 from repro.evaluation.bsf import BootstrapKernel, shuffle_matrix
 from repro.evaluation.records import TrialRecord
 from repro.hypergraph import Hypergraph
@@ -105,13 +107,15 @@ class TestFMMovePrefixes:
         r_b = eng.refine(p_b)
         assert eng._backend_name == backend
         assert r_b.final_cut == r_ref.final_cut
-        assert p_b.assignment == p_ref.assignment
+        assert np.array_equal(p_b.assignment, p_ref.assignment)
         assert r_b.passes == r_ref.passes
         for s_b, s_ref in zip(r_b.pass_stats, r_ref.pass_stats):
             # The full speculative sequence, not just the kept prefix.
             assert s_b.move_log == s_ref.move_log
             assert s_b.moves_kept == s_ref.moves_kept
             assert s_b.cut_after == s_ref.cut_after
+        for name in PerfCounters.COUNT_FIELDS:
+            assert getattr(r_b.perf, name) == getattr(r_ref.perf, name), name
         p_b.check_consistency()
 
 
@@ -128,11 +132,11 @@ class TestCoarseningHierarchies:
             rng_b = random.Random(rng_seed + level)
             cl_ref = heavy_edge_matching(cur_ref, rng_ref, backend="numpy")
             cl_b = heavy_edge_matching(cur_b, rng_b, backend=backend)
-            assert cl_b == cl_ref
+            assert np.array_equal(cl_b, cl_ref)
             assert rng_b.random() == rng_ref.random()
             lvl_ref = coarsen(cur_ref, cl_ref, backend="numpy")
             lvl_b = coarsen(cur_b, cl_b, backend=backend)
-            assert lvl_b.cluster_of == lvl_ref.cluster_of
+            assert np.array_equal(lvl_b.cluster_of, lvl_ref.cluster_of)
             a = lvl_ref.coarse
             b = lvl_b.coarse
             assert b.num_vertices == a.num_vertices

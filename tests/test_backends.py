@@ -20,9 +20,14 @@ them:
   stability contract for the ``backend`` field.
 """
 
+import os
 import random
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.backends import (
@@ -208,6 +213,92 @@ class TestSelfCheck:
 
 
 # ----------------------------------------------------------------------
+# The C kernels: warnings gate and the 32-bit working-set limit
+# ----------------------------------------------------------------------
+def _cnative_kernels():
+    info = get_backend("cnative")
+    if not info.available:
+        pytest.skip(f"cnative: {info.reason}")
+    return info.kernels
+
+
+class TestCnativeKernels:
+    def test_source_compiles_warning_free(self):
+        """The build uses plain ``-O2``, so narrowing into the 32-bit
+        working set would otherwise pass unnoticed."""
+        cc = shutil.which(os.environ.get("CC", "cc"))
+        if cc is None:
+            pytest.skip("no C compiler")
+        import repro.backends
+
+        source = Path(repro.backends.__file__).with_name("_kernels.c")
+        proc = subprocess.run(
+            [cc, "-Wall", "-Wextra", "-Wconversion", "-Wshadow",
+             "-Werror", "-fsyntax-only", str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_fm_pass_declines_spans_past_32_bits(self):
+        """A bucket span ``2*max_abs+1`` of 2**31 or more is declined
+        (``out[7] == 2``) before any state, draw or log is touched."""
+        ks = _cnative_kernels()
+        hg = generate_circuit(40, seed=2)
+        bal = BalanceConstraint(hg.total_vertex_weight, 0.2)
+        part = Partition2.random_balanced(hg, bal, random.Random(0))
+        st = random.Random(5).getstate()
+        state = [
+            part.assignment.copy(), part.fixed.astype(np.int64),
+            part.pins_in_part[0].copy(), part.pins_in_part[1].copy(),
+            np.array([int(w) for w in part.part_weights], dtype=np.int64),
+            np.array([part.cut], dtype=np.int64),
+            np.array(st[1][:624], dtype=np.int64),
+            np.array(st[1][624:], dtype=np.int64),
+            np.zeros(hg.num_vertices, dtype=np.int64),
+            np.zeros(8, dtype=np.int64),
+        ]
+        args = [a.copy() for a in state]
+        assign, fixed, pins0, pins1, pw, cut_io, mt, mti, log, out = args
+        for max_abs in (2**30, 2**40):
+            ks.fm_pass(
+                *hg.csr, hg.int_net_weights(),
+                hg.vertex_weight_array.astype(np.int64),
+                assign, fixed, pins0, pins1, pw, cut_io,
+                bal.lower_bound, bal.upper_bound, bal.slack, 1, 0.0,
+                0, 0, 0, 2, 2, 0, 1, max_abs, mt, mti, log, out,
+            )
+            assert out[7] == 2
+            out[7] = 0
+            for before, after in zip(state, args):
+                assert np.array_equal(before, after)
+
+    def test_engine_runs_interpreted_when_kernel_declines(self, monkeypatch):
+        import repro.backends as backends
+
+        class Declining:
+            @staticmethod
+            def fm_pass(*args):
+                args[-1][7] = 2
+
+        monkeypatch.setattr(
+            backends, "active_kernels",
+            lambda explicit=None: ("cnative", Declining, ""),
+        )
+        hg = generate_circuit(60, seed=1)
+        bal = BalanceConstraint(hg.total_vertex_weight, 0.2)
+        base = Partition2.random_balanced(hg, bal, random.Random(0))
+        p_ref, p_dec = base.copy(), base.copy()
+        r_ref = FMEngine(bal, FMConfig(max_passes=2), random.Random(7),
+                         backend="numpy").refine(p_ref)
+        r_dec = FMEngine(bal, FMConfig(max_passes=2), random.Random(7),
+                         backend="cnative").refine(p_dec)
+        assert r_dec.perf.backend == "numpy"
+        assert r_dec.final_cut == r_ref.final_cut
+        assert np.array_equal(p_dec.assignment, p_ref.assignment)
+        p_dec.check_consistency()
+
+
+# ----------------------------------------------------------------------
 # Fallback: blocked numba import degrades silently to numpy
 # ----------------------------------------------------------------------
 class TestNumbaFallback:
@@ -233,7 +324,7 @@ class TestNumbaFallback:
         assert eng_nb._backend_name == "numpy"
         assert "numba" in eng_nb._backend_note
         assert r_nb.final_cut == r_ref.final_cut
-        assert p_nb.assignment == p_ref.assignment
+        assert np.array_equal(p_nb.assignment, p_ref.assignment)
         for s_nb, s_ref in zip(r_nb.pass_stats, r_ref.pass_stats):
             assert s_nb.move_log == s_ref.move_log
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -191,7 +192,7 @@ class TestDeterminism:
         a = random_assignment(circuit300, 14)
         p1, _, _ = refine(circuit300, a, seed=5)
         p2, _, _ = refine(circuit300, a, seed=5)
-        assert p1.assignment == p2.assignment
+        assert np.array_equal(p1.assignment, p2.assignment)
 
     def test_random_insertion_uses_rng(self, circuit300):
         a = random_assignment(circuit300, 15)

@@ -9,6 +9,7 @@ bit-identical to the frozen seed-oracle path (:mod:`tests.oracles.seed_ml`).
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.backends import BACKEND_NAMES, get_backend
@@ -80,7 +81,7 @@ class TestBuildHierarchy:
         ho = seed_build_hierarchy(hg, cfg, random.Random(3))
         assert hk.num_levels == ho.num_levels
         for (lk, fk), (lo, fo) in zip(hk.levels, ho.levels):
-            assert lk.cluster_of == lo.cluster_of
+            assert np.array_equal(lk.cluster_of, lo.cluster_of)
             assert fk == fo
         assert hk.coarsest.num_vertices == ho.coarsest.num_vertices
 
@@ -167,7 +168,7 @@ class TestHierarchyPool:
             assert pooled.seed == hierarchy_seed(7, i % 2)
             assert serial.num_levels == pooled.num_levels
             for (ls, _), (lp, _) in zip(serial.levels, pooled.levels):
-                assert ls.cluster_of == lp.cluster_of
+                assert np.array_equal(ls.cluster_of, lp.cluster_of)
 
     def test_bad_size_rejected(self, hg):
         with pytest.raises(ValueError):

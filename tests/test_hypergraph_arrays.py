@@ -10,6 +10,7 @@ replaced, with exact equality.
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -113,7 +114,8 @@ class TestPartitionConstruction:
         assignment = [rng.randint(0, 1) for _ in range(hg.num_vertices)]
         part = Partition2(hg, assignment)
         pins0, pins1, cut, part_weights = loop_partition_state(hg, assignment)
-        assert part.pins_in_part == [pins0, pins1]
+        assert np.array_equal(part.pins_in_part[0], pins0)
+        assert np.array_equal(part.pins_in_part[1], pins1)
         assert part.cut == cut and type(part.cut) is type(cut)
         assert part.part_weights == part_weights
 

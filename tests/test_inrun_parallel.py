@@ -62,7 +62,8 @@ def start_key(ms):
 
 def hierarchy_key(h):
     levels = [
-        (level.cluster_of, level.coarse.num_vertices, level.coarse.num_nets)
+        (level.cluster_of.tolist(), level.coarse.num_vertices,
+         level.coarse.num_nets)
         for level, _ in h.levels
     ]
     return (levels, h.coarsest.num_vertices, h.coarsest.num_nets)

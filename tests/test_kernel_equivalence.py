@@ -19,6 +19,7 @@ perf-counter smoke test (counters, not wall-clock, so tier-1 safe).
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -86,7 +87,7 @@ def assert_equivalent(bal, cfg, base, engine_seed=42):
     ).refine(p_new)
     assert r_new.final_cut == r_seed.final_cut
     assert r_new.initial_cut == r_seed.initial_cut
-    assert p_new.assignment == p_seed.assignment
+    assert np.array_equal(p_new.assignment, p_seed.assignment)
     assert r_new.passes == r_seed.passes
     assert r_new.total_moves == r_seed.total_moves
     assert r_new.stuck_passes == r_seed.stuck_passes
@@ -410,6 +411,9 @@ class TestPerfCountersSmoke:
 # Registry-backend sweeps: every backend behind the same oracle chain
 # ----------------------------------------------------------------------
 from repro.backends import BACKEND_NAMES, get_backend  # noqa: E402
+from repro.core.perf import PerfCounters  # noqa: E402
+from repro.multilevel.mlpart import MLConfig  # noqa: E402
+from repro.multilevel.pool import build_hierarchy  # noqa: E402
 
 
 def _available_backends():
@@ -424,7 +428,9 @@ def _available_backends():
 def assert_backend_equivalent(bal, cfg, base, backend, engine_seed=42):
     """Refine copies of ``base`` on the interpreted numpy engine and on
     ``backend``; compare move for move (the same contract the seed
-    oracle is held to, one link further down the chain)."""
+    oracle is held to, one link further down the chain), and every
+    deterministic perf counter, which ``perf.json`` reports per
+    heuristic."""
     p_ref = base.copy()
     p_b = base.copy()
     r_ref = FMEngine(
@@ -439,7 +445,7 @@ def assert_backend_equivalent(bal, cfg, base, backend, engine_seed=42):
     assert eng._backend_name == backend, eng._backend_note
     assert r_b.final_cut == r_ref.final_cut
     assert r_b.initial_cut == r_ref.initial_cut
-    assert p_b.assignment == p_ref.assignment
+    assert np.array_equal(p_b.assignment, p_ref.assignment)
     assert r_b.passes == r_ref.passes
     assert r_b.total_moves == r_ref.total_moves
     assert r_b.stuck_passes == r_ref.stuck_passes
@@ -450,6 +456,8 @@ def assert_backend_equivalent(bal, cfg, base, backend, engine_seed=42):
         assert sb.cut_before == sr.cut_before
         assert sb.cut_after == sr.cut_after
         assert sb.stuck == sr.stuck
+    for name in PerfCounters.COUNT_FIELDS:
+        assert getattr(r_b.perf, name) == getattr(r_ref.perf, name), name
     p_b.check_consistency()
 
 
@@ -472,6 +480,29 @@ class TestBackendSmoke:
                 assert_equivalent(bal, cfg, base)
             else:
                 assert_backend_equivalent(bal, cfg, base, backend)
+
+    @pytest.mark.parametrize("backend", _available_backends() or ["numpy"])
+    def test_dense_coarse_levels_bit_identical(self, backend):
+        """Every coarse level of a 2000-cell hierarchy: 1106 down to 40
+        vertices, up to 8.4 nets per vertex, nets of up to 99 pins and a
+        gain bound up to 249, a shape neither the self-check nor the
+        fuzz instances reach.  The All update policy walks the large
+        nets the Nonzero policy mostly skips as non-critical."""
+        hierarchy = build_hierarchy(
+            generate_circuit(2000, seed=3), MLConfig(), random.Random(1)
+        )
+        for level, _ in hierarchy.levels:
+            hg = level.coarse
+            bal = BalanceConstraint(hg.total_vertex_weight, 0.1)
+            base = Partition2.random_balanced(hg, bal, random.Random(3))
+            for clip, policy in itertools.product(
+                (False, True), UpdatePolicy
+            ):
+                cfg = FMConfig(clip=clip, update_policy=policy, max_passes=2)
+                if backend == "numpy":
+                    assert_equivalent(bal, cfg, base)
+                else:
+                    assert_backend_equivalent(bal, cfg, base, backend)
 
     def test_unavailable_backends_record_reasons(self):
         """Every registered-but-unavailable backend carries a reason."""

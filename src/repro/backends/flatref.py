@@ -15,9 +15,12 @@ Three consumers:
 * the **numba** backend JIT-compiles these functions verbatim
   (``numba.njit`` of the exact objects below), so the compiled kernels
   cannot drift from the audited reference;
-* the **cnative** backend (C via the system compiler + ctypes) is a
-  line-for-line C translation of this file, and the registry self-check
-  plus the equivalence suites pin it to these functions bit for bit;
+* the **cnative** backend (C via the system compiler + ctypes) leaves
+  every output bit-identical to these functions: its matching,
+  contraction and bootstrap kernels translate this file line for line,
+  and its ``fm_pass`` computes the same pass on a packed 32-bit working
+  set.  The registry self-check, the cross-backend fuzz suite and the
+  oracle-equivalence suites pin the bit-identity;
 * the equivalence/fuzz suites execute this module *uncompiled* so the
   kernel semantics stay testable on a numpy-only install where neither
   numba nor a C toolchain is present.

@@ -187,13 +187,6 @@ class _PassScratch:
         self.snap_break_even = 1 + (2 * n + 4 * m) // 128
 
 
-def _int_vertex_weights(hg) -> np.ndarray:
-    """Vertex weights as int64 (only used in the integral regime)."""
-    out = hg.vertex_weight_array.astype(np.int64)
-    out.flags.writeable = False
-    return out
-
-
 class FMEngine:
     """FM / CLIP refinement engine for 2-way partitions.
 
@@ -385,7 +378,7 @@ class FMEngine:
         hg = partition.hypergraph
         k_net_ptr, k_net_pins, k_vtx_ptr, k_vtx_nets = hg.csr
         k_net_w = hg.int_net_weights()
-        k_vwt = hg.cached(_int_vertex_weights)
+        k_vwt = hg.int_vertex_weights()
         max_abs = 2 * hg.max_weighted_degree + 1
         n = hg.num_vertices
 

@@ -224,9 +224,16 @@ class Partition2(_MoveRules):
             for e in cut_nets.tolist():
                 cut += net_w[e]
             self.cut = cut
-        if hypergraph.integral_vertex_weights:
-            # Integral areas: any summation order is exact.
-            w1 = float(hypergraph.vertex_weight_array @ sides)
+        if (
+            hypergraph.integral_vertex_weights
+            and hypergraph.total_vertex_weight < 2.0**53
+        ):
+            # Integral areas below 2**53: any summation order is exact,
+            # and int64 cannot wrap.  The int64 product runs in numpy's
+            # own loop; a float64 dot over more than ~10k vertices would
+            # run on OpenBLAS threads that keep spinning afterwards,
+            # taking a CPU from the other campaign workers.
+            w1 = float(hypergraph.int_vertex_weights() @ sides)
             self.part_weights: List[float] = [
                 hypergraph.total_vertex_weight - w1, w1
             ]

@@ -17,7 +17,7 @@ pass end, so instrumentation adds no per-move allocation to the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 
@@ -86,7 +86,9 @@ class PerfCounters:
 
     #: Deterministic event-count fields: pure functions of (instance,
     #: seed, configuration), so aggregates over a trial set are equal no
-    #: matter where or in what order the trials ran.
+    #: matter where or in what order the trials ran.  ``merge`` adds
+    #: these and the timing fields; a new scalar field belongs in one of
+    #: the two tuples.
     COUNT_FIELDS = (
         "passes",
         "vertices_seeded",
@@ -158,29 +160,9 @@ class PerfCounters:
         """Accumulate ``other`` into this instance (for aggregating the
         counters of several refine calls, e.g. across multilevel
         uncoarsening or multistart runs)."""
-        self.passes += other.passes
-        self.vertices_seeded += other.vertices_seeded
-        self.selects += other.selects
-        self.moves_applied += other.moves_applied
-        self.moves_kept += other.moves_kept
-        self.moves_rolled_back += other.moves_rolled_back
-        self.gain_updates += other.gain_updates
-        self.zero_delta_skips += other.zero_delta_skips
-        self.noncritical_net_skips += other.noncritical_net_skips
+        for name in self.COUNT_FIELDS + self.TIMING_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.pass_seconds.extend(other.pass_seconds)
-        self.total_seconds += other.total_seconds
-        self.coarsen_levels += other.coarsen_levels
-        self.coarsen_neighbors_touched += other.coarsen_neighbors_touched
-        self.coarsen_nets_projected += other.coarsen_nets_projected
-        self.coarsen_nets_merged += other.coarsen_nets_merged
-        self.coarsen_nets_dropped += other.coarsen_nets_dropped
-        self.coarsen_seconds += other.coarsen_seconds
-        self.hierarchies_built += other.hierarchies_built
-        self.hierarchies_reused += other.hierarchies_reused
-        self.inrun_proposal_seconds += other.inrun_proposal_seconds
-        self.inrun_merge_seconds += other.inrun_merge_seconds
-        self.inrun_fanout_seconds += other.inrun_fanout_seconds
-        self.compile_seconds += other.compile_seconds
         if other.backend:
             if not self.backend:
                 self.backend = other.backend
@@ -195,34 +177,15 @@ class PerfCounters:
         return self.moves_applied / self.total_seconds
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (used by experiment records)."""
-        return {
-            "passes": self.passes,
-            "vertices_seeded": self.vertices_seeded,
-            "selects": self.selects,
-            "moves_applied": self.moves_applied,
-            "moves_kept": self.moves_kept,
-            "moves_rolled_back": self.moves_rolled_back,
-            "gain_updates": self.gain_updates,
-            "zero_delta_skips": self.zero_delta_skips,
-            "noncritical_net_skips": self.noncritical_net_skips,
-            "pass_seconds": list(self.pass_seconds),
-            "total_seconds": self.total_seconds,
-            "moves_per_second": self.moves_per_second,
-            "coarsen_levels": self.coarsen_levels,
-            "coarsen_neighbors_touched": self.coarsen_neighbors_touched,
-            "coarsen_nets_projected": self.coarsen_nets_projected,
-            "coarsen_nets_merged": self.coarsen_nets_merged,
-            "coarsen_nets_dropped": self.coarsen_nets_dropped,
-            "coarsen_seconds": self.coarsen_seconds,
-            "hierarchies_built": self.hierarchies_built,
-            "hierarchies_reused": self.hierarchies_reused,
-            "inrun_proposal_seconds": self.inrun_proposal_seconds,
-            "inrun_merge_seconds": self.inrun_merge_seconds,
-            "inrun_fanout_seconds": self.inrun_fanout_seconds,
-            "backend": self.backend,
-            "compile_seconds": self.compile_seconds,
-        }
+        """JSON-serializable snapshot (used by experiment records): the
+        fields in declaration order, with ``moves_per_second`` after
+        ``total_seconds``."""
+        out: Dict[str, object] = {}
+        for name, value in asdict(self).items():
+            out[name] = value
+            if name == "total_seconds":
+                out["moves_per_second"] = self.moves_per_second
+        return out
 
     def summary(self) -> str:
         """One-line human-readable digest."""

@@ -348,6 +348,17 @@ class Hypergraph:
         """
         return self.cached(_int_net_weights)
 
+    def int_vertex_weights(self) -> np.ndarray:
+        """Vertex weights as read-only int64 (cached).
+
+        Meaningful only when :attr:`integral_vertex_weights` holds and
+        every weight fits int64.  The compiled FM kernel reads its areas
+        from here, and :class:`~repro.core.partition.Partition2` sums
+        part weights with it: an int64 product runs in numpy's own loop,
+        never in BLAS.
+        """
+        return self.cached(_int_vertex_weights)
+
     @property
     def max_weighted_degree(self) -> int:
         """Largest sum of :meth:`int_net_weights` over one vertex's nets
@@ -660,6 +671,12 @@ def _int_net_weights(hg: Hypergraph) -> np.ndarray:
             f"net {e} has weight {float(nw[e])}"
         )
     out = rounded.astype(np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _int_vertex_weights(hg: Hypergraph) -> np.ndarray:
+    out = hg.vertex_weight_array.astype(np.int64)
     out.flags.writeable = False
     return out
 

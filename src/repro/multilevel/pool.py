@@ -157,6 +157,17 @@ def config_backend(config) -> Optional[str]:
     return backend
 
 
+def coarsening_key(config) -> Tuple[str, int, float]:
+    """The part of ``config`` a hierarchy depends on: the three fields
+    :func:`build_hierarchy` reads.
+
+    Two configs with equal keys build identical hierarchies from the
+    same instance, fixed parts and seed (the kernel backend never
+    changes a hierarchy), so they may share one :class:`HierarchyPool`.
+    """
+    return (config.clustering, config.coarsest_size, config.min_reduction)
+
+
 def _cluster_fn(clustering: str):
     # Looked up at call time, so a patched module global takes effect.
     table = {

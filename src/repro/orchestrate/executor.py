@@ -35,11 +35,13 @@ methodology):
   the queue front unpenalized, trial by trial.
 * **Sticky per-worker caches** — with ``sticky_cache`` enabled, each
   worker keeps a :class:`~repro.multilevel.pool.HierarchyPool` per
-  (heuristic, instance) block, so consecutive trials on the same
-  instance reuse coarsening work exactly as ``run_multistart_pooled``
-  does serially.  Pool hierarchy selection is keyed on the trial's
-  *start index* (``TrialPlan.start``), never on worker identity, so
-  records are independent of batch size, worker count and scheduling —
+  (instance, base seed, coarsening setting) block, so consecutive
+  trials on the same instance reuse coarsening work exactly as
+  ``run_multistart_pooled`` does serially, and heuristics that coarsen
+  alike (ML LIFO and ML CLIP) share one pool.  Pool hierarchy
+  selection is keyed on the trial's *start index*
+  (``TrialPlan.start``), never on worker identity, so records are
+  independent of batch size, worker count and scheduling —
   a sticky parallel run equals a sticky serial run bit for bit.
 * **Blocking supervision** — the supervisor blocks on the result queue
   (bounded by the nearest trial deadline and a liveness cap) instead of
@@ -82,7 +84,11 @@ from repro.hypergraph.shm import (
     attach_hypergraph,
     detach_handle,
 )
-from repro.multilevel.pool import HierarchyPool, supports_hierarchy
+from repro.multilevel.pool import (
+    HierarchyPool,
+    coarsening_key,
+    supports_hierarchy,
+)
 from repro.orchestrate.plan import TrialPlan
 from repro.orchestrate.store import TrialOutcome
 
@@ -170,10 +176,10 @@ class _TrialExecutor:
     parallel and serial execution share trial semantics by construction.
     Instances arrive either as a plain dict (inline) or as shm handles
     (pool) and are attached/cached on first use; sticky hierarchy pools
-    are keyed per (heuristic, instance, base_seed) block and select
+    are keyed per (instance, base_seed, coarsening key) block and select
     hierarchies by the trial's start index, which makes the cached
     coarsening work — and therefore every cut — independent of which
-    worker runs which trial.
+    worker runs which trial, and which heuristic built it.
     """
 
     def __init__(
@@ -225,7 +231,7 @@ class _TrialExecutor:
             dict(instances) if instances is not None else {}
         )
         self._attached: List[ShmHandle] = []  #: zero-copy mappings held
-        self._pools: Dict[Tuple[str, str, int], HierarchyPool] = {}
+        self._pools: Dict[Tuple[str, int, tuple], HierarchyPool] = {}
         self._pool_eligible: Dict[str, bool] = {}
 
     # -- instance plane -------------------------------------------------
@@ -260,7 +266,7 @@ class _TrialExecutor:
         if not eligible:
             return None
         base_seed = plan.seed - plan.start
-        key = (plan.heuristic, plan.instance, base_seed)
+        key = (plan.instance, base_seed, coarsening_key(partitioner.config))
         pool = self._pools.get(key)
         if pool is None:
             pool_backend = getattr(partitioner, "backend", None)

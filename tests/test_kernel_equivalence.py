@@ -406,6 +406,58 @@ class TestPerfCountersSmoke:
         assert total.passes == r1.passes + r2.passes
         assert len(total.pass_seconds) == total.passes
 
+    def test_as_dict_and_merge_pinned(self):
+        """Every field, with ``as_dict``'s key order and values and
+        ``merge``'s rule per field, on fully populated counters."""
+        from dataclasses import fields
+
+        from repro.core.perf import PerfCounters
+
+        def populated(k, backend, pass_seconds):
+            return PerfCounters(
+                passes=1 * k, vertices_seeded=2 * k, selects=3 * k,
+                moves_applied=4 * k, moves_kept=5 * k,
+                moves_rolled_back=6 * k, gain_updates=7 * k,
+                zero_delta_skips=8 * k, noncritical_net_skips=9 * k,
+                pass_seconds=pass_seconds, total_seconds=2.0 * k,
+                coarsen_levels=10 * k, coarsen_neighbors_touched=11 * k,
+                coarsen_nets_projected=12 * k, coarsen_nets_merged=13 * k,
+                coarsen_nets_dropped=14 * k, coarsen_seconds=0.75 * k,
+                hierarchies_built=15 * k, hierarchies_reused=16 * k,
+                inrun_proposal_seconds=1.25 * k,
+                inrun_merge_seconds=1.5 * k, inrun_fanout_seconds=1.75 * k,
+                backend=backend, compile_seconds=3.0 * k,
+            )
+
+        names = {f.name for f in fields(PerfCounters)}
+        assert names == set(
+            PerfCounters.COUNT_FIELDS + PerfCounters.TIMING_FIELDS
+        ) | {"pass_seconds", "backend"}
+
+        perf = populated(1, "cnative", [0.5, 0.25])
+        d = perf.as_dict()
+        assert list(d.items()) == [
+            ("passes", 1), ("vertices_seeded", 2), ("selects", 3),
+            ("moves_applied", 4), ("moves_kept", 5),
+            ("moves_rolled_back", 6), ("gain_updates", 7),
+            ("zero_delta_skips", 8), ("noncritical_net_skips", 9),
+            ("pass_seconds", [0.5, 0.25]), ("total_seconds", 2.0),
+            ("moves_per_second", 2.0), ("coarsen_levels", 10),
+            ("coarsen_neighbors_touched", 11),
+            ("coarsen_nets_projected", 12), ("coarsen_nets_merged", 13),
+            ("coarsen_nets_dropped", 14), ("coarsen_seconds", 0.75),
+            ("hierarchies_built", 15), ("hierarchies_reused", 16),
+            ("inrun_proposal_seconds", 1.25), ("inrun_merge_seconds", 1.5),
+            ("inrun_fanout_seconds", 1.75), ("backend", "cnative"),
+            ("compile_seconds", 3.0),
+        ]
+        assert d["pass_seconds"] is not perf.pass_seconds
+
+        # Counts and timings add, pass times concatenate, and two
+        # different backends merge to "mixed".
+        perf.merge(populated(2, "numpy", [1.0]))
+        assert perf == populated(3, "mixed", [0.5, 0.25, 1.0])
+
 
 # ----------------------------------------------------------------------
 # Registry-backend sweeps: every backend behind the same oracle chain

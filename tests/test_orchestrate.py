@@ -507,6 +507,54 @@ class TestPerfTotals:
         assert sum(resumed.values()) > sum(full.values())
 
 
+class TestStickyPoolSharing:
+    """Heuristics that coarsen alike share one sticky hierarchy pool."""
+
+    def test_shared_pools_match_separate_campaigns(self, hg):
+        from repro.core import FMConfig
+
+        heuristics = {
+            "lifo": MLPartitioner(MLConfig(), tolerance=0.1, name="lifo"),
+            "clip": MLPartitioner(
+                MLConfig(fm_config=FMConfig(clip=True)),
+                tolerance=0.1, name="clip",
+            ),
+            "coarse": MLPartitioner(
+                MLConfig(coarsest_size=80), tolerance=0.1, name="coarse"
+            ),
+        }
+        trials = [
+            TrialPlan(index=idx, heuristic=h, instance="c100",
+                      seed=10 + i, start=i)
+            for idx, (h, i) in enumerate(
+                (h, i) for h in heuristics for i in range(4)
+            )
+        ]
+
+        def run(plans):
+            totals: dict = {}
+            out = execute_trials(
+                plans,
+                {p.heuristic: heuristics[p.heuristic] for p in plans},
+                {"c100": hg},
+                policy=ExecutionPolicy(sticky_cache=True, sticky_pool_size=2),
+                perf_totals=totals,
+            )
+            keys = [(o.trial, o.heuristic, o.seed, o.cut, o.legal)
+                    for o in out]
+            return keys, sum(t.hierarchies_built for t in totals.values())
+
+        shared, built = run(trials)
+        separate, built_separately = [], 0
+        for name in heuristics:
+            keys, n = run([p for p in trials if p.heuristic == name])
+            separate += keys
+            built_separately += n
+        assert sorted(shared) == sorted(separate)
+        # LIFO and CLIP share one pool of 2; "coarse" needs its own.
+        assert (built, built_separately) == (4, 6)
+
+
 @needs_shm
 class TestShmHygiene:
     """The shm acceptance matrix: no leaked segments after a normal

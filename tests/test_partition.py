@@ -28,6 +28,14 @@ class TestConstruction:
         p = Partition2(weighted_tiny, [0, 0, 0, 1, 1, 1])
         assert p.part_weights == [6.0, 6.0]
 
+    def test_part_weights_past_exact_integers(self):
+        # Integral areas too large for an exact int64/float64 sum take
+        # the sequential float sum, never a wrapped int64 product.
+        hg = Hypergraph([[0, 1], [1, 2], [2, 3]], 4,
+                        vertex_weights=[2.0**63, 1.0, 1.0, 1.0])
+        p = Partition2(hg, [1, 0, 0, 0])
+        assert p.part_weights == [3.0, 2.0**63]
+
     def test_pin_counts(self, tiny):
         p = Partition2(tiny, [0, 0, 0, 1, 1, 1])
         # Bridging net 6 = {2,3,4}: one pin on side 0, two on side 1.

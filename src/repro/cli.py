@@ -243,7 +243,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         sticky_cache=args.sticky_cache,
         sticky_pool_size=args.sticky_pool_size,
         use_shared_memory=not args.no_shared_memory,
-        inrun_workers=args.inrun_workers,
         backend=args.backend,
         progress=ProgressPrinter() if args.progress else None,
         resume=args.resume,
@@ -296,7 +295,6 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
         sticky_cache=args.sticky_cache,
         sticky_pool_size=args.sticky_pool_size,
         use_shared_memory=not args.no_shared_memory,
-        inrun_workers=args.inrun_workers,
         backend=args.backend,
         progress=ProgressPrinter() if args.progress else None,
         resume=True,
@@ -478,7 +476,6 @@ def _job_spec_from_args(args: argparse.Namespace):
         priority=args.priority,
         timeout_seconds=args.timeout,
         max_retries=args.retries,
-        inrun_workers=args.inrun_workers,
         backend=args.backend,
     )
 
@@ -654,12 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
             "shared-memory plane",
         )
         c.add_argument(
-            "--inrun-workers", type=int, default=1,
-            help="parallel-proposal workers inside each trial's "
-            "coarsening (fair-share clamped against --workers; "
-            "records are bit-identical at any value)",
-        )
-        c.add_argument(
             "--backend", default=None,
             help="kernel backend for every trial (numpy, flatref, "
             "numba, cnative, or auto = best available "
@@ -801,9 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--timeout", type=float, default=None,
                    help="per-trial wall-clock timeout in seconds")
     j.add_argument("--retries", type=int, default=0)
-    j.add_argument("--inrun-workers", type=int, default=1,
-                   help="in-run parallel workers per trial (clamped "
-                   "against the service fleet; records unchanged)")
     j.add_argument("--backend", default=None,
                    help="kernel backend for this job's trials (numpy, "
                    "flatref, numba, cnative, auto); selectable "

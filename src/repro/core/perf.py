@@ -73,15 +73,6 @@ class PerfCounters:
     hierarchies_reused:
         Multistart/V-cycle starts served from an already-built pooled
         hierarchy instead of re-coarsening.
-    inrun_proposal_seconds:
-        Wall-clock seconds the in-run parallel engine spent waiting for
-        chunked matching-proposal computation (driver perspective).
-    inrun_merge_seconds:
-        Wall-clock seconds spent in the serial fixed-order proposal
-        merge that turns chunked proposals into the final cluster map.
-    inrun_fanout_seconds:
-        Wall-clock seconds spent dispatching multistart starts to the
-        in-run worker pool and collecting their results.
     """
 
     #: Deterministic event-count fields: pure functions of (instance,
@@ -110,16 +101,10 @@ class PerfCounters:
 
     #: Scalar wall-clock fields: machine- and load-dependent, never
     #: compared for equality (``pass_seconds`` is the per-pass list and
-    #: is excluded from wire formats).  The ``inrun_*`` trio times the
-    #: in-run parallel engine's stages; they stay timing-only so the
-    #: deterministic count fields remain exactly equal between serial
-    #: and parallel runs.
+    #: is excluded from wire formats).
     TIMING_FIELDS = (
         "total_seconds",
         "coarsen_seconds",
-        "inrun_proposal_seconds",
-        "inrun_merge_seconds",
-        "inrun_fanout_seconds",
         "compile_seconds",
     )
 
@@ -142,9 +127,6 @@ class PerfCounters:
     coarsen_seconds: float = 0.0
     hierarchies_built: int = 0
     hierarchies_reused: int = 0
-    inrun_proposal_seconds: float = 0.0
-    inrun_merge_seconds: float = 0.0
-    inrun_fanout_seconds: float = 0.0
     #: Kernel backend that executed the run ("" = unreported; "mixed"
     #: after merging runs from different backends).  A string, so it is
     #: handled specially everywhere COUNT/TIMING fields are iterated.

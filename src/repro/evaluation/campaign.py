@@ -168,7 +168,6 @@ def run_campaign(
     sticky_cache: bool = False,
     sticky_pool_size: int = 2,
     use_shared_memory: bool = True,
-    inrun_workers: int = 1,
     progress=None,
     resume: bool = False,
 ) -> CampaignResult:
@@ -180,9 +179,9 @@ def run_campaign(
     crash-safe ``resume``, and ``timeout_seconds`` / ``max_retries``
     to contain misbehaving trials as error records instead of aborting
     the campaign.  The dispatch knobs (``batch_size``, ``sticky_cache``,
-    ``sticky_pool_size``, ``use_shared_memory``, ``inrun_workers``) tune
-    the pool's shared-memory instance plane, batched dispatch and in-run
-    parallel coarsening without changing any record.  The serial
+    ``sticky_pool_size``, ``use_shared_memory``) tune the pool's
+    shared-memory instance plane, batched dispatch and sticky hierarchy
+    caches without changing any record.  The serial
     in-memory default is exactly the old behavior of
     :func:`repro.evaluation.runner.run_trials`.
     """
@@ -198,7 +197,6 @@ def run_campaign(
         sticky_cache=sticky_cache,
         sticky_pool_size=sticky_pool_size,
         use_shared_memory=use_shared_memory,
-        inrun_workers=inrun_workers,
         fixed_parts=fixed_parts,
         progress=progress,
         resume=resume,

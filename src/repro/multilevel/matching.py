@@ -598,118 +598,6 @@ def restricted_matching(
     return _np.array(cluster, dtype=_np.int64)
 
 
-def vertex_proposal_chunk(
-    hypergraph: Hypergraph,
-    lo: int,
-    hi: int,
-    max_net_size: int = 40,
-) -> tuple:
-    """Neighbour-connectivity proposals for the vertex range ``[lo, hi)``.
-
-    This is the accumulation phase of :func:`heavy_edge_matching` /
-    :func:`first_choice_clustering` / :func:`restricted_matching`
-    factored out as a *pure function of the hypergraph*: which vertices
-    are already matched never enters the loop, so chunks can be computed
-    concurrently (the in-run parallel engine runs one chunk per worker
-    against read-only shared-memory CSR views) and merged later under
-    the exact serial visit order.  The float accumulation order per
-    vertex — nets in CSR order, pins in net order — is byte-for-byte
-    the serial kernels' order, so the merged matching is bit-identical.
-
-    Returns ``(offsets, nbrs, conns, touched)``: ``offsets`` has
-    ``hi - lo + 1`` entries indexing ``nbrs``/``conns`` per vertex
-    (neighbours in first-encounter order with their accumulated
-    connectivity), and ``touched[v - lo]`` is the accumulation count the
-    serial kernel would charge for visiting ``v`` unmatched.
-    """
-    net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
-    ws = _WS
-    ws.ensure(hypergraph.num_vertices, hypergraph.num_nets)
-    score = _net_scores(hypergraph, max_net_size, ws)
-    conn, stamp, nbrs_buf = ws.conn, ws.stamp, ws.nbrs
-
-    offsets = [0] * (hi - lo + 1)
-    out_nbrs: List[int] = []
-    out_conns: List[float] = []
-    touched = [0] * (hi - lo)
-    for v in range(lo, hi):
-        epoch = ws.bump()
-        ncount = 0
-        tch = 0
-        for i in range(vtx_ptr[v], vtx_ptr[v + 1]):
-            e = vtx_nets[i]
-            w = score[e]
-            if w < 0.0:
-                continue
-            nlo = net_ptr[e]
-            nhi = net_ptr[e + 1]
-            tch += nhi - nlo - 1
-            for j in range(nlo, nhi):
-                u = net_pins[j]
-                if u == v:
-                    continue
-                if stamp[u] == epoch:
-                    conn[u] += w
-                else:
-                    stamp[u] = epoch
-                    conn[u] = w
-                    nbrs_buf[ncount] = u
-                    ncount += 1
-        for t in range(ncount):
-            u = nbrs_buf[t]
-            out_nbrs.append(int(u))
-            out_conns.append(float(conn[u]))
-        offsets[v - lo + 1] = len(out_nbrs)
-        touched[v - lo] = int(tch)
-    return offsets, out_nbrs, out_conns, touched
-
-
-def net_proposal_chunk(
-    hypergraph: Hypergraph,
-    lo: int,
-    hi: int,
-    max_net_size: int = 40,
-    fixed_parts: Optional[List[Optional[int]]] = None,
-) -> tuple:
-    """HEC proposals for the net range ``[lo, hi)``.
-
-    The state-independent share of :func:`hyperedge_coarsening`: size
-    eligibility, merged pin weight (accumulated in pin order, so the
-    float matches the serial total bit for bit) and the fixed-side
-    conflict flag.  Only the "all pins still unclustered" check depends
-    on matching state and stays in the serial merge.
-
-    Returns ``(size_ok, totals, conflicts)``, one entry per net.
-    """
-    net_ptr, net_pins, _, _ = hypergraph.raw_csr
-    vwt = hypergraph.vertex_weight_list
-    size_ok = [False] * (hi - lo)
-    totals = [0.0] * (hi - lo)
-    conflicts = [False] * (hi - lo)
-    for e in range(lo, hi):
-        nlo = net_ptr[e]
-        nhi = net_ptr[e + 1]
-        size = nhi - nlo
-        if size < 2 or size > max_net_size:
-            continue
-        size_ok[e - lo] = True
-        total = 0.0
-        for i in range(nlo, nhi):
-            total += vwt[net_pins[i]]
-        totals[e - lo] = float(total)
-        if fixed_parts is not None:
-            side = None
-            for i in range(nlo, nhi):
-                fp = fixed_parts[net_pins[i]]
-                if fp is not None:
-                    if side is None:
-                        side = fp
-                    elif side != fp:
-                        conflicts[e - lo] = True
-                        break
-    return size_ok, totals, conflicts
-
-
 def _default_cluster_cap(hypergraph: Hypergraph) -> float:
     """Default cluster-weight cap: 4x the average vertex weight, but at
     least the largest existing vertex (macros must stay placeable)."""

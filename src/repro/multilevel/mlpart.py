@@ -72,11 +72,6 @@ class MLConfig:
     vcycles:
         Number of V-cycle refinement rounds applied to the final
         solution of each start.
-    inrun_workers:
-        In-run parallel workers for hierarchy construction (chunked
-        matching proposals merged deterministically — bit-identical to
-        serial at any value; see :mod:`repro.multilevel.parallel`).
-        1 keeps the serial kernels.
     backend:
         Kernel backend for refinement, matching and contraction
         (``None`` = process default / ``REPRO_BACKEND`` / numpy; see
@@ -92,7 +87,6 @@ class MLConfig:
     refine_passes: int = 4
     clustering: str = "heavy_edge"
     vcycles: int = 0
-    inrun_workers: int = 1
     backend: Optional[str] = None
 
     def describe(self) -> str:
@@ -113,10 +107,6 @@ class MLPartitioner:
     ----------
     config, tolerance, name:
         As before (configuration, balance tolerance, report label).
-    inrun_workers:
-        Overrides ``config.inrun_workers`` when given: in-run parallel
-        workers for hierarchy construction (bit-identical to serial;
-        clamped to 1 inside daemonic pool workers).
     backend:
         Overrides the configured kernel backend when given (explicit
         argument > ``fm_config.backend`` > ``config.backend`` > process
@@ -128,7 +118,6 @@ class MLPartitioner:
         config: Optional[MLConfig] = None,
         tolerance: float = 0.02,
         name: Optional[str] = None,
-        inrun_workers: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.config = config if config is not None else MLConfig()
@@ -140,11 +129,6 @@ class MLPartitioner:
         #: Resolved backend request threaded into every engine,
         #: matching and contraction call (None = process default).
         self.backend = backend
-        if inrun_workers is None:
-            inrun_workers = getattr(self.config, "inrun_workers", 1)
-        if inrun_workers < 1:
-            raise ValueError("inrun_workers must be >= 1")
-        self.inrun_workers = inrun_workers
         if self.config.clustering not in (
             "heavy_edge",
             "first_choice",
@@ -224,10 +208,7 @@ class MLPartitioner:
         is skipped and the per-start RNG drives only initial
         partitioning and refinement; the hierarchy must have been built
         for this hypergraph and the same fixed assignment.  Without one,
-        the start coarsens for itself, in-run parallel when
-        ``inrun_workers > 1`` (bit-identical to serial, so the choice —
-        including the daemon clamp inside campaign workers — changes
-        only wall-clock).
+        the start coarsens for itself.
         """
         start_time = time.perf_counter()
         rng = random.Random(seed)
@@ -243,7 +224,6 @@ class MLPartitioner:
                 fixed_parts=fixed,
                 perf=self.perf,
                 backend=self.backend,
-                inrun_workers=self.inrun_workers,
             )
         else:
             if hierarchy.hypergraph is not hypergraph:

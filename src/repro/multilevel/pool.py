@@ -189,7 +189,6 @@ def build_hierarchy(
     perf: Optional[PerfCounters] = None,
     seed: Optional[int] = None,
     backend: Optional[str] = None,
-    inrun_workers: int = 1,
 ) -> Hierarchy:
     """Coarsen ``hypergraph`` until small; returns the full hierarchy.
 
@@ -200,31 +199,12 @@ def build_hierarchy(
     via :func:`config_backend`); every backend is bit-identical, so the
     hierarchy never depends on it.
 
-    ``inrun_workers > 1`` computes each clustering pass as chunked
-    proposals on the in-run pool, merged in fixed order
-    (:func:`~repro.multilevel.parallel.parallel_clustering`).  The merge
-    is bit-identical to the serial kernel, so only wall-clock changes;
-    the count is clamped by
-    :func:`~repro.multilevel.parallel.clamp_inrun_workers` (to 1 inside
-    daemonic campaign workers).
-
     Coarsening stops at ``coarsest_size``, when a level shrinks by less
     than ``min_reduction``, or — the stall guard — when a level fails to
     shrink *at all*, which guards configurations with
     ``min_reduction <= 1.0`` against looping forever on clique-like
     instances where matching cannot pair anything.
     """
-    inrun_pool = None
-    if inrun_workers > 1:
-        from repro.multilevel.parallel import (
-            clamp_inrun_workers,
-            get_inrun_pool,
-            parallel_clustering,
-        )
-
-        effective = clamp_inrun_workers(inrun_workers)
-        if effective > 1:
-            inrun_pool = get_inrun_pool(effective)
     t0 = time.perf_counter() if perf is not None else 0.0
     cluster_fn = _cluster_fn(config.clustering)
     if backend is None:
@@ -236,17 +216,9 @@ def build_hierarchy(
     # fixed-signature validation must agree with it.
     fixed = list(fixed_parts) if fixed_parts else None
     while hg.num_vertices > config.coarsest_size:
-        if inrun_pool is not None:
-            # The chunked proposal/merge passes stay interpreted: they
-            # are already fanned out across workers.
-            cluster = parallel_clustering(
-                config.clustering, hg, rng, inrun_pool,
-                fixed_parts=fixed, perf=perf,
-            )
-        else:
-            cluster = cluster_fn(
-                hg, rng, fixed_parts=fixed, perf=perf, backend=backend
-            )
+        cluster = cluster_fn(
+            hg, rng, fixed_parts=fixed, perf=perf, backend=backend
+        )
         level = coarsen(hg, cluster, perf=perf, backend=backend)
         if level.coarse.num_vertices >= hg.num_vertices:
             break  # stall: no progress at all (see docstring)
@@ -279,12 +251,10 @@ class HierarchyPool:
     construction means a pool sized larger than the actual start count
     never builds unused hierarchies.
 
-    ``get`` is safe under concurrent callers (in-run workers racing for
-    the same slot): a double-checked build lock guarantees exactly one
-    build per slot, so ``num_built`` and the perf counters never count a
-    hierarchy twice.  ``inrun_workers > 1`` builds hierarchies with
-    parallel clustering proposals (see :func:`build_hierarchy`), which is
-    bit-identical to the serial build.
+    ``get`` is safe under concurrent callers (threads racing for the
+    same slot): a double-checked build lock guarantees exactly one build
+    per slot, so ``num_built`` and the perf counters never count a
+    hierarchy twice.
     """
 
     def __init__(
@@ -295,20 +265,16 @@ class HierarchyPool:
         base_seed: int = 0,
         fixed_parts: Optional[Sequence[Optional[int]]] = None,
         perf: Optional[PerfCounters] = None,
-        inrun_workers: int = 1,
         backend: Optional[str] = None,
     ) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        if inrun_workers < 1:
-            raise ValueError("inrun_workers must be >= 1")
         self.hypergraph = hypergraph
         self.config = config
         self.size = size
         self.base_seed = base_seed
         self.fixed_parts = list(fixed_parts) if fixed_parts else None
         self.perf = perf if perf is not None else PerfCounters()
-        self.inrun_workers = inrun_workers
         self.backend = backend if backend is not None else config_backend(config)
         self._hierarchies: List[Optional[Hierarchy]] = [None] * size
         self._build_lock = threading.Lock()
@@ -323,7 +289,6 @@ class HierarchyPool:
             perf=self.perf,
             seed=seed,
             backend=self.backend,
-            inrun_workers=self.inrun_workers,
         )
 
     def get(self, start_index: int) -> Hierarchy:
@@ -359,7 +324,6 @@ def run_multistart_pooled(
     pool_size: int = 2,
     fixed_parts: Optional[Sequence[Optional[int]]] = None,
     pool: Optional[HierarchyPool] = None,
-    workers: int = 1,
 ) -> MultistartResult:
     """Multistart driver drawing hierarchies from a seeded pool.
 
@@ -372,35 +336,14 @@ def run_multistart_pooled(
     A pre-built ``pool`` may be supplied (it must match ``hypergraph``);
     otherwise one is created from ``partitioner.config``.
 
-    ``workers > 1`` fans the starts out across the persistent in-run
-    worker pool (:mod:`repro.multilevel.parallel`); the record stream is
-    bit-identical to the serial loop — only wall-clock changes.  The
-    serial path is used when a pre-built ``pool`` is supplied (its
-    hierarchies live in this process) or when fair-share clamping says
-    so (e.g. inside a daemonic campaign worker).
+    To run the starts in parallel, run them as a campaign:
+    ``orchestrate_campaign(..., workers=N, sticky_cache=True,
+    sticky_pool_size=pool_size)`` (``repro campaign run --workers N
+    --sticky-cache``) gives this function's ``(seed, cut, legal)``
+    stream.
     """
     if num_starts < 1:
         raise ValueError("num_starts must be >= 1")
-    if workers > 1 and pool is None:
-        from repro.multilevel.parallel import (
-            clamp_inrun_workers,
-            get_inrun_pool,
-            run_starts_pooled,
-        )
-
-        effective = clamp_inrun_workers(workers)
-        if effective > 1:
-            return run_starts_pooled(
-                get_inrun_pool(effective),
-                partitioner,
-                hypergraph,
-                num_starts,
-                instance_name=instance_name,
-                base_seed=base_seed,
-                pool_size=pool_size,
-                fixed_parts=fixed_parts,
-                perf=getattr(partitioner, "perf", None),
-            )
     if pool is None:
         pool = HierarchyPool(
             hypergraph,

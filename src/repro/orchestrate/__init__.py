@@ -7,10 +7,11 @@ into a deterministic, parallel, resumable execution:
   per-trial seeds and a spec fingerprint;
 * :mod:`~repro.orchestrate.store` — append-only JSONL journal + run
   metadata, fsynced per trial, crash-tolerant on load;
-* :mod:`~repro.orchestrate.executor` — inline or multiprocessing
-  execution with per-trial timeouts and bounded retries, a zero-copy
-  shared-memory instance plane, adaptively batched dispatch and sticky
-  per-worker hierarchy caches;
+* :mod:`~repro.orchestrate.executor` — inline execution or the
+  package's one worker pool (shared with the campaign service), with
+  per-trial timeouts and bounded retries, a shared-memory instance
+  plane, adaptively batched dispatch and sticky per-worker hierarchy
+  caches;
 * :mod:`~repro.orchestrate.events` — structured progress events and a
   CLI progress printer;
 * :mod:`~repro.orchestrate.orchestrator` — the driver gluing the

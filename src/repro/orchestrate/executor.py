@@ -14,6 +14,15 @@ bit-identical to a serial run under the same policy):
   budget is terminated (SIGKILL if needed) and replaced, and its trial
   is retried or journaled as an error — the campaign never aborts.
 
+**One worker pool.**  The campaign pool and the campaign service's
+multi-tenant fleet (:mod:`repro.service.scheduler`) run the same worker
+class and loop (:class:`_Worker`, :func:`_worker_main`) under the same
+supervisor core (:class:`WorkerPool`).  A worker holds execution
+contexts keyed by job id; the campaign pool registers its one payload
+as a single job.  The two supervisors differ only in dispatch policy —
+batches in plan order here, deficit round-robin across jobs in the
+service.
+
 The pool's orchestration plane is built not to rival the trials it
 dispatches (the short-trial regime of the paper's multistart/BSF
 methodology):
@@ -46,9 +55,9 @@ methodology):
 * **Blocking supervision** — the supervisor blocks on the result queue
   (bounded by the nearest trial deadline and a liveness cap) instead of
   polling; idle supervision costs no CPU.
-* **Once-pickled spawn payload** — heuristics, handles and fixed parts
-  are serialized exactly once per campaign; timeout-replacement
-  respawns reuse the cached bytes.
+* **Once-pickled payload** — heuristics, handles and fixed parts are
+  serialized exactly once per campaign; every worker, respawned ones
+  included, receives the cached bytes.
 
 Failure policy: an exception inside a trial, a worker crash, and a
 timeout are all *attempt failures*.  A trial is retried up to
@@ -72,7 +81,17 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.backends import set_default_backend, warmup
 from repro.core.multistart import Bipartitioner
@@ -82,7 +101,6 @@ from repro.hypergraph.shm import (
     SharedInstanceSet,
     ShmHandle,
     attach_hypergraph,
-    detach_handle,
 )
 from repro.multilevel.pool import (
     HierarchyPool,
@@ -91,11 +109,6 @@ from repro.multilevel.pool import (
 )
 from repro.orchestrate.plan import TrialPlan
 from repro.orchestrate.store import TrialOutcome
-
-try:
-    from typing import Callable
-except ImportError:  # pragma: no cover
-    pass
 
 #: callback(outcome, busy_workers, num_workers)
 OutcomeCallback = "Callable[[TrialOutcome, int, int], None]"
@@ -110,6 +123,8 @@ _TARGET_BATCH_SECONDS = 0.25
 _MAX_BATCH = 64
 #: EWMA smoothing for the observed per-trial runtime.
 _RUNTIME_EWMA_ALPHA = 0.3
+#: Job id of the campaign pool's single payload.
+_CAMPAIGN_JOB = "campaign"
 
 #: PerfCounters fields shipped over the result queue (scalars only —
 #: the per-pass timing list is dropped to keep messages small).
@@ -172,14 +187,15 @@ def _requested_backends(heuristics, backend: Optional[str]) -> List[str]:
 class _TrialExecutor:
     """Runs trials against lazily-attached instances with sticky caches.
 
-    One of these lives in every pool worker *and* in the inline path, so
-    parallel and serial execution share trial semantics by construction.
-    Instances arrive either as a plain dict (inline) or as shm handles
-    (pool) and are attached/cached on first use; sticky hierarchy pools
-    are keyed per (instance, base_seed, coarsening key) block and select
-    hierarchies by the trial's start index, which makes the cached
-    coarsening work — and therefore every cut — independent of which
-    worker runs which trial, and which heuristic built it.
+    One of these lives in every pool worker (one per job) *and* in the
+    inline path, so parallel and serial execution share trial semantics
+    by construction.  Instances arrive either as a plain dict (inline)
+    or as shm handles (pool) and are attached/cached on first use;
+    sticky hierarchy pools are keyed per (instance, base_seed,
+    coarsening key) block and select hierarchies by the trial's start
+    index, which makes the cached coarsening work — and therefore every
+    cut — independent of which worker runs which trial, and which
+    heuristic built it.
     """
 
     def __init__(
@@ -190,19 +206,16 @@ class _TrialExecutor:
         fixed_parts: Optional[Dict[str, Sequence[Optional[int]]]] = None,
         sticky_cache: bool = False,
         sticky_pool_size: int = 2,
-        zero_copy: bool = False,
         collect_perf: bool = False,
-        inrun_workers: int = 1,
         backend: Optional[str] = None,
     ) -> None:
         self.heuristics = heuristics
         self.fixed_parts = fixed_parts
         self.sticky_cache = sticky_cache
         self.sticky_pool_size = sticky_pool_size
-        self.zero_copy = zero_copy
         #: Kernel backend for this execution context.  Applied as the
         #: process default so heuristics whose configs predate the
-        #: registry still pick it up (workers re-apply it from the spawn
+        #: registry still pick it up (workers re-apply it from the
         #: payload — a spawned process has no inherited default).
         self.backend = backend
         if backend is not None:
@@ -218,10 +231,6 @@ class _TrialExecutor:
             self._compile_pending += compile_seconds
             if not self._backend_name or name == backend:
                 self._backend_name = resolved
-        #: In-run parallel workers for sticky hierarchy builds.  Safe to
-        #: carry anywhere: HierarchyPool clamps to the serial path in
-        #: daemonic pool workers, and parallel builds are bit-identical.
-        self.inrun_workers = inrun_workers
         #: Perf counters ride the result queue per trial; collecting is
         #: opt-in (the caller passed ``perf_totals``) so campaigns that
         #: don't ask never pay the extra wire weight.
@@ -230,29 +239,23 @@ class _TrialExecutor:
         self._instances: Dict[str, Hypergraph] = (
             dict(instances) if instances is not None else {}
         )
-        self._attached: List[ShmHandle] = []  #: zero-copy mappings held
         self._pools: Dict[Tuple[str, int, tuple], HierarchyPool] = {}
         self._pool_eligible: Dict[str, bool] = {}
 
     # -- instance plane -------------------------------------------------
     def instance(self, name: str) -> Hypergraph:
-        """The hypergraph for ``name``, attached and cached on first use."""
+        """The hypergraph for ``name``, attached and cached on first use
+        (copied out of shared memory, so no mapping outlives attach)."""
         hg = self._instances.get(name)
         if hg is None:
-            handle = (self._handles or {})[name]
-            hg = attach_hypergraph(handle, materialize=not self.zero_copy)
-            if self.zero_copy and handle.is_shared:
-                self._attached.append(handle)
+            hg = attach_hypergraph((self._handles or {})[name])
             self._instances[name] = hg
         return hg
 
     def close(self) -> None:
-        """Release zero-copy mappings (materialized caches just drop)."""
+        """Drop the attached instances and sticky caches."""
         self._instances.clear()
         self._pools.clear()
-        for handle in self._attached:
-            detach_handle(handle)
-        self._attached.clear()
 
     # -- sticky hierarchy pools -----------------------------------------
     def _hierarchy_for(self, plan: TrialPlan, hg, fp, perf):
@@ -278,7 +281,6 @@ class _TrialExecutor:
                 self.sticky_pool_size,
                 base_seed=base_seed,
                 fixed_parts=fp,
-                inrun_workers=self.inrun_workers,
                 backend=pool_backend,
             )
             self._pools[key] = pool
@@ -290,7 +292,7 @@ class _TrialExecutor:
 
     # -- one trial ------------------------------------------------------
     def run(
-        self, plan: TrialPlan, with_assignment: bool = False
+        self, plan: TrialPlan
     ) -> Tuple[tuple, Optional[Dict[str, float]]]:
         """Execute one trial.
 
@@ -300,10 +302,7 @@ class _TrialExecutor:
         ``collect_perf``).  ``k``/``objective`` come from the
         partitioner's own attributes (2-way/"cut" for plain
         bipartitioners), computed worker-side so every execution plane
-        stamps records identically.  ``with_assignment`` appends the
-        per-start assignment to the payload (the in-run multistart
-        fan-out needs it to reconstruct ``best_assignment``); the
-        journal tuple stays untouched.
+        stamps records identically.
         """
         partitioner = self.heuristics[plan.heuristic]
         hg = self.instance(plan.instance)
@@ -351,8 +350,6 @@ class _TrialExecutor:
             int(getattr(partitioner, "k", 2)),
             str(getattr(partitioner, "objective", "cut")),
         )
-        if with_assignment:
-            payload = payload + (list(result.assignment),)
         return payload, None if perf is None else _perf_to_wire(perf)
 
 
@@ -363,18 +360,16 @@ def build_payload(
     fixed_parts: Optional[Dict[str, Sequence[Optional[int]]]] = None,
     sticky_cache: bool = False,
     sticky_pool_size: int = 2,
-    zero_copy: bool = False,
     collect_perf: bool = False,
-    inrun_workers: int = 1,
     backend: Optional[str] = None,
 ) -> bytes:
     """Serialize one execution context (heuristics, instance handles and
-    cache knobs) into the once-pickled spawn payload a worker consumes
-    via :func:`executor_from_payload`.  Shared by the campaign pool, the
-    multi-tenant service fleet and the in-run fan-out pool, so all three
-    hand workers identical contexts.  ``backend`` rides the payload so
-    every worker re-applies the kernel-backend default and pays JIT
-    warm-up at attach time, not inside its first trial."""
+    cache knobs) into the once-pickled payload a worker consumes via
+    :func:`executor_from_payload`.  Shared by the campaign pool and the
+    multi-tenant service fleet, so both hand workers identical contexts.
+    ``backend`` rides the payload so every worker re-applies the
+    kernel-backend default and pays JIT warm-up at attach time, not
+    inside its first trial."""
     return pickle.dumps(
         (
             heuristics,
@@ -382,9 +377,7 @@ def build_payload(
             fixed_parts,
             sticky_cache,
             sticky_pool_size,
-            zero_copy,
             collect_perf,
-            inrun_workers,
             backend,
         ),
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -400,9 +393,7 @@ def executor_from_payload(payload_blob: bytes) -> "_TrialExecutor":
         fixed_parts,
         sticky_cache,
         sticky_pool_size,
-        zero_copy,
         collect_perf,
-        inrun_workers,
         backend,
     ) = pickle.loads(payload_blob)
     return _TrialExecutor(
@@ -411,68 +402,90 @@ def executor_from_payload(payload_blob: bytes) -> "_TrialExecutor":
         fixed_parts=fixed_parts,
         sticky_cache=sticky_cache,
         sticky_pool_size=sticky_pool_size,
-        zero_copy=zero_copy,
         collect_perf=collect_perf,
-        inrun_workers=inrun_workers,
         backend=backend,
     )
 
 
-def _worker_main(task_q, result_q, payload_blob: bytes):
-    """Worker loop: pull trial batches, stream per-trial results, exit
-    on the ``None`` sentinel.
+def _worker_main(task_q, result_q):
+    """The pool's worker loop.
 
-    The spawn payload (heuristics, instance handles, fixed parts and
-    cache knobs) arrives as one pre-pickled byte string — serialized
-    once per campaign, not once per (re)spawn.  Idle waits are bounded
-    so a worker notices when the supervisor was SIGKILLed (reparenting
-    changes ``getppid``) instead of lingering as an orphan blocked on
-    its queue forever.
+    Message protocol (all tuples, first element is the kind):
+
+    * ``("job", job_id, payload_blob)`` — register a job context; the
+      worker builds that job's :class:`_TrialExecutor` lazily on its
+      first batch, so registration is cheap.
+    * ``("batch", job_id, [(index, heuristic, instance, seed, start)])``
+      — run the trials in order, streaming one result per trial as
+      ``(job_id, index, "ok"|"error", payload, perf)``.
+    * ``("drop", job_id)`` — close and forget the job's executor (its
+      sticky caches and attached instances).
+    * ``None`` — exit.
+
+    Job contexts are isolated: each job gets its own executor, so two
+    jobs labeling different netlists with the same instance name can
+    never cross wires, and sticky hierarchy pools never leak between
+    tenants.  Idle waits are bounded so a worker notices when the
+    supervisor was SIGKILLed (reparenting changes ``getppid``) instead
+    of lingering as an orphan blocked on its queue forever.
     """
-    executor = executor_from_payload(payload_blob)
+    blobs: Dict[str, bytes] = {}
+    executors: Dict[str, _TrialExecutor] = {}
     parent = os.getppid()
     try:
         while True:
             try:
-                batch = task_q.get(timeout=_ORPHAN_POLL_SECONDS)
+                msg = task_q.get(timeout=_ORPHAN_POLL_SECONDS)
             except queue.Empty:
                 if os.getppid() != parent:
                     return  # supervisor is gone; don't orphan
                 continue
-            if batch is None:
+            if msg is None:
                 return
-            for index, heuristic, instance, seed, start in batch:
-                plan = TrialPlan(
-                    index=index,
-                    heuristic=heuristic,
-                    instance=instance,
-                    seed=seed,
-                    start=start,
-                )
-                try:
-                    payload, perf = executor.run(plan)
-                    result_q.put((index, "ok", payload, perf))
-                except Exception:
-                    result_q.put(
-                        (
-                            index,
-                            "error",
-                            traceback.format_exc(limit=8),
-                            None,
-                        )
+            kind, job_id = msg[0], msg[1]
+            if kind == "job":
+                blobs[job_id] = msg[2]
+            elif kind == "drop":
+                blobs.pop(job_id, None)
+                executor = executors.pop(job_id, None)
+                if executor is not None:
+                    executor.close()
+            elif kind == "batch":
+                executor = executors.get(job_id)
+                if executor is None:
+                    executor = executor_from_payload(blobs[job_id])
+                    executors[job_id] = executor
+                for index, heuristic, instance, seed, start in msg[2]:
+                    plan = TrialPlan(
+                        index=index,
+                        heuristic=heuristic,
+                        instance=instance,
+                        seed=seed,
+                        start=start,
                     )
+                    try:
+                        payload, perf = executor.run(plan)
+                        result_q.put((job_id, index, "ok", payload, perf))
+                    except Exception:
+                        result_q.put(
+                            (job_id, index, "error",
+                             traceback.format_exc(limit=8), None)
+                        )
     finally:
-        executor.close()
+        for executor in executors.values():
+            executor.close()
 
 
 @dataclass
-class _PendingTrial:
+class PendingTrial:
     plan: TrialPlan
     attempts: int = 0  #: failed attempts so far
 
 
 class _Worker:
-    """A pool worker plus the supervisor's view of its in-flight batch.
+    """A pool worker plus the supervisor's view of it: which job
+    contexts it has been sent, and its in-flight batch (all from one
+    job — batches never mix jobs).
 
     ``batch[0]`` is the trial the worker is executing *now* (results
     stream back in batch order); ``started_at`` is when that head
@@ -482,36 +495,56 @@ class _Worker:
     inside a batch.
     """
 
-    def __init__(self, ctx, result_q, payload_blob: bytes):
+    def __init__(self, ctx, result_q):
         self.task_q = ctx.Queue()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(self.task_q, result_q, payload_blob),
+            args=(self.task_q, result_q),
             daemon=True,
         )
         self.process.start()
-        self.batch: Deque[_PendingTrial] = deque()
+        self.loaded: Set[str] = set()
+        self.batch: Deque[PendingTrial] = deque()
+        self.batch_job: Optional[str] = None
         self.started_at = 0.0
 
     @property
     def busy(self) -> bool:
         return bool(self.batch)
 
-    def assign(self, items: List[_PendingTrial]) -> None:
+    def load_job(self, job_id: str, payload_blob: bytes) -> None:
+        if job_id not in self.loaded:
+            self.task_q.put(("job", job_id, payload_blob))
+            self.loaded.add(job_id)
+
+    def drop_job(self, job_id: str) -> None:
+        if job_id in self.loaded:
+            try:
+                self.task_q.put(("drop", job_id))
+            except (ValueError, OSError):  # queue already closed
+                pass
+            self.loaded.discard(job_id)
+
+    def assign(self, job_id: str, items: List[PendingTrial]) -> None:
         assert not self.batch
         self.batch.extend(items)
+        self.batch_job = job_id
         self.started_at = time.monotonic()
         self.task_q.put(
-            [
-                (p.plan.index, p.plan.heuristic, p.plan.instance,
-                 p.plan.seed, p.plan.start)
-                for p in items
-            ]
+            (
+                "batch",
+                job_id,
+                [
+                    (p.plan.index, p.plan.heuristic, p.plan.instance,
+                     p.plan.seed, p.plan.start)
+                    for p in items
+                ],
+            )
         )
 
-    def pop_result(self, index: int) -> Optional[_PendingTrial]:
-        """Remove (normally) the batch head once its result arrived and
-        re-arm the timeout clock for the next trial in the batch."""
+    def pop_result(self, index: int) -> Optional[PendingTrial]:
+        """Remove the batch entry whose result arrived (normally the
+        head) and re-arm the per-trial timeout clock."""
         if not self.batch:
             return None
         if self.batch[0].plan.index == index:
@@ -526,6 +559,8 @@ class _Worker:
                 return None
             self.batch.remove(item)
         self.started_at = time.monotonic()
+        if not self.batch:
+            self.batch_job = None
         return item
 
     def shutdown(self) -> None:
@@ -545,6 +580,212 @@ class _Worker:
             self.process.join(timeout=_JOIN_SECONDS)
 
 
+class BatchSizer:
+    """Adaptive batch sizing from an EWMA of observed trial runtimes.
+
+    ``fixed`` pins the size; ``None`` adapts toward
+    ``_TARGET_BATCH_SECONDS`` of work per batch.
+    """
+
+    def __init__(self, fixed: Optional[int] = None):
+        self.fixed = fixed
+        self.ewma: Optional[float] = None
+
+    def observe(self, runtime_seconds: float) -> None:
+        if runtime_seconds < 0:
+            return
+        if self.ewma is None:
+            self.ewma = runtime_seconds
+        else:
+            a = _RUNTIME_EWMA_ALPHA
+            self.ewma = a * runtime_seconds + (1 - a) * self.ewma
+
+    def next_size(self, pending: int, num_workers: int) -> int:
+        """Batch size for the next assignment: the policy's fixed size,
+        or enough trials for ~``_TARGET_BATCH_SECONDS`` of work — but
+        never so many that other workers would starve."""
+        if self.fixed is not None:
+            size = self.fixed
+        elif not self.ewma:
+            size = 1  # no observation yet (or instant trials): probe
+        else:
+            size = int(_TARGET_BATCH_SECONDS / self.ewma)
+        size = max(1, min(size, _MAX_BATCH))
+        fair_share = max(1, -(-pending // max(num_workers, 1)))
+        return min(size, fair_share, pending)
+
+
+@dataclass
+class PoolJob:
+    """One execution context on the pool: its payload, its queue of
+    pending trials and the per-trial robustness knobs.
+
+    :class:`WorkerPool` reads a job only through these attributes, so
+    the service's ``ServiceJob`` (which carries them too) is a job as
+    well.
+    """
+
+    job_id: str
+    payload_blob: bytes
+    pending: Deque[PendingTrial]
+    timeout_seconds: Optional[float] = None
+    max_retries: int = 0
+    batch_size: Optional[int] = None
+    sizer: BatchSizer = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.sizer = BatchSizer(self.batch_size)
+
+
+#: resolve(job, outcome, perf_wire) — called once per resolved trial.
+ResolveCallback = Callable[[object, TrialOutcome, Optional[dict]], None]
+#: job_of(job_id) -> the live job, or None once its results are moot.
+JobLookup = Callable[[str], Optional[object]]
+
+
+class WorkerPool:
+    """The supervisor side of the worker pool.
+
+    A supervisor keeps only its dispatch policy: it hands batches from
+    one job at a time to :meth:`idle` workers via :meth:`assign`.
+    Everything else is here, shared by the campaign pool and the
+    service fleet:
+
+    * :meth:`drain` — the blocking result drain, bounded by the nearest
+      batch-head deadline and the liveness cap, plus the retry rule: a
+      failed trial is requeued at the back of its job while it has
+      retries left, else it resolves to an error outcome;
+    * :meth:`reap` — the per-trial deadline and death detection, and
+      the forfeit rule: a worker that timed out or died is killed and
+      replaced, the head of its batch is charged an attempt, and the
+      rest of the batch re-enters the front of its job's queue
+      unpenalized, in order.
+
+    ``job_of`` maps a job id to its live job, or to ``None`` once the
+    job's results no longer matter (they are then dropped).
+    """
+
+    def __init__(self, size: int) -> None:
+        self._ctx = _pool_context()
+        self._result_q = self._ctx.Queue()
+        self.workers: List[_Worker] = []
+        #: (job id, trial index) -> the worker holding that trial.
+        self._inflight: Dict[Tuple[str, int], _Worker] = {}
+        for _ in range(size):
+            self.workers.append(_Worker(self._ctx, self._result_q))
+
+    @property
+    def busy(self) -> int:
+        return sum(1 for w in self.workers if w.busy)
+
+    def idle(self) -> Iterator[_Worker]:
+        """Live workers without a batch."""
+        for w in list(self.workers):
+            if not w.busy and w.process.is_alive():
+                yield w
+
+    def assign(self, w: _Worker, job, items: List[PendingTrial]) -> None:
+        w.load_job(job.job_id, job.payload_blob)
+        w.assign(job.job_id, items)
+        for item in items:
+            self._inflight[(job.job_id, item.plan.index)] = w
+
+    def drop_job(self, job_id: str) -> None:
+        """Tell every worker to release ``job_id``'s context."""
+        for w in self.workers:
+            w.drop_job(job_id)
+
+    def reclaim(self, w: _Worker) -> List[PendingTrial]:
+        """Kill ``w``, replace it, and return its in-flight batch (head
+        first); results it already queued are dropped as stale."""
+        items = list(w.batch)
+        for item in items:
+            self._inflight.pop((w.batch_job, item.plan.index), None)
+        w.batch.clear()
+        w.batch_job = None
+        self._replace(w)
+        return items
+
+    def _replace(self, w: _Worker) -> None:
+        self.workers.remove(w)
+        w.terminate()
+        self.workers.append(_Worker(self._ctx, self._result_q))
+
+    def _timeout(self, w: _Worker, job_of: JobLookup) -> Optional[float]:
+        job = job_of(w.batch_job) if w.busy else None
+        return None if job is None else job.timeout_seconds
+
+    def drain(self, job_of: JobLookup, resolve: ResolveCallback) -> None:
+        """Block for results until the nearest batch-head deadline (at
+        most ``_LIVENESS_SECONDS``), then take whatever else is queued."""
+        now = time.monotonic()
+        wait = _LIVENESS_SECONDS
+        for w in self.workers:
+            timeout = self._timeout(w, job_of)
+            if timeout is not None:
+                wait = min(wait, w.started_at + timeout - now)
+        messages = []
+        try:
+            if wait > 0:
+                messages.append(self._result_q.get(timeout=wait))
+            else:
+                messages.append(self._result_q.get_nowait())
+            while True:
+                messages.append(self._result_q.get_nowait())
+        except queue.Empty:
+            pass
+        for job_id, index, status, payload, perf in messages:
+            w = self._inflight.pop((job_id, index), None)
+            item = w.pop_result(index) if w is not None else None
+            job = job_of(job_id)
+            if item is None or job is None:
+                continue  # a replaced worker's result, or a moot job
+            if status == "ok":
+                job.sizer.observe(payload[1])
+                resolve(job, _ok_outcome(item, payload), perf)
+            else:
+                _fail(job, item, payload, resolve)
+
+    def reap(self, job_of: JobLookup, resolve: ResolveCallback) -> None:
+        """Enforce batch-head deadlines and replace dead workers, under
+        the forfeit rule."""
+        now = time.monotonic()
+        for w in list(self.workers):
+            if not w.busy:
+                if not w.process.is_alive():
+                    self._replace(w)
+                continue
+            timeout = self._timeout(w, job_of)
+            if timeout is not None and now - w.started_at > timeout:
+                message = f"trial exceeded wall-clock timeout of {timeout:g}s"
+            elif not w.process.is_alive():
+                message = (
+                    f"worker process died (exitcode {w.process.exitcode})"
+                )
+            else:
+                continue
+            job = job_of(w.batch_job)
+            head, *rest = self.reclaim(w)
+            if job is not None:
+                _fail(job, head, message, resolve)
+                job.pending.extendleft(reversed(rest))
+
+    def shutdown(self) -> None:
+        for w in self.workers:
+            w.shutdown()
+
+
+def _fail(job, item: PendingTrial, message: str,
+          resolve: ResolveCallback) -> None:
+    """The retry rule: charge ``item`` one attempt; requeue it at the
+    back of its job while retries remain, else resolve it as an error."""
+    item.attempts += 1
+    if item.attempts <= job.max_retries:
+        job.pending.append(item)
+    else:
+        resolve(job, _error_outcome(item, message), None)
+
+
 @dataclass
 class ExecutionPolicy:
     """Robustness and dispatch knobs for a campaign execution.
@@ -552,9 +793,9 @@ class ExecutionPolicy:
     The robustness trio (``workers`` / ``timeout_seconds`` /
     ``max_retries``) is unchanged from the original pool.  The dispatch
     knobs tune *where time goes*, never *what is computed*: for any
-    setting of ``batch_size``, ``sticky_cache``, ``use_shared_memory``
-    and ``zero_copy``, records are bit-identical to a serial run under
-    the same policy.
+    setting of ``batch_size``, ``sticky_cache`` and
+    ``use_shared_memory``, records are bit-identical to a serial run
+    under the same policy.
     """
 
     workers: int = 1
@@ -572,16 +813,6 @@ class ExecutionPolicy:
     sticky_pool_size: int = 2  #: hierarchies per sticky pool
     #: Ship instances to workers via shared memory (else pickled).
     use_shared_memory: bool = True
-    #: Workers read CSR arrays in place (numpy views) instead of
-    #: materializing Python lists on attach.  Lowest memory, identical
-    #: records; the pure-Python FM inner loops run ~1.5x slower on
-    #: scalar numpy reads, so materializing is the speed default.
-    zero_copy: bool = False
-    #: In-run parallel workers per trial (parallel-proposal coarsening
-    #: for sticky hierarchy builds).  Composes with ``workers`` via
-    #: fair-share clamping — ``workers x inrun_workers`` never exceeds
-    #: the fleet — and is bit-identical to serial at any value.
-    inrun_workers: int = 1
     #: Kernel backend for every trial (None = process default /
     #: ``REPRO_BACKEND`` / numpy).  Like the dispatch knobs this tunes
     #: only where time goes: backends are selectable solely when
@@ -591,8 +822,6 @@ class ExecutionPolicy:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.inrun_workers < 1:
-            raise ValueError("inrun_workers must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -607,16 +836,6 @@ class ExecutionPolicy:
         """Timeouts require process isolation, so a timeout forces the
         pool even with one worker."""
         return self.workers > 1 or self.timeout_seconds is not None
-
-    @property
-    def inrun_effective(self) -> int:
-        """``inrun_workers`` after fair-share clamping against the
-        trial-level worker count (and the daemon guard)."""
-        from repro.multilevel.parallel import clamp_inrun_workers
-
-        return clamp_inrun_workers(
-            self.inrun_workers, trial_workers=self.workers
-        )
 
 
 def execute_trials(
@@ -652,7 +871,7 @@ def execute_trials(
 
 
 # ----------------------------------------------------------------------
-def _ok_outcome(item: _PendingTrial, payload: tuple) -> TrialOutcome:
+def _ok_outcome(item: PendingTrial, payload: tuple) -> TrialOutcome:
     cut, elapsed, legal, k, objective = payload
     p = item.plan
     return TrialOutcome(
@@ -670,7 +889,7 @@ def _ok_outcome(item: _PendingTrial, payload: tuple) -> TrialOutcome:
     )
 
 
-def _error_outcome(item: _PendingTrial, message: str) -> TrialOutcome:
+def _error_outcome(item: PendingTrial, message: str) -> TrialOutcome:
     p = item.plan
     return TrialOutcome(
         trial=p.index,
@@ -692,12 +911,11 @@ def _execute_inline(trials, heuristics, instances, fixed_parts, policy,
         sticky_cache=policy.sticky_cache,
         sticky_pool_size=policy.sticky_pool_size,
         collect_perf=perf_totals is not None,
-        inrun_workers=policy.inrun_effective,
         backend=policy.backend,
     )
     outcomes: List[TrialOutcome] = []
     for plan in trials:
-        item = _PendingTrial(plan)
+        item = PendingTrial(plan)
         while True:
             try:
                 payload, perf = executor.run(plan)
@@ -717,197 +935,54 @@ def _execute_inline(trials, heuristics, instances, fixed_parts, policy,
     return outcomes
 
 
-class _BatchSizer:
-    """Adaptive batch sizing from an EWMA of observed trial runtimes.
-
-    ``fixed`` pins the size; ``None`` adapts toward
-    ``_TARGET_BATCH_SECONDS`` of work per batch.
-    """
-
-    def __init__(self, fixed: Optional[int] = None):
-        self.fixed = fixed
-        self.ewma: Optional[float] = None
-
-    def observe(self, runtime_seconds: float) -> None:
-        if runtime_seconds < 0:
-            return
-        if self.ewma is None:
-            self.ewma = runtime_seconds
-        else:
-            a = _RUNTIME_EWMA_ALPHA
-            self.ewma = a * runtime_seconds + (1 - a) * self.ewma
-
-    def next_size(self, pending: int, num_workers: int) -> int:
-        """Batch size for the next assignment: the policy's fixed size,
-        or enough trials for ~``_TARGET_BATCH_SECONDS`` of work — but
-        never so many that other workers would starve."""
-        if self.fixed is not None:
-            size = self.fixed
-        elif not self.ewma:
-            size = 1  # no observation yet (or instant trials): probe
-        else:
-            size = int(_TARGET_BATCH_SECONDS / self.ewma)
-        size = max(1, min(size, _MAX_BATCH))
-        fair_share = max(1, -(-pending // max(num_workers, 1)))
-        return min(size, fair_share, pending)
-
-
 def _execute_pool(trials, heuristics, instances, fixed_parts, policy,
                   on_outcome, perf_totals) -> List[TrialOutcome]:
-    ctx = _pool_context()
-    result_q = ctx.Queue()
     share = SharedInstanceSet(
         instances, use_shared_memory=policy.use_shared_memory
     )
-    # Satellite: the spawn payload is pickled exactly once per campaign;
-    # timeout-replacement respawns reuse these bytes instead of
-    # re-serializing the heuristic/instance dicts.
-    payload_blob = build_payload(
-        heuristics,
-        share.handles,
-        fixed_parts=fixed_parts,
-        sticky_cache=policy.sticky_cache,
-        sticky_pool_size=policy.sticky_pool_size,
-        zero_copy=policy.zero_copy,
-        collect_perf=perf_totals is not None,
-        inrun_workers=policy.inrun_effective,
-        backend=policy.backend,
+    job = PoolJob(
+        _CAMPAIGN_JOB,
+        build_payload(
+            heuristics,
+            share.handles,
+            fixed_parts=fixed_parts,
+            sticky_cache=policy.sticky_cache,
+            sticky_pool_size=policy.sticky_pool_size,
+            collect_perf=perf_totals is not None,
+            backend=policy.backend,
+        ),
+        deque(PendingTrial(p) for p in trials),
+        timeout_seconds=policy.timeout_seconds,
+        max_retries=policy.max_retries,
+        batch_size=policy.batch_size,
     )
-    spawn = lambda: _Worker(ctx, result_q, payload_blob)
-
-    pending: Deque[_PendingTrial] = deque(_PendingTrial(p) for p in trials)
-    sizer = _BatchSizer(policy.batch_size)
-    workers = [spawn() for _ in range(min(policy.workers, len(pending)))]
-    inflight: Dict[int, _Worker] = {}
     outcomes: List[TrialOutcome] = []
+    pool = WorkerPool(min(policy.workers, len(trials)))
 
-    def resolve(outcome: TrialOutcome) -> None:
+    def job_of(job_id: str) -> PoolJob:
+        return job
+
+    def resolve(job: PoolJob, outcome: TrialOutcome, perf) -> None:
+        _merge_perf(perf_totals, outcome.heuristic, perf)
         outcomes.append(outcome)
         if on_outcome:
-            busy = sum(1 for w in workers if w.busy)
-            on_outcome(outcome, busy, len(workers))
-
-    def fail(item: _PendingTrial, message: str) -> None:
-        item.attempts += 1
-        if item.attempts <= policy.max_retries:
-            pending.append(item)
-        else:
-            resolve(_error_outcome(item, message))
-
-    def forfeit(w: _Worker, message: str) -> None:
-        """Kill ``w``; charge only its in-flight head, requeue the rest.
-
-        The head (the trial actually executing) takes the attempt; the
-        remaining batch entries were merely queued, so they re-enter
-        the front of the pending queue unpenalized, in order.
-        """
-        head = w.batch.popleft()
-        rest = list(w.batch)
-        w.batch.clear()
-        inflight.pop(head.plan.index, None)
-        for item in rest:
-            inflight.pop(item.plan.index, None)
-        workers.remove(w)
-        w.terminate()
-        fail(head, message)
-        pending.extendleft(reversed(rest))
-        if pending:
-            workers.append(spawn())
-
-    def drain_timeout(now: float) -> float:
-        """How long the supervisor may block on the result queue: until
-        the nearest in-flight trial deadline, capped by the liveness
-        bound (so silently dead workers are still noticed)."""
-        wait = _LIVENESS_SECONDS
-        if policy.timeout_seconds is not None:
-            for w in workers:
-                if w.busy:
-                    remaining = w.started_at + policy.timeout_seconds - now
-                    if remaining < wait:
-                        wait = remaining
-        return max(wait, 0.0)
+            on_outcome(outcome, pool.busy, len(pool.workers))
 
     try:
         while len(outcomes) < len(trials):
-            # 1. hand batches of pending trials to idle live workers
-            for w in workers:
-                if not pending:
+            # Dispatch policy: batches in plan order to idle workers.
+            for w in pool.idle():
+                if not job.pending:
                     break
-                if not w.busy and w.process.is_alive():
-                    size = sizer.next_size(len(pending), len(workers))
-                    items = [pending.popleft() for _ in range(size)]
-                    w.assign(items)
-                    for item in items:
-                        inflight[item.plan.index] = w
-
-            # 2. drain results: one blocking wait sized to the nearest
-            # deadline, then whatever else is already queued
-            messages = []
-            wait = drain_timeout(time.monotonic())
-            try:
-                if wait > 0:
-                    messages.append(result_q.get(timeout=wait))
-                else:
-                    messages.append(result_q.get_nowait())
-                while True:
-                    messages.append(result_q.get_nowait())
-            except queue.Empty:
-                pass
-            for index, status, payload, perf in messages:
-                w = inflight.pop(index, None)
-                if w is None:
-                    continue  # stale message from a terminated worker
-                item = w.pop_result(index)
-                if item is None:  # pragma: no cover - defensive
-                    continue
-                if status == "ok":
-                    sizer.observe(payload[1])
-                    _merge_perf(perf_totals, item.plan.heuristic, perf)
-                    resolve(_ok_outcome(item, payload))
-                else:
-                    fail(item, payload)
-
-            # 3. enforce the head deadline; recover from dead workers
-            now = time.monotonic()
-            for w in list(workers):
-                if not w.busy:
-                    if not w.process.is_alive() and pending:
-                        workers.remove(w)
-                        workers.append(spawn())
-                    continue
-                timed_out = (
-                    policy.timeout_seconds is not None
-                    and now - w.started_at > policy.timeout_seconds
+                size = job.sizer.next_size(
+                    len(job.pending), len(pool.workers)
                 )
-                if timed_out:
-                    forfeit(
-                        w,
-                        f"trial exceeded wall-clock timeout of "
-                        f"{policy.timeout_seconds:g}s",
-                    )
-                elif not w.process.is_alive():
-                    forfeit(
-                        w,
-                        f"worker process died "
-                        f"(exitcode {w.process.exitcode})",
-                    )
+                pool.assign(
+                    w, job, [job.pending.popleft() for _ in range(size)]
+                )
+            pool.drain(job_of, resolve)
+            pool.reap(job_of, resolve)
     finally:
-        for w in workers:
-            w.shutdown()
+        pool.shutdown()
         share.close()
     return outcomes
-
-
-# ----------------------------------------------------------------------
-# Public handoff surface for other supervisors (the campaign service's
-# fair-share fleet drives the same executor/batching machinery, so one
-# trial run in either plane computes exactly the same thing).
-TrialExecutor = _TrialExecutor
-BatchSizer = _BatchSizer
-PendingTrial = _PendingTrial
-pool_context = _pool_context
-ok_outcome = _ok_outcome
-error_outcome = _error_outcome
-ORPHAN_POLL_SECONDS = _ORPHAN_POLL_SECONDS
-LIVENESS_SECONDS = _LIVENESS_SECONDS
-JOIN_SECONDS = _JOIN_SECONDS

@@ -209,8 +209,6 @@ def orchestrate_campaign(
     sticky_cache: bool = False,
     sticky_pool_size: int = 2,
     use_shared_memory: bool = True,
-    zero_copy: bool = False,
-    inrun_workers: int = 1,
     backend: Optional[str] = None,
     fixed_parts: Optional[Dict[str, Sequence[Optional[int]]]] = None,
     progress: Optional[ProgressCallback] = None,
@@ -222,7 +220,7 @@ def orchestrate_campaign(
     ``store_dir`` is the *parent* directory; the journal lives in
     ``store_dir/<spec.name>/`` (matching ``CampaignResult.save``).
     Without a store the campaign runs purely in memory (no resume).
-    The dispatch knobs (``batch_size`` .. ``zero_copy`` and
+    The dispatch knobs (``batch_size`` .. ``use_shared_memory`` and
     ``backend``) map onto
     :class:`~repro.orchestrate.executor.ExecutionPolicy` and never
     change results — only where the time goes.
@@ -239,8 +237,6 @@ def orchestrate_campaign(
             sticky_cache=sticky_cache,
             sticky_pool_size=sticky_pool_size,
             use_shared_memory=use_shared_memory,
-            zero_copy=zero_copy,
-            inrun_workers=inrun_workers,
             backend=backend,
         ),
         fixed_parts=fixed_parts,

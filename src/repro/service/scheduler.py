@@ -6,9 +6,10 @@ shape: one long-lived fleet of multi-tenant workers, onto which trial
 *batches from many concurrent jobs* are interleaved.  This module keeps
 every contract the executor established and adds the multi-tenancy:
 
-* **Same trial semantics** — workers run each trial through the same
-  :class:`~repro.orchestrate.executor.TrialExecutor` (one per job per
-  worker, rebuilt from the job's once-pickled payload), so a trial
+* **Same workers** — the fleet is a
+  :class:`~repro.orchestrate.executor.WorkerPool`, the campaign pool's
+  own worker class and loop.  Each worker keeps one trial executor per
+  job, rebuilt from the job's once-pickled payload, so a trial
   computes bit-for-bit what a standalone campaign run computes.  Sticky
   hierarchy caches stay keyed on the trial's start index, never on
   worker identity, so fair-share interleaving cannot perturb records.
@@ -21,8 +22,9 @@ every contract the executor established and adds the multi-tenancy:
   replenished again — a priority-1 job always progresses.
 * **Per-job robustness** — per-trial hard timeouts, bounded retries and
   the forfeit rule (a killed worker charges only its in-flight batch
-  head; the rest requeue unpenalized) are enforced per job, with each
-  job's own policy.
+  head; the rest requeue unpenalized) are the pool's shared code,
+  applied per job with each job's own policy.  Only the dispatch policy
+  below is this module's own.
 * **Crash-safe journaling** — every outcome is appended + fsynced to
   the job's own :class:`~repro.orchestrate.store.RunStore` the moment
   it resolves, so a service kill loses at most the in-flight trials —
@@ -38,22 +40,10 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
-import traceback
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.orchestrate import executor as _exec
-from repro.orchestrate.executor import (
-    BatchSizer,
-    PendingTrial,
-    error_outcome,
-    executor_from_payload,
-    ok_outcome,
-    pool_context,
-)
-from repro.orchestrate.plan import TrialPlan
+from repro.orchestrate.executor import BatchSizer, PendingTrial, WorkerPool
 from repro.orchestrate.store import RunStore, TrialOutcome
 
 JOB_ACTIVE = "active"
@@ -61,186 +51,15 @@ JOB_PAUSED = "paused"
 JOB_DONE = "done"
 JOB_CANCELLED = "cancelled"
 
-#: Supervisor wait bound while any worker is busy (mirrors the campaign
-#: executor's liveness bound) and idle tick while the fleet is drained.
-_BUSY_WAIT_SECONDS = _exec.LIVENESS_SECONDS
+#: Idle tick while the fleet is drained.
 _IDLE_WAIT_SECONDS = 0.2
-
-
-# ----------------------------------------------------------------------
-def _fleet_worker_main(task_q, result_q):
-    """Multi-tenant worker loop.
-
-    Message protocol (all tuples, first element is the kind):
-
-    * ``("job", job_id, payload_blob)`` — (re)register a job context; the
-      worker builds that job's :class:`TrialExecutor` lazily on first
-      batch so registration is cheap.
-    * ``("batch", job_id, [(index, heuristic, instance, seed, start)])``
-      — run the trials in order, streaming one result per trial as
-      ``(job_id, index, "ok"|"error", payload, perf)``.
-    * ``("drop", job_id)`` — close and forget the job's executor (its
-      sticky caches and attached instances).
-    * ``None`` — exit.
-
-    Job contexts are isolated: each job gets its own executor, so two
-    jobs labeling different netlists with the same instance name can
-    never cross wires, and sticky hierarchy pools never leak between
-    tenants.
-    """
-    import os
-
-    blobs: Dict[str, bytes] = {}
-    executors: Dict[str, object] = {}
-    parent = os.getppid()
-    try:
-        while True:
-            try:
-                msg = task_q.get(timeout=_exec.ORPHAN_POLL_SECONDS)
-            except queue.Empty:
-                if os.getppid() != parent:
-                    return  # supervisor is gone; don't orphan
-                continue
-            if msg is None:
-                return
-            kind = msg[0]
-            if kind == "job":
-                blobs[msg[1]] = msg[2]
-            elif kind == "drop":
-                blobs.pop(msg[1], None)
-                executor = executors.pop(msg[1], None)
-                if executor is not None:
-                    executor.close()
-            elif kind == "batch":
-                _, job_id, batch = msg
-                executor = executors.get(job_id)
-                if executor is None:
-                    blob = blobs.get(job_id)
-                    if blob is None:  # defensive: batch before context
-                        for index, *_rest in batch:
-                            result_q.put(
-                                (job_id, index, "error",
-                                 "worker received batch before job context",
-                                 None)
-                            )
-                        continue
-                    executor = executor_from_payload(blob)
-                    executors[job_id] = executor
-                for index, heuristic, instance, seed, start in batch:
-                    plan = TrialPlan(
-                        index=index,
-                        heuristic=heuristic,
-                        instance=instance,
-                        seed=seed,
-                        start=start,
-                    )
-                    try:
-                        payload, perf = executor.run(plan)
-                        result_q.put((job_id, index, "ok", payload, perf))
-                    except Exception:
-                        result_q.put(
-                            (job_id, index, "error",
-                             traceback.format_exc(limit=8), None)
-                        )
-    finally:
-        for executor in executors.values():
-            executor.close()
-
-
-class _FleetWorker:
-    """One fleet worker plus the supervisor's view of its state: which
-    job contexts it has been sent, and the in-flight batch (all from a
-    single job — batches are never mixed across tenants)."""
-
-    def __init__(self, ctx, result_q):
-        self.task_q = ctx.Queue()
-        self.process = ctx.Process(
-            target=_fleet_worker_main,
-            args=(self.task_q, result_q),
-            daemon=True,
-        )
-        self.process.start()
-        self.loaded: Set[str] = set()
-        self.batch: Deque[PendingTrial] = deque()
-        self.batch_job: Optional[str] = None
-        self.started_at = 0.0
-
-    @property
-    def busy(self) -> bool:
-        return bool(self.batch)
-
-    def load_job(self, job_id: str, payload_blob: bytes) -> None:
-        if job_id not in self.loaded:
-            self.task_q.put(("job", job_id, payload_blob))
-            self.loaded.add(job_id)
-
-    def drop_job(self, job_id: str) -> None:
-        if job_id in self.loaded:
-            try:
-                self.task_q.put(("drop", job_id))
-            except (ValueError, OSError):  # queue already closed
-                pass
-            self.loaded.discard(job_id)
-
-    def assign(self, job_id: str, items: List[PendingTrial]) -> None:
-        assert not self.batch
-        self.batch.extend(items)
-        self.batch_job = job_id
-        self.started_at = time.monotonic()
-        self.task_q.put(
-            (
-                "batch",
-                job_id,
-                [
-                    (p.plan.index, p.plan.heuristic, p.plan.instance,
-                     p.plan.seed, p.plan.start)
-                    for p in items
-                ],
-            )
-        )
-
-    def pop_result(self, index: int) -> Optional[PendingTrial]:
-        """Remove the batch entry whose result arrived (normally the
-        head) and re-arm the per-trial timeout clock."""
-        if not self.batch:
-            return None
-        if self.batch[0].plan.index == index:
-            item = self.batch.popleft()
-        else:  # defensive: out-of-order result from a replaced worker
-            item = None
-            for candidate in self.batch:
-                if candidate.plan.index == index:
-                    item = candidate
-                    break
-            if item is None:
-                return None
-            self.batch.remove(item)
-        self.started_at = time.monotonic()
-        if not self.batch:
-            self.batch_job = None
-        return item
-
-    def shutdown(self) -> None:
-        try:
-            self.task_q.put(None)
-        except (ValueError, OSError):
-            pass
-        self.process.join(timeout=_exec.JOIN_SECONDS)
-        if self.process.is_alive():
-            self.terminate()
-
-    def terminate(self) -> None:
-        self.process.terminate()
-        self.process.join(timeout=_exec.JOIN_SECONDS)
-        if self.process.is_alive():  # pragma: no cover - stubborn child
-            self.process.kill()
-            self.process.join(timeout=_exec.JOIN_SECONDS)
 
 
 # ----------------------------------------------------------------------
 @dataclass
 class ServiceJob:
-    """Scheduler-side state of one tenant campaign."""
+    """Scheduler-side state of one tenant campaign (a job on the
+    :class:`~repro.orchestrate.executor.WorkerPool`)."""
 
     job_id: str
     store: RunStore
@@ -262,7 +81,6 @@ class ServiceJob:
     on_finish: Optional[Callable[["ServiceJob"], None]] = None
     deficit: float = 0.0
     sizer: BatchSizer = field(init=False)
-    inflight: int = 0
 
     def __post_init__(self) -> None:
         self.sizer = BatchSizer(self.batch_size)
@@ -340,23 +158,16 @@ class FairShareScheduler:
         return [self._jobs[j] for j in self._order]
 
     # -- supervisor loop -------------------------------------------------
+    def _live_job(self, job_id: Optional[str]) -> Optional[ServiceJob]:
+        """The job whose results still count (None once finished)."""
+        job = self._jobs.get(job_id)
+        return None if job is None or job.finished else job
+
     def _loop(self) -> None:
-        ctx = pool_context()
-        result_q = ctx.Queue()
-        fleet: List[_FleetWorker] = []
-        #: (job_id, trial index) -> worker currently holding it.
-        inflight: Dict[Tuple[str, int], _FleetWorker] = {}
-
-        def spawn() -> _FleetWorker:
-            w = _FleetWorker(ctx, result_q)
-            fleet.append(w)
-            return w
-
-        for _ in range(self.num_workers):
-            spawn()
+        pool = WorkerPool(self.num_workers)
 
         # -- per-outcome bookkeeping ------------------------------------
-        def resolve(job: ServiceJob, outcome: TrialOutcome) -> None:
+        def resolve(job: ServiceJob, outcome: TrialOutcome, perf) -> None:
             job.store.append(outcome)
             job.done += 1
             if outcome.ok:
@@ -371,42 +182,14 @@ class FairShareScheduler:
             if job.done >= job.total:
                 finish(job, JOB_DONE)
 
-        def fail(job: ServiceJob, item: PendingTrial, message: str) -> None:
-            item.attempts += 1
-            if item.attempts <= job.max_retries:
-                job.pending.append(item)
-            else:
-                resolve(job, error_outcome(item, message))
-
         def finish(job: ServiceJob, status: str) -> None:
             if job.finished:
                 return
             job.status = status
             job.pending.clear()
-            for w in fleet:
-                w.drop_job(job.job_id)
+            pool.drop_job(job.job_id)
             if job.on_finish is not None:
                 job.on_finish(job)
-
-        def forfeit(w: _FleetWorker, message: str) -> None:
-            """Kill ``w``; charge its batch head to its job, requeue the
-            rest at the front of that job's pending queue."""
-            job_id = w.batch_job
-            head = w.batch.popleft()
-            rest = list(w.batch)
-            w.batch.clear()
-            w.batch_job = None
-            inflight.pop((job_id, head.plan.index), None)
-            for item in rest:
-                inflight.pop((job_id, item.plan.index), None)
-            fleet.remove(w)
-            w.terminate()
-            job = self._jobs.get(job_id)
-            if job is not None and not job.finished:
-                job.inflight -= 1 + len(rest)
-                fail(job, head, message)
-                job.pending.extendleft(reversed(rest))
-            spawn()
 
         # -- commands ----------------------------------------------------
         def handle(cmd: Tuple) -> None:
@@ -428,36 +211,24 @@ class FairShareScheduler:
                 if job is not None and job.status == JOB_PAUSED:
                     job.status = JOB_ACTIVE
             elif kind == "cancel":
-                job = self._jobs.get(cmd[1])
-                if job is None or job.finished:
+                job = self._live_job(cmd[1])
+                if job is None:
                     return
                 # Reclaim workers mid-batch on this job: cancellation
                 # must not wait for a long trial to finish.
-                for w in list(fleet):
+                for w in list(pool.workers):
                     if w.batch_job == job.job_id:
-                        for item in w.batch:
-                            inflight.pop(
-                                (job.job_id, item.plan.index), None
-                            )
-                        w.batch.clear()
-                        w.batch_job = None
-                        fleet.remove(w)
-                        w.terminate()
-                        spawn()
-                job.inflight = 0
+                        pool.reclaim(w)
                 finish(job, JOB_CANCELLED)
 
         # -- fair-share dispatch ----------------------------------------
-        def runnable() -> List[ServiceJob]:
-            return [
+        def pick_job() -> Optional[ServiceJob]:
+            ready = [
                 self._jobs[j]
                 for j in self._order
                 if self._jobs[j].status == JOB_ACTIVE
                 and self._jobs[j].pending
             ]
-
-        def pick_job() -> Optional[ServiceJob]:
-            ready = runnable()
             if not ready:
                 return None
             if all(job.deficit < 1 for job in ready):
@@ -477,37 +248,18 @@ class FairShareScheduler:
             return None
 
         def dispatch() -> None:
-            for w in fleet:
-                if w.busy or not w.process.is_alive():
-                    continue
+            for w in pool.idle():
                 job = pick_job()
                 if job is None:
                     break
                 size = job.sizer.next_size(
-                    len(job.pending), len(fleet)
+                    len(job.pending), len(pool.workers)
                 )
                 size = max(1, min(size, int(job.deficit), len(job.pending)))
-                items = [job.pending.popleft() for _ in range(size)]
                 job.deficit -= size
-                job.inflight += size
-                w.load_job(job.job_id, job.payload_blob)
-                w.assign(job.job_id, items)
-                for item in items:
-                    inflight[(job.job_id, item.plan.index)] = w
-
-        # -- waits -------------------------------------------------------
-        def drain_timeout(now: float) -> float:
-            wait = _BUSY_WAIT_SECONDS
-            for w in fleet:
-                if not w.busy:
-                    continue
-                job = self._jobs.get(w.batch_job)
-                if job is None or job.timeout_seconds is None:
-                    continue
-                remaining = w.started_at + job.timeout_seconds - now
-                if remaining < wait:
-                    wait = remaining
-            return max(wait, 0.0)
+                pool.assign(
+                    w, job, [job.pending.popleft() for _ in range(size)]
+                )
 
         # -- main loop ---------------------------------------------------
         try:
@@ -522,37 +274,8 @@ class FairShareScheduler:
 
                 dispatch()
 
-                any_busy = any(w.busy for w in fleet)
-                if any_busy:
-                    # Block on results, bounded by the nearest per-trial
-                    # deadline (and the liveness cap).
-                    messages = []
-                    wait = drain_timeout(time.monotonic())
-                    try:
-                        if wait > 0:
-                            messages.append(result_q.get(timeout=wait))
-                        else:
-                            messages.append(result_q.get_nowait())
-                        while True:
-                            messages.append(result_q.get_nowait())
-                    except queue.Empty:
-                        pass
-                    for job_id, index, status, payload, perf in messages:
-                        w = inflight.pop((job_id, index), None)
-                        if w is None:
-                            continue  # stale: terminated worker's result
-                        item = w.pop_result(index)
-                        if item is None:  # pragma: no cover - defensive
-                            continue
-                        job = self._jobs.get(job_id)
-                        if job is None or job.finished:
-                            continue
-                        job.inflight -= 1
-                        if status == "ok":
-                            job.sizer.observe(payload[1])
-                            resolve(job, ok_outcome(item, payload))
-                        else:
-                            fail(job, item, payload)
+                if pool.busy:
+                    pool.drain(self._live_job, resolve)
                 else:
                     # Idle fleet: wait for the next command instead of
                     # spinning on the result queue.
@@ -562,33 +285,7 @@ class FairShareScheduler:
                         pass
                     if self._stopping:
                         break
-
-                # Deadlines and dead workers.
-                now = time.monotonic()
-                for w in list(fleet):
-                    if not w.busy:
-                        if not w.process.is_alive():
-                            fleet.remove(w)
-                            spawn()
-                        continue
-                    job = self._jobs.get(w.batch_job)
-                    timeout = job.timeout_seconds if job else None
-                    if (
-                        timeout is not None
-                        and now - w.started_at > timeout
-                    ):
-                        forfeit(
-                            w,
-                            f"trial exceeded wall-clock timeout of "
-                            f"{timeout:g}s",
-                        )
-                    elif not w.process.is_alive():
-                        forfeit(
-                            w,
-                            f"worker process died "
-                            f"(exitcode {w.process.exitcode})",
-                        )
+                pool.reap(self._live_job, resolve)
         finally:
-            for w in fleet:
-                w.shutdown()
+            pool.shutdown()
             self._stopped.set()

@@ -194,22 +194,11 @@ class CampaignService:
                 src.label: entry.handle
                 for src, entry in zip(spec.instances, leases)
             }
-            # Fair-share clamp at dispatch time: the whole fleet is this
-            # job's trial-worker budget, so fleet x inrun never exceeds
-            # the fleet.  (Fleet workers are daemonic, so the executor
-            # clamps to the serial path anyway — bit-identical either
-            # way; the clamp keeps the declared intent honest.)
-            from repro.multilevel.parallel import clamp_inrun_workers
-
-            fleet = self.scheduler.num_workers
             payload_blob = build_payload(
                 heuristics,
                 handles,
                 sticky_cache=spec.sticky_cache,
                 sticky_pool_size=spec.sticky_pool_size,
-                inrun_workers=clamp_inrun_workers(
-                    spec.inrun_workers, trial_workers=fleet, fleet=fleet
-                ),
                 backend=spec.backend,
             )
             job = ServiceJob(

@@ -166,12 +166,6 @@ class JobSpec:
     max_retries: int = 0
     sticky_cache: bool = False
     sticky_pool_size: int = 2
-    #: In-run parallel workers per trial (parallel-proposal coarsening
-    #: for sticky hierarchy builds).  The server clamps it against the
-    #: fleet size at dispatch time so a job never oversubscribes; any
-    #: value is bit-identical to serial, so clamping never changes
-    #: records.
-    inrun_workers: int = 1
     #: Kernel backend for this job's trials (None = worker default).
     #: Backends are selectable only when bit-identical to numpy, so the
     #: choice never changes records — it is also emitted to the wire
@@ -208,8 +202,6 @@ class JobSpec:
             raise ValueError("timeout_seconds must be positive")
         if self.sticky_pool_size < 1:
             raise ValueError("sticky_pool_size must be >= 1")
-        if self.inrun_workers < 1:
-            raise ValueError("inrun_workers must be >= 1")
 
     # ------------------------------------------------------------------
     def build_heuristics(self) -> List[object]:
@@ -259,7 +251,6 @@ class JobSpec:
             "max_retries": self.max_retries,
             "sticky_cache": self.sticky_cache,
             "sticky_pool_size": self.sticky_pool_size,
-            "inrun_workers": self.inrun_workers,
         }
         if self.scenarios:
             # Emitted only when present so engine-only specs keep their
@@ -293,7 +284,6 @@ class JobSpec:
             max_retries=int(data.get("max_retries", 0)),
             sticky_cache=bool(data.get("sticky_cache", False)),
             sticky_pool_size=int(data.get("sticky_pool_size", 2)),
-            inrun_workers=int(data.get("inrun_workers", 1)),
             backend=(
                 None if data.get("backend") is None
                 else str(data["backend"])

@@ -83,9 +83,20 @@ class TestRunTrials:
 
 class TestConfigurationEvaluation:
     def test_tables45_protocol(self, hg):
+        from repro.evaluation import configuration_seed
+
         ml = MLPartitioner(tolerance=0.1)
+        seeds = []
+
+        class Counting:
+            """Records the seed of every ``partition`` call."""
+
+            def partition(self, hypergraph, seed=0):
+                seeds.append(seed)
+                return ml.partition(hypergraph, seed=seed)
+
         out = run_configuration_evaluation(
-            lambda: ml,
+            Counting,
             hg,
             "a",
             start_counts=[1, 2],
@@ -96,8 +107,20 @@ class TestConfigurationEvaluation:
         for s in (1, 2):
             assert out[s]["avg_best_cut"] > 0
             assert out[s]["avg_cpu_seconds"] > 0
-        # More starts cost more CPU.
-        assert out[2]["avg_cpu_seconds"] > out[1]["avg_cpu_seconds"]
+        # More starts cost more work: count the partition calls each
+        # configuration makes (its seeds come from its own block).
+        calls = {
+            s: sum(
+                seed in {
+                    configuration_seed(0, s, rep, i)
+                    for rep in range(2) for i in range(s)
+                }
+                for seed in seeds
+            )
+            for s in (1, 2)
+        }
+        assert calls[1] == 2 and calls[2] == 2 * calls[1]
+        assert sum(calls.values()) == len(seeds)
 
     def test_more_starts_do_not_hurt_quality_much(self, hg):
         ml = MLPartitioner(tolerance=0.1)

@@ -200,14 +200,12 @@ class TestScenarioCampaignDeterminism:
         ).records
         assert record_key(batched) == record_key(serial_records)
 
-    def test_sticky_and_inrun_match_serial(self, spec, serial_records,
-                                           tmp_path):
+    def test_sticky_matches_serial(self, spec, serial_records, tmp_path):
         out = orchestrate_campaign(
             spec,
             store_dir=tmp_path,
             workers=2,
             sticky_cache=True,
-            inrun_workers=2,
         ).records
         assert record_key(out) == record_key(serial_records)
 

@@ -12,6 +12,7 @@ from collections import deque
 
 import pytest
 
+from repro.evaluation import CampaignSpec
 from repro.hypergraph.shm import ShmHandle
 from repro.instances import generate_circuit
 from repro.orchestrate import orchestrate_campaign
@@ -29,6 +30,7 @@ from repro.service import (
 )
 from repro.service.server import CampaignService
 from repro.service.spec import make_engine
+from tests.test_orchestrate import DyingPartitioner
 
 pytestmark = pytest.mark.service
 
@@ -312,6 +314,56 @@ class TestFairShareScheduler:
         finally:
             scheduler.stop()
 
+    def test_worker_death_forfeits_only_the_head(self, tmp_path):
+        """A fleet worker that dies mid-trial is replaced under the
+        forfeit rule: its trial is charged one attempt and retried, the
+        rest of its batch reruns unpenalized, and the journal equals a
+        run in which nothing dies.  Priority 3 lets deficit round-robin
+        hand out batches of 3: trials 0-2 to one worker, 3-5 to the
+        other, where trial 3 (seed 3) dies."""
+        hg = generate_circuit(100, seed=7)
+
+        def run(job_id, die_at_seed):
+            heuristic = DyingPartitioner(
+                tmp_path, make_engine("flat-lifo", 0.1), die_at_seed,
+                name="fm",
+            )
+            plan = expand_spec(CampaignSpec(
+                name=job_id, heuristics=[heuristic],
+                instances={"c100": hg}, num_starts=6,
+            ))
+            store = RunStore(tmp_path / job_id)
+            store.initialize({"name": job_id, "total_trials": len(plan)})
+            job = ServiceJob(
+                job_id=job_id,
+                store=store,
+                total=len(plan),
+                payload_blob=build_payload(
+                    {"fm": heuristic},
+                    {"c100": ShmHandle(segment=None, fallback=hg)},
+                ),
+                pending=deque(PendingTrial(p) for p in plan),
+                priority=3,
+                max_retries=1,
+                batch_size=3,
+            )
+            scheduler = FairShareScheduler(workers=2)
+            scheduler.start()
+            try:
+                scheduler.submit(job)
+                assert wait_for(lambda: job.status == JOB_DONE)
+            finally:
+                scheduler.stop()
+            return store.outcomes()
+
+        died = run("died", die_at_seed=3)
+        assert (tmp_path / "died-3").exists()
+        attempts = {o.trial: o.attempts for o in died}
+        assert all(o.ok for o in died)
+        assert attempts[3] == 2
+        assert attempts[4] == attempts[5] == 1
+        assert outcome_key(died) == outcome_key(run("clean", None))
+
     def test_cancel_unknown_job_is_harmless(self, tmp_path):
         scheduler = FairShareScheduler(workers=1)
         scheduler.start()
@@ -391,6 +443,38 @@ class TestServiceRecovery:
                 svc2._records[job_id].directory / "report.txt"
             ).read_text()
             assert again == report  # same journal, same bytes
+        finally:
+            svc2.close()
+
+    def test_recover_job_json_with_removed_inrun_field(self, tmp_path):
+        """A ``job.json`` written while the in-run plane existed carries
+        ``inrun_workers`` in its spec; recovery ignores the field,
+        reruns only the trials missing from the journal, and ends with
+        the standalone records."""
+        spec = tiny_spec("legacy", starts=4)
+        svc = CampaignService(tmp_path / "svc", workers=1,
+                              use_shared_memory=False)
+        job_id = svc.submit(spec)
+        assert svc.wait(job_id, timeout=60) == JOB_DONE
+        directory = svc._records[job_id].directory
+        svc.close()
+        journal = RunStore(directory).journal_path
+        lines = journal.read_text().splitlines(True)
+        journal.write_text("".join(lines[:2]))  # killed midway
+        job_json = directory / "job.json"
+        data = json.loads(job_json.read_text())
+        data["status"] = "active"
+        data["spec"]["inrun_workers"] = 2
+        job_json.write_text(json.dumps(data))
+
+        svc2 = CampaignService(tmp_path / "svc", workers=1,
+                               use_shared_memory=False)
+        try:
+            assert svc2.recover() == [job_id]
+            assert svc2.wait(job_id, timeout=60) == JOB_DONE
+            assert outcome_key(
+                svc2._records[job_id].store.outcomes()
+            ) == standalone_keys(spec, tmp_path)
         finally:
             svc2.close()
 

@@ -90,11 +90,10 @@ class TestRoundTrip:
             shm.unlink_handle(handle)
 
     def test_every_zero_copy_array_rejects_writes(self, hg):
-        """The in-run proposal plane computes clustering proposals on
-        zero-copy views from several worker processes at once; its
-        safety argument is that every attached array is a read-only
-        numpy view, so an accidental in-place write raises instead of
-        corrupting the instance under every other worker."""
+        """Zero-copy views may be mapped by several processes at once;
+        the safety argument is that every attached array is a
+        read-only numpy view, so an accidental in-place write raises
+        instead of corrupting the instance under every other process."""
         import numpy as np
 
         handle = hg.to_shared()

@@ -1,8 +1,8 @@
 """Compiled kernel backends behind the frozen oracles (DESIGN.md §12).
 
-Public surface: the registry.  Kernel modules (:mod:`flatref`,
-:mod:`numba_backend`, :mod:`cnative`) are implementation details
-imported lazily by :func:`repro.backends.registry.get_backend`.
+Public surface: the registry.  The kernel module (:mod:`cnative`) is an
+implementation detail imported lazily by
+:func:`repro.backends.registry.get_backend`.
 """
 
 from repro.backends.registry import (

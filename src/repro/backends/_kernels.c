@@ -4,13 +4,13 @@
  * (-O2 -fPIC -shared, deliberately WITHOUT -ffast-math: every float
  * operation must round exactly like CPython/numpy).
  *
- * Contract: every kernel takes flatref.py's arguments and leaves every
- * output array bit-identical to flatref's, including the Mersenne
- * Twister state and the counters in out[].  The registry self-check
- * (selfcheck.py, run on activation), the cross-backend fuzz suite and
- * the oracle-equivalence suites pin this.  The matching, contraction
- * and bootstrap kernels follow flatref line for line; fm_pass computes
- * the same pass on its own working set (see the FM section):
+ * Contract: every kernel takes the arguments documented on its wrapper
+ * in cnative.py and leaves every output array bit-identical to the
+ * interpreted path it replaces, including the Mersenne Twister state
+ * and the counters in out[].  The registry self-check (selfcheck.py,
+ * run on activation), the cross-backend fuzz suite and the
+ * oracle-equivalence suites pin this.  fm_pass runs the same pass on
+ * its own working set (see the FM section).  Every kernel relies on:
  *   - all index/count/gain arguments are int64_t (cut arithmetic is
  *     exact in the integral regime the FM kernel requires);
  *   - float accumulations run in the same order as the Python kernels;
@@ -80,8 +80,9 @@ mt_random(int64_t *mt, int64_t *mti)
  * the kept prefix, replayed at the end; a pass that errors leaves them
  * untouched.  Vertex ids, pin counts and bucket indices are 32-bit, so
  * fm_pass declines (out[7] = 2) when n, m, the pin count or the span
- * 2*max_abs+1 reaches 2^31, or when an allocation fails.  out[7] = 1 is
- * flatref's gain-window error. */
+ * 2*max_abs+1 reaches 2^31, or when an allocation fails.  out[7] = 1
+ * reports a gain key outside [-max_abs, max_abs], where the interpreted
+ * pass raises. */
 typedef struct {
     int32_t prev;
     int32_t next;
@@ -240,7 +241,7 @@ fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
         if (idx < 0 || idx >= span) {
             /* Vertices are seeded in eligible order and a plain pass
              * draws its coins while inserting, so stopping here
-             * consumes exactly the draws the reference does. */
+             * consumes exactly the draws the interpreted pass does. */
             error = 1;
             goto finish;
         }
@@ -832,10 +833,9 @@ contract(const int64_t *net_ptr, const int64_t *net_pins,
     proj_ptr[kept] = ppos;
 
     /* ----- group identical projected nets -------------------------- */
-    /* FNV-1a folded to 63 bits after every step: the same masked
-     * values the Python/numba reference computes.  (Hash values need
-     * not match other backends — only group membership matters — but
-     * matching keeps the implementations diffable.) */
+    /* FNV-1a folded to 63 bits after every step.  Only group
+     * membership reaches the output, so the hash values themselves are
+     * free. */
     int64_t table_size = 1;
     while (table_size < 2 * (kept + 1))
         table_size *= 2;

@@ -1,5 +1,4 @@
-"""C backend: the :mod:`repro.backends.flatref` kernels in C, loaded
-via ctypes.
+"""C backend: the flat-array kernels in C, loaded via ctypes.
 
 ``_kernels.c`` (shipped next to this module) is compiled once per
 source hash with the system C compiler — ``-O2 -fPIC -shared`` and
@@ -16,19 +15,16 @@ converts that into an unavailable-with-reason record and falls back to
 the interpreted paths, so machines without a C toolchain lose speed,
 never correctness.
 
-Every kernel's outputs are bit-identical to flatref's, as the registry
-self-check, the cross-backend fuzz suite and the oracle-equivalence
-suites pin.  The matching, contraction and bootstrap kernels translate
-flatref line for line.  ``fm_pass`` runs the same pass on a packed
-32-bit working set (one 16-byte record per vertex, a private copy of the
-pin counts; see ``_kernels.c``) and declines — ``out[7] == 2``, caller
-state untouched — when a size or the bucket span reaches 2**31, which
-sends the engine to its interpreted loop.
-
-The exported functions take the flatref signatures exactly (shape
-arguments the C ABI needs are derived from the arrays here), so the
-registry's :class:`~repro.backends.registry.KernelSet` wraps this
-module and :mod:`repro.backends.flatref` interchangeably.
+Every kernel leaves its outputs bit-identical to the interpreted path it
+replaces (``_kernels.c`` states the rules that make it so), as the
+registry self-check, the cross-backend fuzz suite and the
+oracle-equivalence suites pin.  The wrappers below, which the registry's
+:class:`~repro.backends.registry.KernelSet` holds, are where the kernel
+signatures are documented: they mutate caller-provided numpy arrays and
+return ``None``, and they derive the shape arguments the C ABI needs.
+A kernel that draws random numbers takes CPython's Mersenne-Twister
+state as ``mt`` (the 624 words of ``Random.getstate()``) and
+``mti_io[0]`` (the position), and leaves both where CPython would.
 """
 
 from __future__ import annotations
@@ -143,13 +139,36 @@ def _check_state(arrays, size: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# flatref-signature wrappers
+# Kernel wrappers
 # ----------------------------------------------------------------------
 def fm_pass(net_ptr, net_pins, vtx_ptr, vtx_nets, net_w, vwt,
             assign, fixed, pins0, pins1, pw, cut_io,
             lo, hi, slack, initial_legal, initial_distance,
             clip, update_all, tie_bias, order_code, best_choice,
             illegal_code, guard, max_abs, mt, mti_io, move_log, out):
+    """One FM/CLIP pass of ``FMEngine._run_pass`` on flat arrays.
+
+    Reads the CSR, the integer net and vertex weights and ``fixed`` (1 =
+    never moves); leaves ``assign``/``pins0``/``pins1``/``pw`` (part
+    weights) and ``cut_io[0]`` in the post-rollback state (the kept
+    prefix), fills ``move_log[:mcount]`` with the speculative move
+    sequence, and advances the MT state by exactly the draws the
+    interpreted pass consumes (RANDOM insertion order only).  ``lo`` /
+    ``hi`` / ``slack`` are the balance bounds; ``initial_legal`` and
+    ``initial_distance`` describe the entry part weights; ``max_abs``
+    bounds every gain key.
+
+    Codes: ``tie_bias`` 0=away 1=part0 2=toward; ``order_code`` 0=LIFO
+    1=FIFO 2=RANDOM; ``best_choice`` 0=first 1=last 2=balance;
+    ``illegal_code`` 0=skip-bucket 1=skip-partition 2=scan-bucket.
+
+    ``out = [mcount, best_k, ecount, selects, updates, zero_skips,
+    net_skips, error]``.  ``error`` is 1 when a gain key left
+    ``[-max_abs, max_abs]`` (the interpreted pass raises there) and 2
+    when a size or the bucket span ``2*max_abs+1`` reaches 2**31.  Either
+    way the partition arrays are untouched, and the engine restores the
+    MT state and runs the pass interpreted.
+    """
     _check_state((assign, fixed, move_log), vtx_ptr.shape[0] - 1)
     _check_state((pins0, pins1), net_ptr.shape[0] - 1)
     _LIB.fm_pass(
@@ -166,6 +185,8 @@ def fm_pass(net_ptr, net_pins, vtx_ptr, vtx_nets, net_w, vwt,
 
 
 def net_scores(net_ptr, net_w, max_net_size, score):
+    """Per-net connectivity score ``w/(size-1)`` into ``score``; -1.0
+    for nets with fewer than 2 or more than ``max_net_size`` pins."""
     _LIB.net_scores(_p(net_ptr), _p(net_w), int(max_net_size),
                     _p(score), score.shape[0])
 
@@ -173,6 +194,14 @@ def net_scores(net_ptr, net_w, max_net_size, score):
 def hem_match(net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, score, order,
               fixed, use_fixed, use_assignment, assignment,
               max_cluster_weight, cluster, out):
+    """Heavy-edge / restricted matching over the visit ``order``.
+
+    ``score`` comes from :func:`net_scores`; ``fixed[v]`` is the side
+    ``v`` is fixed to, or -1 (read only when ``use_fixed``);
+    ``use_assignment`` selects the V-cycle variant, which merges only
+    vertices on the same side of ``assignment``.  ``cluster`` must be
+    -1-filled.  ``out = [next_id, touched]``.
+    """
     _LIB.hem_match(
         _p(net_ptr), _p(net_pins), _p(vtx_ptr), _p(vtx_nets),
         _p(vwt), _p(score), _p(order), _p(fixed),
@@ -184,6 +213,8 @@ def hem_match(net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, score, order,
 
 def fc_cluster(net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, score, order,
                fixed, use_fixed, max_cluster_weight, cluster, out):
+    """First-choice clustering over the visit ``order``; arguments as
+    :func:`hem_match`.  ``out = [num_clusters, touched]``."""
     _LIB.fc_cluster(
         _p(net_ptr), _p(net_pins), _p(vtx_ptr), _p(vtx_nets),
         _p(vwt), _p(score), _p(order), _p(fixed), int(use_fixed),
@@ -194,6 +225,9 @@ def fc_cluster(net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, score, order,
 
 def hec_contract(net_ptr, net_pins, vwt, order, fixed, use_fixed,
                  max_cluster_weight, max_net_size, cluster, out):
+    """Hyperedge coarsening over a net visit ``order`` the caller sorted
+    heaviest first (it owns the RNG shuffle and the sort).  ``cluster``
+    must be -1-filled.  ``out = [next_id, touched]``."""
     _LIB.hec_contract(
         _p(net_ptr), _p(net_pins), _p(vwt), _p(order), _p(fixed),
         int(use_fixed), float(max_cluster_weight), int(max_net_size),
@@ -203,6 +237,20 @@ def hec_contract(net_ptr, net_pins, vwt, order, fixed, use_fixed,
 
 def contract(net_ptr, net_pins, cluster_of, vwt, net_w, mapped,
              weights, coarse_net_ptr, coarse_pins, coarse_net_w, out):
+    """Contract ``cluster_of`` into the coarse hypergraph's flat CSR,
+    exactly as :func:`repro.multilevel.coarsen.coarsen` does: dense
+    renumbering in first-encounter order, vertex-order weight sums,
+    per-net pin projection with dedup (nets left with fewer than two
+    pins drop), and identical nets merged into the one with the smallest
+    original id, weights summed in ascending original-net order.
+
+    Output buffers: ``mapped`` (n), ``weights`` (<= n),
+    ``coarse_net_ptr`` (m+1), ``coarse_pins`` (<= total pins),
+    ``coarse_net_w`` (<= m).  ``out = [num_coarse, num_coarse_nets,
+    num_coarse_pins, merged, dropped, error]``; ``error`` 1 flags a
+    negative cluster id, and ``out[0]`` is then the first offending
+    vertex.
+    """
     _LIB.contract(
         _p(net_ptr), _p(net_pins), _p(cluster_of), _p(vwt), _p(net_w),
         _p(mapped), _p(weights), _p(coarse_net_ptr), _p(coarse_pins),
@@ -212,12 +260,18 @@ def contract(net_ptr, net_pins, cluster_of, vwt, net_w, mapped,
 
 
 def shuffle_rows(mt, mti_io, order, perm):
+    """Row ``s`` of ``perm`` is ``order`` after the ``s+1``-th in-place
+    ``random.Random.shuffle`` from the given MT state; ``order`` is
+    shuffled in place and the state advanced past every draw."""
     _LIB.shuffle_rows(_p(mt), _p(mti_io), _p(order), _p(perm),
                       perm.shape[0], perm.shape[1])
 
 
 def bootstrap_tables(perm, runtimes, cuts, elapsed, cuts_out,
                      prefix_min):
+    """Per row of ``perm``: the cumulative sum of ``runtimes``, the
+    gathered ``cuts`` and their prefix minimum, accumulated left to
+    right as ``np.cumsum`` / ``np.minimum.accumulate`` do."""
     _LIB.bootstrap_tables(_p(perm), _p(runtimes), _p(cuts),
                           _p(elapsed), _p(cuts_out), _p(prefix_min),
                           perm.shape[0], perm.shape[1])

@@ -5,57 +5,39 @@ the three hottest loops (fused FM pass, matching/contraction, bootstrap
 shuffle/cumsum/prefix-min) as flat-array kernels.  Registered backends:
 
 * ``numpy`` — the always-available default: *no* kernel set; callers run
-  the existing interpreted numpy/Python paths unchanged.
-* ``flatref`` — the pure-Python flat-array reference
-  (:mod:`repro.backends.flatref`).  Semantically it *is* the compiled
-  kernel (the numba backend JITs these exact functions; the cnative
-  backend mirrors them in C), executed by the interpreter.  Slower than
-  ``numpy``'s tuned paths, but always available — the equivalence and
-  fuzz suites sweep it so the compiled semantics stay testable on a
-  numpy-only install.
-* ``numba`` — ``numba.njit`` of the flatref functions.  Unavailable
-  (with a recorded reason) when numba is not installed.
-* ``cnative`` — the C translation (:mod:`repro.backends.cnative`),
-  compiled once per source hash with the system C compiler and loaded
-  via ctypes.  Unavailable when no working compiler is found.
+  the interpreted numpy/Python paths, which are the reference every
+  kernel is held to.
+* ``cnative`` — the C kernels (:mod:`repro.backends.cnative`), compiled
+  once per source hash with the system C compiler and loaded via
+  ctypes.  Unavailable when no working compiler is found.
 
 :func:`backend_status` reports every registered backend's availability
 and, for an unavailable one, the reason.
 
 **Activation contract.**  A backend activates lazily on first request:
-import/compile, then a mandatory self-check
-(:func:`repro.backends.selfcheck.run_selfcheck`) against the flatref
-reference on deterministic micro-instances.  The reference itself is
-pinned to the interpreted numpy engine by the oracle-equivalence suites,
-so the chain ``numpy engine == flatref == compiled backend`` makes a
-compiled kernel selectable only if bit-identical.  Any import, compile
-or self-check failure marks the backend unavailable with the reason
+import/compile, then the mandatory bit-identity self-check against the
+interpreted paths (:mod:`repro.backends.selfcheck`), so a compiled
+kernel is selectable only if bit-identical.  Any import, compile or
+self-check failure marks the backend unavailable with the reason
 recorded in :class:`BackendInfo.reason` — resolution then falls back to
 ``numpy`` rather than raising, so a numpy-only install runs everything.
 
 **Resolution order** (:func:`resolve_backend`): explicit argument >
 process default (:func:`set_default_backend`, which workers re-apply
 from the spawn payload) > ``REPRO_BACKEND`` environment variable >
-``numpy``.  The name ``auto`` picks the best available *compiled*
-backend (``numba`` > ``cnative``), falling back to ``numpy``.
+``numpy``.  The name ``auto`` is an alias for ``cnative``.  Any other
+name resolves to ``numpy`` with an "unknown backend" note.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 #: Registered backend names, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = (
-    "numpy",
-    "flatref",
-    "numba",
-    "cnative",
-)
-
-#: Preference order for ``auto``: compiled backends first.
-_AUTO_ORDER: Tuple[str, ...] = ("numba", "cnative")
+BACKEND_NAMES: Tuple[str, ...] = ("numpy", "cnative")
 
 #: Environment variable consulted by :func:`resolve_backend`.
 ENV_VAR = "REPRO_BACKEND"
@@ -64,9 +46,9 @@ ENV_VAR = "REPRO_BACKEND"
 class KernelSet:
     """The flat-array kernels one backend provides.
 
-    All callables share the flatref signatures (see
-    :mod:`repro.backends.flatref`): they mutate caller-provided numpy
-    arrays and return ``None``.
+    The signatures are documented on the wrappers in
+    :mod:`repro.backends.cnative`: every kernel mutates caller-provided
+    numpy arrays and returns ``None``.
     """
 
     __slots__ = (
@@ -97,7 +79,7 @@ class BackendInfo:
     """Activation state of one registered backend."""
 
     __slots__ = ("name", "available", "reason", "kernels",
-                 "compile_seconds", "compiled")
+                 "compile_seconds")
 
     def __init__(
         self,
@@ -106,27 +88,42 @@ class BackendInfo:
         reason: str = "",
         kernels: Optional[KernelSet] = None,
         compile_seconds: float = 0.0,
-        compiled: bool = False,
     ) -> None:
         self.name = name
         self.available = available
         self.reason = reason
         self.kernels = kernels
         self.compile_seconds = compile_seconds
-        self.compiled = compiled
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
             "available": self.available,
             "reason": self.reason,
-            "compiled": self.compiled,
+            "compiled": self.kernels is not None,
             "compile_seconds": self.compile_seconds,
         }
 
 
 #: Lazily-populated activation cache (name -> BackendInfo).
 _ACTIVATED: Dict[str, BackendInfo] = {}
+
+#: Serializes check-and-activate: the self-check runs the shared
+#: interpreted scratch (``repro.multilevel.matching._WS``), and in the
+#: service process the scheduler and server threads can both be first to
+#: resolve a backend while building a report.
+_LOCK = threading.Lock()
+
+
+def _new_lock() -> None:
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # A worker forked while another thread held the lock would inherit
+    # it held forever; the child starts with a free one instead.
+    os.register_at_fork(after_in_child=_new_lock)
 
 #: Process-wide default backend name (None = env var / numpy).
 _DEFAULT: Optional[str] = None
@@ -148,31 +145,15 @@ def _activate(name: str) -> BackendInfo:
         return BackendInfo("numpy", True, reason="interpreted reference")
     t0 = time.perf_counter()
     try:
-        if name == "flatref":
-            from repro.backends import flatref as mod
+        from repro.backends import cnative
 
-            ks = KernelSet("flatref", mod)
-            # The reference needs no self-check against itself; the
-            # oracle-equivalence suites pin it to the numpy engine.
-            return BackendInfo("flatref", True, kernels=ks,
-                               reason="pure-python reference kernels")
-        if name == "numba":
-            from repro.backends import numba_backend as mod
-
-            ks = KernelSet("numba", mod)
-        elif name == "cnative":
-            from repro.backends import cnative as mod
-
-            ks = KernelSet("cnative", mod)
-        else:
-            return BackendInfo(name, False,
-                               reason=f"unknown backend {name!r}")
+        ks = KernelSet("cnative", cnative)
     except Exception as exc:  # noqa: BLE001 - fallback contract
         return BackendInfo(
             name, False,
             reason=f"activation failed: {type(exc).__name__}: {exc}",
         )
-    # Mandatory bit-identity self-check against the flatref reference.
+    # Mandatory bit-identity self-check against the interpreted paths.
     try:
         from repro.backends.selfcheck import run_selfcheck
 
@@ -184,20 +165,20 @@ def _activate(name: str) -> BackendInfo:
         )
     dt = time.perf_counter() - t0
     return BackendInfo(name, True, kernels=ks, compile_seconds=dt,
-                       compiled=True,
                        reason="activated (self-check passed)")
 
 
 def get_backend(name: str) -> BackendInfo:
     """Activation state of ``name`` (activating it on first request)."""
-    info = _ACTIVATED.get(name)
-    if info is None:
-        if name not in BACKEND_NAMES:
-            info = BackendInfo(name, False,
-                               reason=f"unknown backend {name!r}")
-        else:
-            info = _activate(name)
-        _ACTIVATED[name] = info
+    with _LOCK:
+        info = _ACTIVATED.get(name)
+        if info is None:
+            if name not in BACKEND_NAMES:
+                info = BackendInfo(name, False,
+                                   reason=f"unknown backend {name!r}")
+            else:
+                info = _activate(name)
+            _ACTIVATED[name] = info
     return info
 
 
@@ -250,25 +231,29 @@ def resolve_backend(explicit: Optional[str] = None) -> Tuple[str, str]:
         requested = os.environ.get(ENV_VAR) or None
     if requested is None or requested == "numpy":
         return "numpy", ""
-    if requested == "auto":
-        for name in _AUTO_ORDER:
-            if get_backend(name).available:
-                return name, ""
-        return "numpy", "auto: no compiled backend available"
-    info = get_backend(requested)
+    name = "cnative" if requested == "auto" else requested
+    info = get_backend(name)
     if info.available:
-        return requested, ""
-    return "numpy", f"{requested} unavailable ({info.reason})"
+        return name, ""
+    note = f"{name} unavailable ({info.reason})"
+    if name != requested:
+        note = f"{requested}: {note}"
+    return "numpy", note
 
 
 def active_kernels(
-    explicit: Optional[str] = None,
+    explicit: Union[None, str, KernelSet] = None,
 ) -> Tuple[str, Optional[KernelSet], str]:
     """Resolve and activate: ``(name, kernels_or_None, fallback_note)``.
 
     ``kernels`` is ``None`` exactly when the resolved backend is
-    ``numpy`` — callers then run their interpreted paths unchanged.
+    ``numpy`` — callers then run their interpreted paths unchanged.  A
+    :class:`KernelSet` passed in place of a name is returned as it is:
+    the activation self-check runs a candidate that way through the
+    layers' own entry points before the registry hands it out.
     """
+    if isinstance(explicit, KernelSet):
+        return explicit.name, explicit, ""
     name, note = resolve_backend(explicit)
     if name == "numpy":
         return name, None, note
@@ -276,8 +261,8 @@ def active_kernels(
 
 
 def warmup(explicit: Optional[str] = None) -> Tuple[str, float]:
-    """Force activation (JIT compile + self-check) of the resolved
-    backend; returns ``(name, compile_seconds)``.
+    """Force activation (compile + self-check) of the resolved backend;
+    returns ``(name, compile_seconds)``.
 
     Workers call this once at payload-attach time so compilation is
     charged to ``PerfCounters.compile_seconds`` instead of leaking into

@@ -1,286 +1,226 @@
-"""Activation self-check: pin a candidate backend to the flatref reference.
+"""Activation self-check: hold a candidate backend to the interpreted paths.
 
-:func:`run_selfcheck` executes every kernel of a candidate
-:class:`~repro.backends.registry.KernelSet` side by side with the
-pure-Python reference (:mod:`repro.backends.flatref`) on small
-deterministic instances and requires *bit-identical* outputs — mutated
-arrays, counters, and Mersenne-Twister state included.  The registry
-runs it once at activation; any mismatch raises and the backend is
-recorded unavailable, so a compiled kernel can never be selected unless
-it reproduces the reference exactly.
+:func:`run_selfcheck` runs the layers' own entry points — the FM engine,
+the four clusterings and contraction — on small deterministic instances,
+once with ``backend="numpy"`` and once with a candidate
+:class:`~repro.backends.registry.KernelSet`, and requires bit-identical
+partition state, move logs and pass statistics, cluster maps, coarse
+hypergraphs, ``PerfCounters`` counts and Mersenne-Twister state.  Net
+scores, the shuffle and the bootstrap tables are compared directly with
+``matching._net_scores``, CPython's ``random.shuffle`` and numpy's
+``cumsum`` / indexing / ``minimum.accumulate`` — the numpy branch of
+``repro.evaluation.bsf``, which is not imported because
+``repro.evaluation`` loads ``scipy.stats``.  Checks run in dependency
+order (shuffle and net scores before the clusterings that call them), so
+a mismatch raises :class:`SelfCheckError` naming the kernel at fault.
 
-The check is deliberately kernel-level (flat arrays in, flat arrays
-out): it imports nothing from the engine/multilevel/evaluation layers,
-so activating a backend from inside those layers cannot recurse.  The
-reference itself is pinned to the interpreted engine by the
-oracle-equivalence suites, closing the chain
-``numpy engine == flatref == compiled backend``.
-
-Instances are generated from ``random.Random`` with fixed seeds —
-deterministic across processes and platforms — and sized to compile +
-run in well under a second so activation stays cheap.
+The registry runs the check at every activation and records a failing
+backend unavailable.  The oracle-equivalence suites pin the interpreted
+paths to the seed oracles, closing the chain ``seed oracles == numpy
+paths == compiled backend``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.backends import flatref
+from repro.core.balance import BalanceConstraint
+from repro.core.config import BestChoice, FMConfig, TieBias, UpdatePolicy
+from repro.core.engine import FMEngine, PassStats
+from repro.core.gain_bucket import IllegalHeadPolicy, InsertionOrder
+from repro.core.partition import Partition2
+from repro.core.perf import PerfCounters
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.multilevel import matching
+from repro.multilevel.coarsen import coarsen
 
 
 class SelfCheckError(AssertionError):
-    """A candidate kernel diverged from the flatref reference."""
+    """A candidate kernel diverged from the interpreted paths."""
 
 
-def _require(cond: bool, what: str) -> None:
+def _require(cond: bool, kernel: str, what: str) -> None:
     if not cond:
-        raise SelfCheckError(f"backend self-check mismatch: {what}")
+        raise SelfCheckError(
+            f"backend self-check mismatch: {kernel}: {what}"
+        )
 
 
-# ----------------------------------------------------------------------
-# Deterministic micro-instances
-# ----------------------------------------------------------------------
-def _micro_csr(seed: int, n: int, m: int) -> Tuple[np.ndarray, ...]:
-    """A connected-ish random hypergraph as flat int64/float64 arrays."""
+def _counts(perf: PerfCounters) -> List[int]:
+    return [getattr(perf, name) for name in PerfCounters.COUNT_FIELDS]
+
+
+def _micro(seed: int, n: int, m: int) -> Hypergraph:
+    """A random hypergraph with small integer weights."""
     rng = random.Random(seed)
-    nets: List[List[int]] = []
-    for _ in range(m):
-        size = rng.randrange(2, min(6, n) + 1)
-        pins = rng.sample(range(n), size)
-        nets.append(pins)
-    net_ptr = np.zeros(m + 1, dtype=np.int64)
-    flat: List[int] = []
-    for e, pins in enumerate(nets):
-        flat.extend(pins)
-        net_ptr[e + 1] = len(flat)
-    net_pins = np.array(flat, dtype=np.int64)
-    deg = [0] * n
-    for p in flat:
-        deg[p] += 1
-    vtx_ptr = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        vtx_ptr[v + 1] = vtx_ptr[v] + deg[v]
-    pos = vtx_ptr[:-1].copy()
-    vtx_nets = np.zeros(len(flat), dtype=np.int64)
-    for e in range(m):
-        for i in range(net_ptr[e], net_ptr[e + 1]):
-            v = net_pins[i]
-            vtx_nets[pos[v]] = e
-            pos[v] += 1
-    vwt = np.array([rng.randrange(1, 4) for _ in range(n)],
-                   dtype=np.int64)
-    net_w = np.array([rng.randrange(1, 3) for _ in range(m)],
-                     dtype=np.int64)
-    return net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, net_w
-
-
-def _fm_state(seed, net_ptr, net_pins, vwt, net_w, n, m):
-    """Assignment + consistent pin counts / part weights / cut."""
-    rng = random.Random(seed)
-    assign = np.array([rng.randrange(2) for _ in range(n)],
-                      dtype=np.int64)
-    pins0 = np.zeros(m, dtype=np.int64)
-    pins1 = np.zeros(m, dtype=np.int64)
-    cut = 0
-    for e in range(m):
-        c0 = c1 = 0
-        for i in range(net_ptr[e], net_ptr[e + 1]):
-            if assign[net_pins[i]] == 0:
-                c0 += 1
-            else:
-                c1 += 1
-        pins0[e] = c0
-        pins1[e] = c1
-        if c0 and c1:
-            cut += int(net_w[e])
-    pw = np.array(
-        [int(vwt[assign == 0].sum()), int(vwt[assign == 1].sum())],
-        dtype=np.int64,
-    )
-    fixed = np.zeros(n, dtype=np.int64)
-    fixed[n - 1] = 1  # one pinned vertex exercises the fixed skip
-    return assign, fixed, pins0, pins1, pw, np.array([cut], dtype=np.int64)
-
-
-def _mt_arrays(seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    st = random.Random(seed).getstate()
-    return (np.array(st[1][:-1], dtype=np.int64),
-            np.array([st[1][-1]], dtype=np.int64))
+    nets = [rng.sample(range(n), rng.randrange(2, min(6, n) + 1))
+            for _ in range(m)]
+    vwt = [rng.randrange(1, 4) for _ in range(n)]
+    net_w = [rng.randrange(1, 3) for _ in range(m)]
+    return Hypergraph(nets, n, vertex_weights=vwt, net_weights=net_w)
 
 
 # ----------------------------------------------------------------------
-def _check_fm(ks) -> None:
-    net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, net_w = _micro_csr(11, 14, 16)
-    n, m = 14, 16
-    max_abs = 0
-    for v in range(n):
-        s = int(net_w[vtx_nets[vtx_ptr[v]:vtx_ptr[v + 1]]].sum())
-        max_abs = max(max_abs, s)
-    total = int(vwt.sum())
-    lo, hi = total * 0.35, total * 0.65
-    # (clip, update_all, tie, order, best, illegal, guard)
-    combos = (
-        (0, 0, 0, 0, 2, 0, 1),   # strong defaults: LIFO/away/balance
-        (0, 1, 1, 1, 0, 1, 0),   # ALL updates, FIFO, part0, first
-        (1, 0, 2, 2, 1, 2, 1),   # CLIP, RANDOM order (MT draws), toward
-    )
-    for ci, (clip, upd, tie, order, best, illegal, guard) in enumerate(combos):
-        state = _fm_state(23 + ci, net_ptr, net_pins, vwt, net_w, n, m)
-        results = []
-        for impl in (flatref, ks):
-            assign, fixed, pins0, pins1, pw, cut_io = (a.copy() for a in state)
-            mt, mti_io = _mt_arrays(7)
-            move_log = np.zeros(n, dtype=np.int64)
-            out = np.zeros(8, dtype=np.int64)
-            pwf = (float(pw[0]), float(pw[1]))
-            legal = 1 if lo <= pwf[0] <= hi and lo <= pwf[1] <= hi else 0
-            dist = min(pwf[0] - lo, hi - pwf[0], pwf[1] - lo, hi - pwf[1])
-            impl.fm_pass(
-                net_ptr, net_pins, vtx_ptr, vtx_nets, net_w, vwt,
-                assign, fixed, pins0, pins1, pw, cut_io,
-                lo, hi, hi - lo, legal, dist,
-                clip, upd, tie, order, best, illegal, guard, max_abs,
-                mt, mti_io, move_log, out,
-            )
-            results.append((assign, pins0, pins1, pw, cut_io,
-                            mt, mti_io, move_log, out))
-        for a, b, what in zip(results[0], results[1],
-                              ("assign", "pins0", "pins1", "pw", "cut",
-                               "mt", "mti", "move_log", "out")):
-            _require(np.array_equal(a, b), f"fm_pass[{ci}] {what}")
-
-
-def _check_matching(ks) -> None:
-    net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, net_w = _micro_csr(31, 16, 14)
-    n, m = 16, 14
-    vwt_f = vwt.astype(np.float64)
-    net_wf = net_w.astype(np.float64)
-    score_ref = np.empty(m, dtype=np.float64)
-    flatref.net_scores(net_ptr, net_wf, 5, score_ref)
-    score_can = np.empty(m, dtype=np.float64)
-    ks.net_scores(net_ptr, net_wf, 5, score_can)
-    _require(np.array_equal(score_ref, score_can), "net_scores")
-
-    order = np.arange(n, dtype=np.int64)
-    rng = random.Random(3)
-    order_l = order.tolist()
-    rng.shuffle(order_l)
-    order[:] = order_l
-    fixed = np.full(n, -1, dtype=np.int64)
-    fixed[0] = 0
-    fixed[5] = 1
-    assign = np.array([v % 2 for v in range(n)], dtype=np.int64)
-    cap = float(vwt.sum()) / 4.0
-    empty = np.empty(0, dtype=np.int64)
-
-    for tag, call in (
-        ("hem", lambda impl, cl, out: impl.hem_match(
-            net_ptr, net_pins, vtx_ptr, vtx_nets, vwt_f, score_ref,
-            order, fixed, 1, 0, empty, cap, cl, out)),
-        ("restricted", lambda impl, cl, out: impl.hem_match(
-            net_ptr, net_pins, vtx_ptr, vtx_nets, vwt_f, score_ref,
-            order, empty, 0, 1, assign, cap, cl, out)),
-        ("fc", lambda impl, cl, out: impl.fc_cluster(
-            net_ptr, net_pins, vtx_ptr, vtx_nets, vwt_f, score_ref,
-            order, fixed, 1, cap, cl, out)),
-    ):
-        pair = []
-        for impl in (flatref, ks):
-            cl = np.full(n, -1, dtype=np.int64)
-            out = np.zeros(2, dtype=np.int64)
-            call(impl, cl, out)
-            pair.append((cl, out))
-        _require(np.array_equal(pair[0][0], pair[1][0]), f"{tag} cluster")
-        _require(np.array_equal(pair[0][1], pair[1][1]), f"{tag} out")
-
-    # HEC consumes a caller-built net order (heaviest first, stable).
-    net_order = list(range(m))
-    rng2 = random.Random(9)
-    rng2.shuffle(net_order)
-    net_order.sort(
-        key=lambda e: (-net_wf[e], net_ptr[e + 1] - net_ptr[e])
-    )
-    net_order_np = np.array(net_order, dtype=np.int64)
-    pair = []
-    for impl in (flatref, ks):
-        cl = np.full(n, -1, dtype=np.int64)
-        out = np.zeros(2, dtype=np.int64)
-        impl.hec_contract(net_ptr, net_pins, vwt_f, net_order_np,
-                          fixed, 1, cap, 5, cl, out)
-        pair.append((cl, out))
-    _require(np.array_equal(pair[0][0], pair[1][0]), "hec cluster")
-    _require(np.array_equal(pair[0][1], pair[1][1]), "hec out")
-
-
-def _check_contract(ks) -> None:
-    net_ptr, net_pins, _, _, vwt, net_w = _micro_csr(41, 18, 20)
-    n, m = 18, 20
-    vwt_f = vwt.astype(np.float64)
-    net_wf = net_w.astype(np.float64)
-    rng = random.Random(13)
-    # Coarse map with repeats so nets merge and some collapse below 2
-    # pins (the interesting branches).
-    cluster = np.array([rng.randrange(n // 3) for _ in range(n)],
-                       dtype=np.int64)
-    pair = []
-    for impl in (flatref, ks):
-        mapped = np.zeros(n, dtype=np.int64)
-        weights = np.zeros(n, dtype=np.float64)
-        cptr = np.zeros(m + 1, dtype=np.int64)
-        cpins = np.zeros(net_pins.shape[0], dtype=np.int64)
-        cw = np.zeros(m, dtype=np.float64)
-        out = np.zeros(6, dtype=np.int64)
-        impl.contract(net_ptr, net_pins, cluster, vwt_f, net_wf,
-                      mapped, weights, cptr, cpins, cw, out)
-        pair.append((mapped, weights, cptr, cpins, cw, out))
-    for a, b, what in zip(pair[0], pair[1],
-                          ("mapped", "weights", "net_ptr", "pins",
-                           "net_w", "out")):
-        _require(np.array_equal(a, b), f"contract {what}")
-    # Negative-id error contract: flagged, first offender reported.
-    bad = cluster.copy()
-    bad[7] = -2
-    out = np.zeros(6, dtype=np.int64)
-    ks.contract(net_ptr, net_pins, bad, vwt_f, net_wf,
-                np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.float64),
-                np.zeros(m + 1, dtype=np.int64),
-                np.zeros(net_pins.shape[0], dtype=np.int64),
-                np.zeros(m, dtype=np.float64), out)
-    _require(int(out[5]) == 1 and int(out[0]) == 7, "contract error flag")
-
-
 def _check_bootstrap(ks) -> None:
     rng = random.Random(17)
     for n, rows in ((1, 3), (9, 8)):
-        runtimes = np.array([rng.random() * 2.0 for _ in range(n)],
-                            dtype=np.float64)
-        cuts = np.array([float(rng.randrange(1, 99)) for _ in range(n)],
-                        dtype=np.float64)
-        pair = []
-        for impl in (flatref, ks):
-            mt, mti_io = _mt_arrays(29)
-            order = np.arange(n, dtype=np.int64)
-            perm = np.empty((rows, n), dtype=np.int64)
-            impl.shuffle_rows(mt, mti_io, order, perm)
-            elapsed = np.empty((rows, n), dtype=np.float64)
-            cuts_out = np.empty((rows, n), dtype=np.float64)
-            pmin = np.empty((rows, n), dtype=np.float64)
-            impl.bootstrap_tables(perm, runtimes, cuts,
-                                  elapsed, cuts_out, pmin)
-            pair.append((perm, mt, mti_io, elapsed, cuts_out, pmin))
-        for a, b, what in zip(pair[0], pair[1],
-                              ("perm", "mt", "mti", "elapsed", "cuts",
-                               "prefix_min")):
-            _require(np.array_equal(a, b), f"bootstrap[n={n}] {what}")
+        runtimes = np.array([rng.random() * 2.0 for _ in range(n)])
+        cuts = np.array([float(rng.randrange(1, 99)) for _ in range(n)])
+        ref_rng = random.Random(29)
+        order = list(range(n))
+        ref_perm = np.empty((rows, n), dtype=np.int64)
+        for s in range(rows):
+            ref_rng.shuffle(order)
+            ref_perm[s] = order
+        state = random.Random(29).getstate()[1]
+        mt = np.array(state[:-1], dtype=np.int64)
+        mti_io = np.array(state[-1:], dtype=np.int64)
+        perm = np.empty((rows, n), dtype=np.int64)
+        ks.shuffle_rows(mt, mti_io, np.arange(n, dtype=np.int64), perm)
+        _require(np.array_equal(perm, ref_perm), "shuffle_rows",
+                 f"n={n} permutations")
+        _require(
+            tuple(mt.tolist()) + (int(mti_io[0]),) == ref_rng.getstate()[1],
+            "shuffle_rows", f"n={n} MT state",
+        )
+        tables = [np.empty((rows, n)) for _ in range(3)]
+        ks.bootstrap_tables(perm, runtimes, cuts, *tables)
+        ref_cuts = cuts[perm]
+        refs = (np.cumsum(runtimes[perm], axis=1), ref_cuts,
+                np.minimum.accumulate(ref_cuts, axis=1))
+        for got, ref, what in zip(tables, refs,
+                                  ("elapsed", "cuts", "prefix minima")):
+            _require(np.array_equal(got, ref), "bootstrap_tables",
+                     f"n={n} {what}")
+
+
+def _check_matching(ks) -> None:
+    hg = _micro(31, 16, 14)
+    n = hg.num_vertices
+    ws = matching._WS
+    ws.ensure(n, hg.num_nets)
+    ref_scores = matching._net_scores(hg, 5, ws)[: hg.num_nets]
+    scores = np.empty(hg.num_nets)
+    ks.net_scores(hg.csr[0], hg.net_weight_array, 5, scores)
+    _require(scores.tolist() == ref_scores, "net_scores", "scores")
+
+    fixed_parts = [None] * n
+    fixed_parts[0] = 0
+    fixed_parts[5] = 1
+    fixed = {"fixed_parts": fixed_parts}
+    assignment = [v % 2 for v in range(n)]
+    cap = hg.total_vertex_weight / 4.0
+    for kernel, clustering, lead, extra in (
+        ("hem_match", matching.heavy_edge_matching, (), fixed),
+        ("hem_match", matching.restricted_matching, (assignment,), {}),
+        ("fc_cluster", matching.first_choice_clustering, (), fixed),
+        ("hec_contract", matching.hyperedge_coarsening, (), fixed),
+    ):
+        runs = []
+        for backend in ("numpy", ks):
+            rng = random.Random(3)
+            perf = PerfCounters()
+            cluster = clustering(
+                hg, *lead, rng, max_cluster_weight=cap, max_net_size=5,
+                perf=perf, backend=backend, **extra,
+            )
+            runs.append((cluster.tolist(), rng.getstate(), _counts(perf)))
+        for ref, got, what in zip(runs[0], runs[1],
+                                  ("cluster map", "RNG state", "counters")):
+            _require(got == ref, kernel, f"{clustering.__name__} {what}")
+
+
+def _check_contract(ks) -> None:
+    hg = _micro(41, 18, 20)
+    n = hg.num_vertices
+    rng = random.Random(13)
+    # Repeated ids, so nets merge and some collapse below two pins.
+    cluster = np.array([rng.randrange(n // 3) for _ in range(n)],
+                       dtype=np.int64)
+    runs = []
+    for backend in ("numpy", ks):
+        perf = PerfCounters()
+        level = coarsen(hg, cluster, perf=perf, backend=backend)
+        c = level.coarse
+        runs.append((level.cluster_of, *c.csr, c.vertex_weight_array,
+                     c.net_weight_array, _counts(perf)))
+    for ref, got, what in zip(runs[0], runs[1],
+                              ("cluster map", "net_ptr", "net pins",
+                               "vtx_ptr", "vtx nets", "vertex weights",
+                               "net weights", "counters")):
+        _require(np.array_equal(got, ref), "contract", what)
+    bad = cluster.copy()
+    bad[7] = -2
+    errors = []
+    for backend in ("numpy", ks):
+        try:
+            coarsen(hg, bad, backend=backend)
+            errors.append(None)
+        except ValueError as exc:
+            errors.append(str(exc))
+    _require(errors[0] is not None and errors[1] == errors[0], "contract",
+             "negative cluster id error")
+
+
+#: One flat FM configuration per value of every implicit decision.
+_FM_CONFIGS = (
+    FMConfig(),
+    FMConfig(update_policy=UpdatePolicy.ALL, tie_bias=TieBias.PART0,
+             insertion_order=InsertionOrder.FIFO,
+             best_choice=BestChoice.FIRST,
+             illegal_head=IllegalHeadPolicy.SKIP_PARTITION,
+             guard_oversized=False),
+    FMConfig(clip=True, tie_bias=TieBias.TOWARD,
+             insertion_order=InsertionOrder.RANDOM,
+             best_choice=BestChoice.LAST,
+             illegal_head=IllegalHeadPolicy.SCAN_BUCKET),
+)
+
+#: Every deterministic ``PassStats`` field (all but the wall clock).
+_PASS_FIELDS = [f.name for f in dataclasses.fields(PassStats)
+                if f.name != "seconds"]
+
+
+def _check_fm(ks) -> None:
+    hg = _micro(11, 14, 16)
+    n = hg.num_vertices
+    bal = BalanceConstraint(hg.total_vertex_weight, 0.3)
+    fixed = [v == n - 1 for v in range(n)]
+    for ci, cfg in enumerate(_FM_CONFIGS):
+        rng = random.Random(23 + ci)
+        assignment = [rng.randrange(2) for _ in range(n)]
+        runs: List[Dict[str, object]] = []
+        for backend in ("numpy", ks):
+            part = Partition2(hg, assignment, fixed)
+            engine_rng = random.Random(7)
+            result = FMEngine(bal, cfg, engine_rng, record_moves=True,
+                              backend=backend).refine(part)
+            _require(backend is not ks or result.perf.backend == ks.name,
+                     "fm_pass", f"config {ci}: the kernel declined a pass")
+            runs.append({
+                "assignment": part.assignment.tolist(),
+                "pin counts": [c.tolist() for c in part.pins_in_part],
+                "part weights": list(part.part_weights),
+                "cut": part.cut,
+                "RNG state": engine_rng.getstate(),
+                "pass stats": [[getattr(s, f) for f in _PASS_FIELDS]
+                               for s in result.pass_stats],
+                "counters": _counts(result.perf),
+            })
+        ref, got = runs
+        for what in ref:
+            _require(got[what] == ref[what], "fm_pass",
+                     f"config {ci} {what}")
 
 
 def run_selfcheck(ks) -> None:
-    """Raise :class:`SelfCheckError` unless ``ks`` matches flatref bit
-    for bit on every kernel."""
-    _check_fm(ks)
+    """Raise :class:`SelfCheckError` unless every kernel of ``ks``
+    reproduces the interpreted paths bit for bit."""
+    _check_bootstrap(ks)
     _check_matching(ks)
     _check_contract(ks)
-    _check_bootstrap(ks)
+    _check_fm(ks)

@@ -652,11 +652,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         c.add_argument(
             "--backend", default=None,
-            help="kernel backend for every trial (numpy, flatref, "
-            "numba, cnative, or auto = best available "
-            "compiled); backends are selectable only when "
-            "bit-identical, so records never change — unavailable "
-            "backends fall back to numpy with the reason recorded",
+            help="kernel backend for every trial (numpy, cnative, "
+            "or auto = cnative); backends are selectable only when "
+            "bit-identical, so records never change — an unavailable "
+            "or unknown backend falls back to numpy with the reason "
+            "recorded",
         )
 
     c = csub.add_parser("run", help="run a campaign through the orchestrator")
@@ -794,8 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--retries", type=int, default=0)
     j.add_argument("--backend", default=None,
                    help="kernel backend for this job's trials (numpy, "
-                   "flatref, numba, cnative, auto); selectable "
-                   "only when bit-identical, so records never change")
+                   "cnative, auto = cnative); selectable only when "
+                   "bit-identical, so records never change")
     j.add_argument("--wait", action="store_true",
                    help="follow the job and exit when it finishes")
 

@@ -131,7 +131,7 @@ class PerfCounters:
     #: after merging runs from different backends).  A string, so it is
     #: handled specially everywhere COUNT/TIMING fields are iterated.
     backend: str = ""
-    #: One-time backend warm-up (JIT compile + self-check) charged at
+    #: One-time backend warm-up (compile + self-check) charged at
     #: worker payload-attach time — deliberately *outside* every trial
     #: runtime so BSF/ranking curves see steady-state speed (the
     #: first-trial timing-skew fix).

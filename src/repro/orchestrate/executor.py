@@ -166,7 +166,7 @@ def _merge_perf(
 def _requested_backends(heuristics, backend: Optional[str]) -> List[str]:
     """Every distinct backend this execution context can reach: the
     executor-level request plus any carried by heuristic configs.  All
-    of them are warmed at payload-attach so JIT compilation never leaks
+    of them are warmed at payload-attach so compilation never leaks
     into a trial runtime (the first-trial timing-skew fix)."""
     names: List[str] = []
 
@@ -220,7 +220,7 @@ class _TrialExecutor:
         self.backend = backend
         if backend is not None:
             set_default_backend(backend)
-        # Warm every reachable backend now, at payload-attach: JIT
+        # Warm every reachable backend now, at payload-attach:
         # compilation and the activation self-check are charged to
         # ``compile_seconds`` (folded into the first collected trial's
         # counters below), never to a trial's runtime.
@@ -368,7 +368,7 @@ def build_payload(
     :func:`executor_from_payload`.  Shared by the campaign pool and the
     multi-tenant service fleet, so both hand workers identical contexts.
     ``backend`` rides the payload so every worker re-applies the
-    kernel-backend default and pays JIT warm-up at attach time, not
+    kernel-backend default and pays backend warm-up at attach time, not
     inside its first trial."""
     return pickle.dumps(
         (

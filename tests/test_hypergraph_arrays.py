@@ -154,7 +154,7 @@ class TestReader:
                 read_hgr(io.StringIO(text))
 
 
-@pytest.mark.parametrize("backend", ["flatref", "cnative"])
+@pytest.mark.parametrize("backend", ["cnative"])
 def test_kernel_shuffle_replays_random_shuffle(backend):
     from repro.multilevel.matching import _kernels, _shuffled_order
 

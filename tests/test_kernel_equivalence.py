@@ -513,9 +513,8 @@ def assert_backend_equivalent(bal, cfg, base, backend, engine_seed=42):
 class TestBackendSmoke:
     """Tier-1 backend smoke: flat + CLIP on every available backend.
 
-    Cheap (two short refinements per backend) so a numpy-only install
-    still exercises flatref, and a compiler-equipped one exercises the
-    compiled path on every tier-1 run.
+    Cheap (two short refinements per backend), so a compiler-equipped
+    install exercises the compiled path on every tier-1 run.
     """
 
     @pytest.mark.parametrize("backend", _available_backends() or ["numpy"])

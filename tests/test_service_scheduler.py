@@ -7,6 +7,7 @@ is killed and restarted, the records equal a standalone run's.
 """
 
 import json
+import os
 import time
 from collections import deque
 
@@ -15,6 +16,7 @@ import pytest
 from repro.evaluation import CampaignSpec
 from repro.hypergraph.shm import ShmHandle
 from repro.instances import generate_circuit
+from repro.orchestrate import executor as executor_mod
 from repro.orchestrate import orchestrate_campaign
 from repro.orchestrate.executor import PendingTrial, build_payload
 from repro.orchestrate.plan import expand_spec
@@ -28,6 +30,7 @@ from repro.service import (
     JobSpec,
     ServiceJob,
 )
+from repro.service import spec as spec_mod
 from repro.service.server import CampaignService
 from repro.service.spec import make_engine
 from tests.test_orchestrate import DyingPartitioner
@@ -51,6 +54,26 @@ def tiny_spec(name, cells=40, gen_seed=3, base_seed=0, starts=3,
         num_shuffles=10,
         **kwargs,
     )
+
+
+class GatedPartitioner:
+    """Runs ``inner``, but holds every seed from ``open_seeds`` on until
+    the ``gate`` file exists: the trials a test needs still unfinished
+    when it stops the service.  Defined at module level so fleet workers
+    unpickle it by reference."""
+
+    def __init__(self, inner, gate, open_seeds):
+        self.inner = inner
+        self.gate = str(gate)
+        self.open_seeds = open_seeds
+        self.name = inner.name
+
+    def partition(self, hypergraph, seed=0, fixed_parts=None):
+        while seed >= self.open_seeds and not os.path.exists(self.gate):
+            time.sleep(0.01)
+        return self.inner.partition(
+            hypergraph, seed=seed, fixed_parts=fixed_parts
+        )
 
 
 def outcome_key(outcomes):
@@ -378,20 +401,34 @@ class TestFairShareScheduler:
 
 # ----------------------------------------------------------------------
 class TestServiceRecovery:
-    def test_kill_restart_reruns_no_journaled_trial(self, tmp_path):
+    def test_kill_restart_reruns_no_journaled_trial(self, tmp_path,
+                                                   monkeypatch):
         """Stop the service mid-campaign, restart, recover: the journal
         ends with every planned trial exactly once, and the records
-        equal a standalone run's."""
+        equal a standalone run's.  Seeds 3 and up wait for a gate file
+        that opens only after the first service is stopped, so exactly
+        trials 0-2 are journaled when it stops."""
+        gate = tmp_path / "gate"
+        monkeypatch.setattr(
+            spec_mod, "make_engine",
+            lambda engine, tolerance: GatedPartitioner(
+                make_engine(engine, tolerance), gate, open_seeds=3
+            ),
+        )
+        # Gated workers never read the stop sentinel: terminate them
+        # without waiting out the shutdown grace period.
+        monkeypatch.setattr(executor_mod, "_JOIN_SECONDS", 0.1)
         spec = tiny_spec("phoenix", cells=150, starts=20)
         svc = CampaignService(tmp_path / "svc", workers=2,
                               use_shared_memory=False)
         job_id = svc.submit(spec)
         record = svc._records[job_id]
         assert wait_for(lambda: record.job.done >= 3, timeout=60)
-        svc.close()  # kill: in-flight trials die un-journaled
+        svc.close()  # kill: the gated trials die un-journaled
 
         journaled = record.store.completed_trials()
-        assert 0 < len(journaled) < record.job.total
+        assert journaled == {0, 1, 2}
+        gate.touch()
 
         svc2 = CampaignService(tmp_path / "svc", workers=2,
                                use_shared_memory=False)

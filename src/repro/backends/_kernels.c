@@ -747,6 +747,14 @@ hec_contract(const int64_t *net_ptr, const int64_t *net_pins,
 /* ------------------------------------------------------------------ */
 /* Contraction (coarsen) kernel                                        */
 /* ------------------------------------------------------------------ */
+static int
+cmp_int64(const void *pa, const void *pb)
+{
+    int64_t x = *(const int64_t *)pa;
+    int64_t y = *(const int64_t *)pb;
+    return (x > y) - (x < y);
+}
+
 void
 contract(const int64_t *net_ptr, const int64_t *net_pins,
          const int64_t *cluster_of, const double *vwt,
@@ -812,16 +820,9 @@ contract(const int64_t *net_ptr, const int64_t *net_pins,
             dropped += 1;
             continue;
         }
-        /* Insertion sort of the (typically short) deduped pin run. */
-        for (int64_t a = 1; a < cnt; a++) {
-            int64_t x = buf[a];
-            int64_t b = a - 1;
-            while (b >= 0 && buf[b] > x) {
-                buf[b + 1] = buf[b];
-                b -= 1;
-            }
-            buf[b + 1] = x;
-        }
+        /* Sort the deduped pin run (its pins are distinct, so any
+         * sort gives the same order). */
+        qsort(buf, (size_t)cnt, sizeof(int64_t), cmp_int64);
         proj_ptr[kept] = ppos;
         for (int64_t a = 0; a < cnt; a++) {
             proj_pins[ppos] = buf[a];

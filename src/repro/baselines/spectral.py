@@ -14,8 +14,6 @@ import time
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.core.balance import BalanceConstraint
 from repro.core.partitioner import PartitionResult
@@ -96,6 +94,10 @@ class SpectralPartitioner:
     @staticmethod
     def _fiedler_order(hypergraph: Hypergraph, seed: int) -> List[int]:
         """Vertex ordering by the Fiedler vector of the clique expansion."""
+        # Imported here so that ``import repro.baselines`` loads no scipy.
+        import scipy.sparse
+        import scipy.sparse.linalg
+
         n = hypergraph.num_vertices
         edges = clique_expansion(hypergraph)
         if not edges:

@@ -32,11 +32,6 @@ from typing import List, Optional
 from repro.baselines import WeakFM
 from repro.core import FMConfig, FMPartitioner, run_multistart
 from repro.core.kway import RecursiveBisection
-from repro.evaluation import (
-    frontier_from_records,
-    run_trials,
-    summary_by_heuristic,
-)
 from repro.hypergraph import (
     Hypergraph,
     hypergraph_stats,
@@ -133,6 +128,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.evaluation import (
+        frontier_from_records,
+        run_trials,
+        summary_by_heuristic,
+    )
+
     hg = _load(args.input, args.are)
     engines = [
         _make_engine(name, args.tolerance)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.hypergraph import Hypergraph, checked_weight
 
 
 class HypergraphBuilder:
@@ -49,18 +49,18 @@ class HypergraphBuilder:
     def add_vertex(self, name: Optional[str] = None, weight: float = 1.0) -> int:
         """Add one vertex and return its id.
 
-        Raises ``ValueError`` on duplicate names or negative weights.
+        Raises ``ValueError`` on duplicate names or on negative or
+        non-finite weights.
         """
-        if weight < 0:
-            raise ValueError(f"negative vertex weight {weight}")
         vid = len(self._vertex_names)
+        weight = checked_weight("vertex", vid, weight)
         if name is None:
             name = f"v{vid}"
         if name in self._vertex_ids:
             raise ValueError(f"duplicate vertex name {name!r}")
         self._vertex_ids[name] = vid
         self._vertex_names.append(name)
-        self._vertex_weights.append(float(weight))
+        self._vertex_weights.append(weight)
         return vid
 
     def vertex_id(self, name: str) -> int:
@@ -72,9 +72,7 @@ class HypergraphBuilder:
 
     def set_vertex_weight(self, v: int, weight: float) -> None:
         """Override the weight of vertex ``v`` (e.g. from an ``.are`` file)."""
-        if weight < 0:
-            raise ValueError(f"negative vertex weight {weight}")
-        self._vertex_weights[v] = float(weight)
+        self._vertex_weights[v] = checked_weight("vertex", v, weight)
 
     def add_net(
         self,
@@ -86,8 +84,8 @@ class HypergraphBuilder:
 
         Duplicate pins are merged.  Pins must already exist.
         """
-        if weight < 0:
-            raise ValueError(f"negative net weight {weight}")
+        eid = len(self._nets)
+        weight = checked_weight("net", eid, weight)
         unique: List[int] = []
         seen = set()
         for v in pins:
@@ -96,9 +94,8 @@ class HypergraphBuilder:
             if v not in seen:
                 seen.add(v)
                 unique.append(v)
-        eid = len(self._nets)
         self._nets.append(unique)
-        self._net_weights.append(float(weight))
+        self._net_weights.append(weight)
         self._net_names.append(name if name is not None else f"n{eid}")
         return eid
 

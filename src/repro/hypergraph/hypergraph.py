@@ -30,6 +30,7 @@ the compiled path never pays for them.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -173,8 +174,8 @@ class Hypergraph:
         as lists also become the interpreted loops' list views.  Unless
         ``validate`` is set nothing is
         re-checked, on the contract that pins are in range and
-        duplicate-free within each net, weights are non-negative and of
-        the right length, and ``net_ptr`` is a proper monotone prefix
+        duplicate-free within each net, weights are finite, non-negative
+        and of the right length, and ``net_ptr`` is a proper monotone prefix
         array.
 
         ``validate=True`` applies the same checks as the list-of-lists
@@ -594,11 +595,23 @@ def checked_weights(values, count: int, kind: str) -> np.ndarray:
     if len(values) != count:
         raise ValueError(f"{kind}_weights length mismatch")
     arr = np.array(values, dtype=np.float64)
-    negative = np.flatnonzero(arr < 0)
-    if negative.size:
-        i = int(negative[0])
-        raise ValueError(f"{kind} {i} has negative weight {float(arr[i])}")
+    bad = np.flatnonzero((arr < 0) | ~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        checked_weight(kind, i, float(arr[i]))  # raises with the message
     return arr
+
+
+def checked_weight(kind: str, index: int, weight: float) -> float:
+    """``weight`` as a float; raises ``ValueError`` naming ``kind`` and
+    ``index`` when it is negative or not finite (a NaN area fails every
+    balance check, an infinite one passes every one)."""
+    w = float(weight)
+    if w < 0:
+        raise ValueError(f"{kind} {index} has negative weight {w}")
+    if not math.isfinite(w):
+        raise ValueError(f"{kind} {index} has non-finite weight {w}")
+    return w
 
 
 def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:

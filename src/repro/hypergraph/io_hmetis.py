@@ -2,8 +2,10 @@
 
 Format (hMetis 1.5 user manual):
 
-* First line: ``<#nets> <#vertices> [fmt]`` where ``fmt`` is ``1`` for
-  net weights, ``10`` for vertex weights, ``11`` for both.
+* First line: ``<#nets> <#vertices> [fmt]`` where ``fmt`` is ``0`` (or
+  absent) for no weights, ``1`` for net weights, ``10`` for vertex
+  weights, ``11`` for both.  Any other code, and a count that is not a
+  non-negative integer, is a bad header.
 * One line per net: ``[weight] pin pin ...`` with 1-based vertex ids.
 * If vertex weights are present, one weight per line follows the nets.
 * Lines starting with ``%`` are comments.
@@ -33,8 +35,9 @@ def read_hgr(source: Union[PathLike, TextIO]) -> Hypergraph:
     """Read a hypergraph in hMetis ``.hgr`` format.
 
     ``source`` may be a path or an open text stream.  Raises
-    ``ValueError`` on malformed input.  Duplicate pins within a net are
-    merged (first occurrence kept).
+    ``ValueError`` on malformed input, including a negative or
+    non-finite weight.  Duplicate pins within a net are merged (first
+    occurrence kept).
     """
     stream = _open_text(source, "r")
     close = isinstance(source, (str, Path))
@@ -50,10 +53,11 @@ def read_hgr(source: Union[PathLike, TextIO]) -> Hypergraph:
         raise ValueError("empty .hgr file")
 
     header = lines[0].split()
-    if len(header) not in (2, 3):
+    fmt = header[2] if len(header) == 3 else "0"
+    if (len(header) not in (2, 3) or fmt not in ("0", "1", "10", "11")
+            or not all(f.isdecimal() for f in header[:2])):
         raise ValueError(f"bad .hgr header: {lines[0]!r}")
     num_nets, num_vertices = int(header[0]), int(header[1])
-    fmt = header[2] if len(header) == 3 else "0"
     has_net_weights = fmt in ("1", "11")
     has_vertex_weights = fmt in ("10", "11")
 

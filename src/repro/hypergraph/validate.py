@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.hypergraph import Hypergraph, checked_weights
 
 
 class HypergraphValidationError(ValueError):
@@ -22,10 +22,10 @@ def validate_hypergraph(
 ) -> List[str]:
     """Check internal consistency; return a list of warnings.
 
-    Hard inconsistencies (CSR corruption, dangling pins, negative
-    weights) raise :class:`HypergraphValidationError`.  Soft issues —
-    isolated vertices or sub-2-pin nets when the respective ``allow_*``
-    flag is True — are returned as human-readable warnings.
+    Hard inconsistencies (CSR corruption, dangling pins, negative or
+    non-finite weights) raise :class:`HypergraphValidationError`.  Soft
+    issues — isolated vertices or sub-2-pin nets when the respective
+    ``allow_*`` flag is True — are returned as human-readable warnings.
     """
     warnings: List[str] = []
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
@@ -67,11 +67,12 @@ def validate_hypergraph(
                 raise HypergraphValidationError(f"vertex {v} is isolated")
             warnings.append(f"vertex {v} is isolated")
 
-    for v in range(hypergraph.num_vertices):
-        if hypergraph.vertex_weight(v) < 0:
-            raise HypergraphValidationError(f"vertex {v} negative weight")
-    for e in range(hypergraph.num_nets):
-        if hypergraph.net_weight(e) < 0:
-            raise HypergraphValidationError(f"net {e} negative weight")
+    try:
+        checked_weights(hypergraph.vertex_weight_array,
+                        hypergraph.num_vertices, "vertex")
+        checked_weights(hypergraph.net_weight_array,
+                        hypergraph.num_nets, "net")
+    except ValueError as exc:
+        raise HypergraphValidationError(str(exc)) from exc
 
     return warnings

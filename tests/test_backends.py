@@ -223,6 +223,10 @@ def _bump(array, index, delta=1):
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+#: Third-party stacks that only the functions using them import: no
+#: partitioning entry point may load a module whose name starts so.
+HEAVY = ("networkx", "scipy")
+
 #: Activates cnative in a fresh interpreter and lists the heavy modules
 #: that got imported.
 ACTIVATE = """
@@ -231,9 +235,22 @@ sys.path.insert(0, {src!r})
 import repro
 from repro.backends import get_backend
 get_backend("cnative")
-print(sorted(m for m in ("repro.evaluation", "scipy.stats")
-             if m in sys.modules))
+print(sorted(m for m in sys.modules
+             if m == "repro.evaluation" or m.startswith({heavy!r})))
 """
+
+#: Interpreter arguments of the other entry points that must stay clear
+#: of ``HEAVY``: the e2e set-up imports of ``ml_paper_scale`` and
+#: ``flat_multistart``, the baselines, and the CLI.
+ENTRY_POINTS = {
+    "ml_setup": ["-c", "import repro.multilevel.mlpart, "
+                       "repro.hypergraph.io_hmetis"],
+    "flat_setup": ["-c", "import repro.core.config, repro.core.multistart, "
+                         "repro.core.partitioner"],
+    "baselines": ["-c", "import repro.baselines"],
+    "cli": ["-c", "import repro.cli"],
+    "cli_help": ["-m", "repro", "--help"],
+}
 
 #: One perturbed output per kernel other than ``fm_pass``, addressed by
 #: its position in the kernel's arguments (see ``repro.backends.cnative``).
@@ -290,13 +307,33 @@ class TestSelfCheck:
     def test_activation_imports_no_evaluation_layer(self):
         """Activation is paid in every campaign worker's attach and in
         the e2e ``setup_s``; ``repro.evaluation`` loads ``scipy.stats``,
-        about a second of imports, so the self-check must reach
-        neither."""
+        about a second of imports, and networkx costs another 0.1 s, so
+        neither ``import repro`` nor the self-check may reach them."""
         proc = subprocess.run(
-            [sys.executable, "-c", ACTIVATE.format(src=SRC)],
+            [sys.executable, "-c", ACTIVATE.format(src=SRC, heavy=HEAVY)],
             capture_output=True, text=True, check=True, timeout=300,
         )
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", ENTRY_POINTS.values(),
+                             ids=ENTRY_POINTS.keys())
+    def test_entry_point_imports_no_heavy_stack(self, argv):
+        """``-X importtime`` lists every module the process imports, so
+        the CLI is checked as users run it."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "repro" in imported
+        assert [m for m in imported if m.startswith(HEAVY)] == []
+        if argv[0] == "-m":
+            assert proc.stdout.startswith("usage:")
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,21 @@ def test_negative_weights_rejected():
         b.add_net([v], weight=-1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weights_rejected(bad):
+    b = HypergraphBuilder()
+    with pytest.raises(ValueError, match="vertex 0 has non-finite weight"):
+        b.add_vertex("a", weight=bad)
+    v = b.add_vertex("b")
+    b.add_vertex("c")
+    with pytest.raises(ValueError, match="vertex 0 has non-finite weight"):
+        b.set_vertex_weight(v, bad)
+    b.add_net([0, 1])
+    with pytest.raises(ValueError, match="net 1 has non-finite weight"):
+        b.add_net([0, 1], weight=bad)
+    assert b.num_vertices == 2 and b.num_nets == 1
+
+
 def test_vertex_id_creates_on_demand():
     b = HypergraphBuilder()
     v1 = b.vertex_id("x")

@@ -17,6 +17,7 @@ plain constructor.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -416,6 +417,35 @@ class TestBackendCoarsenSmoke:
         c_b = restricted_matching(hg, assignment, rng_b, backend=backend)
         assert np.array_equal(c_b, c_ref)
         assert rng_b.random() == rng_ref.random()
+
+
+class TestLongNetContraction:
+    def test_cnative_matches_and_keeps_pace(self):
+        """A net of 160,000 shuffled pins contracted pairwise.  The
+        cnative kernel sorts the 80,000 coarse pins in O(k log k), so it
+        gives the interpreted result in no more time than the
+        interpreted path takes; a quadratic sort takes several times
+        longer."""
+        info = get_backend("cnative")
+        if not info.available:
+            pytest.skip(f"cnative: {info.reason}")
+        n = 160_000
+        pins = list(range(n))
+        random.Random(0).shuffle(pins)
+        hg = Hypergraph([pins], n)
+        cluster = np.arange(n, dtype=np.int64) // 2
+        levels, best = {}, {}
+        for backend in ("numpy", "cnative"):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                levels[backend] = coarsen(hg, cluster, backend=backend)
+                times.append(time.perf_counter() - t0)
+            best[backend] = min(times)
+        ref, got = levels["numpy"], levels["cnative"]
+        assert np.array_equal(got.cluster_of, ref.cluster_of)
+        assert_same_hypergraph(got.coarse, ref.coarse)
+        assert best["cnative"] <= best["numpy"], best
 
 
 @pytest.mark.backend

@@ -66,6 +66,22 @@ class TestHgr:
         with pytest.raises(ValueError, match="header"):
             read_hgr(io.StringIO("1\n1 2\n"))
 
+    @pytest.mark.parametrize("header", ["-1 2", "1 -2", "x 2", "1 2 2",
+                                        "1 2 011"])
+    def test_bad_count_or_format_rejected(self, header):
+        with pytest.raises(ValueError, match="bad .hgr header"):
+            read_hgr(io.StringIO(f"{header}\n1 2\n1\n1\n"))
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 2 1\nnan 1 2\n", "net 0 has non-finite weight nan"),
+        ("2 2 1\n1 1 2\ninf 1 2\n", "net 1 has non-finite weight inf"),
+        ("1 2 10\n1 2\n1\ninf\n", "vertex 1 has non-finite weight inf"),
+        ("1 2 11\n1 1 2\nnan\n1\n", "vertex 0 has non-finite weight nan"),
+    ], ids=["net-nan", "net-inf", "vertex-inf", "vertex-nan"])
+    def test_non_finite_weight_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_hgr(io.StringIO(text))
+
     def test_pin_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             read_hgr(io.StringIO("1 2\n1 5\n"))
@@ -117,6 +133,16 @@ class TestNetD:
         bad.write_text("0\n2\n1\n2\n0\na0 l I\na1 l I\n")
         with pytest.raises(ValueError, match="continuation"):
             read_netd(bad)
+
+    @pytest.mark.parametrize("area", ["nan", "inf"])
+    def test_non_finite_area_rejected(self, tmp_path, area):
+        netd = tmp_path / "a.netD"
+        netd.write_text("0\n2\n1\n2\n0\na0 s I\na1 l I\n")
+        are = tmp_path / "a.are"
+        are.write_text(f"a0 1\na1 {area}\n")
+        with pytest.raises(ValueError,
+                           match=f"vertex 1 has non-finite weight {area}"):
+            read_netd(netd, are)
 
     def test_net_count_validation(self, tmp_path):
         bad = tmp_path / "bad.netD"

@@ -37,6 +37,20 @@ class TestValidate:
         hg = generate_circuit(200, seed=3)
         assert validate_hypergraph(hg) == []
 
+    @pytest.mark.parametrize("kind,weight,message", [
+        ("vertex", float("nan"), "vertex 1 has non-finite weight nan"),
+        ("net", float("nan"), "net 1 has non-finite weight nan"),
+        ("net", -2.0, "net 1 has negative weight -2.0"),
+    ])
+    def test_bad_weight_from_trusted_csr_rejected(self, kind, weight,
+                                                  message):
+        # from_csr without validate adopts the weights unchecked.
+        vwt, nwt = [1.0, 1.0, 1.0], [1.0, 1.0]
+        (vwt if kind == "vertex" else nwt)[1] = weight
+        hg = Hypergraph.from_csr([0, 2, 4], [0, 1, 1, 2], 3, vwt, nwt)
+        with pytest.raises(HypergraphValidationError, match=message):
+            validate_hypergraph(hg)
+
 
 class TestStats:
     def test_tiny_stats(self, tiny):

@@ -243,7 +243,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         sticky_cache=args.sticky_cache,
         sticky_pool_size=args.sticky_pool_size,
-        use_shared_memory=not args.no_shared_memory,
         backend=args.backend,
         progress=ProgressPrinter() if args.progress else None,
         resume=args.resume,
@@ -295,7 +294,6 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         sticky_cache=args.sticky_cache,
         sticky_pool_size=args.sticky_pool_size,
-        use_shared_memory=not args.no_shared_memory,
         backend=args.backend,
         progress=ProgressPrinter() if args.progress else None,
         resume=True,
@@ -417,7 +415,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.dir,
         workers=args.workers,
         cache_capacity=args.cache_capacity,
-        use_shared_memory=not args.no_shared_memory,
     )
     recovered = service.recover()
     for job_id in recovered:
@@ -647,11 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="hierarchies per sticky pool (default 2)",
         )
         c.add_argument(
-            "--no-shared-memory", action="store_true",
-            help="ship instances to workers by pickling instead of the "
-            "shared-memory plane",
-        )
-        c.add_argument(
             "--backend", default=None,
             help="kernel backend for every trial (numpy, cnative, "
             "or auto = cnative); backends are selectable only when "
@@ -756,9 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shared fleet size (default 2)")
     p.add_argument("--cache-capacity", type=int, default=8,
                    help="instances kept hot in the cross-campaign cache")
-    p.add_argument("--no-shared-memory", action="store_true",
-                   help="ship instances to workers by pickling instead "
-                   "of the shared-memory plane")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -159,45 +159,22 @@ class CampaignResult:
 def run_campaign(
     spec: CampaignSpec,
     fixed_parts: Optional[Dict[str, Sequence[Optional[int]]]] = None,
-    *,
-    workers: int = 1,
-    store_dir: Optional[Union[str, Path]] = None,
-    timeout_seconds: Optional[float] = None,
-    max_retries: int = 0,
-    batch_size: Optional[int] = None,
-    sticky_cache: bool = False,
-    sticky_pool_size: int = 2,
-    use_shared_memory: bool = True,
-    progress=None,
-    resume: bool = False,
+    **options,
 ) -> CampaignResult:
     """Execute a campaign spec and return its result.
 
-    Execution is routed through :mod:`repro.orchestrate`: pass
-    ``workers`` to parallelize across processes (records stay identical
-    to a serial run), ``store_dir`` to journal every trial for
-    crash-safe ``resume``, and ``timeout_seconds`` / ``max_retries``
-    to contain misbehaving trials as error records instead of aborting
-    the campaign.  The dispatch knobs (``batch_size``, ``sticky_cache``,
-    ``sticky_pool_size``, ``use_shared_memory``) tune the pool's
-    shared-memory instance plane, batched dispatch and sticky hierarchy
-    caches without changing any record.  The serial
+    Execution is routed through
+    :func:`repro.orchestrate.orchestrate_campaign`, which takes every
+    keyword in ``options``: ``workers`` to parallelize across processes
+    (records stay identical to a serial run), ``store_dir`` to journal
+    every trial for crash-safe ``resume``, ``timeout_seconds`` /
+    ``max_retries`` to contain misbehaving trials as error records
+    instead of aborting the campaign, and the dispatch knobs
+    (``batch_size``, ``sticky_cache``, ``sticky_pool_size``, ``backend``)
+    that change where the time goes but no record.  The serial
     in-memory default is exactly the old behavior of
     :func:`repro.evaluation.runner.run_trials`.
     """
     from repro.orchestrate import orchestrate_campaign
 
-    return orchestrate_campaign(
-        spec,
-        store_dir=store_dir,
-        workers=workers,
-        timeout_seconds=timeout_seconds,
-        max_retries=max_retries,
-        batch_size=batch_size,
-        sticky_cache=sticky_cache,
-        sticky_pool_size=sticky_pool_size,
-        use_shared_memory=use_shared_memory,
-        fixed_parts=fixed_parts,
-        progress=progress,
-        resume=resume,
-    )
+    return orchestrate_campaign(spec, fixed_parts=fixed_parts, **options)

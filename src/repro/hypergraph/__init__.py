@@ -20,9 +20,6 @@ Public entry points
 ``hypergraph_stats``
     Instance statistics matching Section 2.1 of the paper (sparsity,
     degree and net-size distributions, area spread).
-``share_hypergraph`` / ``attach_hypergraph`` / ``SharedInstanceSet``
-    Zero-copy shared-memory transport of instances between processes
-    (the orchestrator's instance plane; see :mod:`repro.hypergraph.shm`).
 """
 
 from repro.hypergraph.hypergraph import Hypergraph
@@ -33,15 +30,6 @@ from repro.hypergraph.io_fix import read_fix, write_fix
 from repro.hypergraph.io_solution import read_solution, write_solution
 from repro.hypergraph.rent import RentFit, external_nets, rent_analysis
 from repro.hypergraph.stats import HypergraphStats, hypergraph_stats
-from repro.hypergraph.shm import (
-    SharedInstanceSet,
-    ShmHandle,
-    attach_hypergraph,
-    detach_handle,
-    share_hypergraph,
-    shm_available,
-    unlink_handle,
-)
 from repro.hypergraph.validate import validate_hypergraph
 from repro.hypergraph.conversion import (
     clique_expansion,
@@ -62,13 +50,6 @@ __all__ = [
     "write_solution",
     "HypergraphStats",
     "RentFit",
-    "SharedInstanceSet",
-    "ShmHandle",
-    "attach_hypergraph",
-    "detach_handle",
-    "share_hypergraph",
-    "shm_available",
-    "unlink_handle",
     "external_nets",
     "rent_analysis",
     "hypergraph_stats",

@@ -12,13 +12,12 @@ weights).  A hypergraph is one immutable CSR, built once:
 
 All six are read-only numpy arrays (:attr:`Hypergraph.csr`,
 :attr:`Hypergraph.vertex_weight_array`,
-:attr:`Hypergraph.net_weight_array`).  The compiled kernels, the
-vectorized constructors and the shared-memory plane consume them as they
-are, and an accidental write raises instead of silently invalidating
-something derived from them.  Because nothing can change, every derived
-value — weight integrality, the gain bound, per-consumer statics — is
-computed at most once per hypergraph and kept on the instance
-(:meth:`Hypergraph.cached`).
+:attr:`Hypergraph.net_weight_array`).  The compiled kernels and the
+vectorized constructors consume them as they are, and an accidental
+write raises instead of silently invalidating something derived from
+them.  Because nothing can change, every derived value — weight
+integrality, the gain bound, per-consumer statics — is computed at most
+once per hypergraph and kept on the instance (:meth:`Hypergraph.cached`).
 
 The interpreted FM and matching loops index single elements millions of
 times, where Python-list indexing is several times faster than scalar
@@ -120,19 +119,17 @@ class Hypergraph:
         net_weights,
         vertex_names: Optional[List[str]],
         net_names: Optional[List[str]],
-        transpose=None,
     ) -> None:
         """Freeze the arrays and compute the construction-time statics."""
         self._num_vertices = num_vertices
         self._net_ptr = _frozen(net_ptr, np.int64)
         self._net_pins = _frozen(net_pins, np.int64)
         self._num_nets = self._net_ptr.shape[0] - 1
-        if transpose is None:
-            transpose = _build_transpose(
-                num_vertices, self._net_ptr, self._net_pins
-            )
-        self._vtx_ptr = _frozen(transpose[0], np.int64)
-        self._vtx_nets = _frozen(transpose[1], np.int64)
+        vtx_ptr, vtx_nets = _build_transpose(
+            num_vertices, self._net_ptr, self._net_pins
+        )
+        self._vtx_ptr = _frozen(vtx_ptr, np.int64)
+        self._vtx_nets = _frozen(vtx_nets, np.int64)
         vw = self._vertex_weights = _frozen(vertex_weights, np.float64)
         self._net_weights = _frozen(net_weights, np.float64)
         self._vertex_names = vertex_names
@@ -162,13 +159,12 @@ class Hypergraph:
         validate: bool = False,
         vertex_names: Optional[List[str]] = None,
         net_names: Optional[List[str]] = None,
-        transpose: Optional[Tuple[Any, Any]] = None,
     ) -> "Hypergraph":
         """Build a hypergraph directly from flat CSR arrays.
 
         This is the fast path for kernel-built hypergraphs (the coarsening
-        kernels, the netlist builder, the ``.hgr`` reader, shared-memory
-        attach): the caller *transfers ownership* of the arguments, which
+        kernels, the netlist builder, the ``.hgr`` reader, unpickling):
+        the caller *transfers ownership* of the arguments, which
         may be lists or numpy arrays.  Contiguous arrays of the right
         dtype are adopted without copying and frozen; CSR arguments given
         as lists also become the interpreted loops' list views.  Unless
@@ -180,11 +176,6 @@ class Hypergraph:
 
         ``validate=True`` applies the same checks as the list-of-lists
         constructor (useful when adopting CSR data of uncertain origin).
-
-        ``transpose`` optionally supplies a precomputed
-        ``(vtx_ptr, vtx_nets)`` vertex→nets CSR, adopted on the same
-        trusted-ownership contract (it is *not* validated even under
-        ``validate=True``); without it the transpose is rebuilt.
         """
         if validate:
             if num_vertices < 0:
@@ -213,65 +204,34 @@ class Hypergraph:
             net_weights,
             vertex_names,
             net_names,
-            transpose,
         )
         # A list-building producer already paid for the list form.
-        given = (net_ptr, net_pins) + tuple(transpose or (None, None))
-        for i, values in enumerate(given):
+        for i, values in enumerate((net_ptr, net_pins)):
             if type(values) is list:
                 hg._lists[i] = values
         return hg
 
     # ------------------------------------------------------------------
-    # Shared-memory transport (see repro.hypergraph.shm)
+    # Pickling
     # ------------------------------------------------------------------
-    def to_shared(self) -> "ShmHandle":  # noqa: F821 - forward ref
-        """Export this hypergraph into a shared-memory segment.
+    def __reduce__(self):
+        """Pickle as the :meth:`from_csr` arguments, net side only.
 
-        Returns a small picklable :class:`~repro.hypergraph.shm.ShmHandle`
-        that any process can turn back into an equivalent hypergraph via
-        :meth:`from_shared` — the orchestrator's zero-copy instance
-        plane.  The caller owns the segment: pair with
-        :func:`repro.hypergraph.shm.unlink_handle` (or manage instances
-        through :class:`repro.hypergraph.shm.SharedInstanceSet`).  When
-        shared memory is unavailable the handle degrades to carrying the
-        hypergraph itself (pickling fallback).
+        Loading rebuilds the transpose, the integrality flags and the
+        weight total, which keeps a pickle about 40% smaller than one
+        carrying both incidence directions; the list views and the
+        :meth:`cached` memo start empty, as on any new instance.
         """
-        from repro.hypergraph.shm import share_hypergraph
-
-        return share_hypergraph(self)
-
-    @classmethod
-    def from_shared(cls, handle, materialize: bool = True) -> "Hypergraph":
-        """Rebuild a hypergraph from a :meth:`to_shared` handle.
-
-        ``materialize=True`` copies the arrays out of the segment and
-        releases the mapping; ``False`` adopts read-only views into the
-        segment (true zero-copy — detach with
-        :func:`repro.hypergraph.shm.detach_handle` when done).  Either
-        way the result is an ordinary hypergraph over read-only arrays.
-        """
-        from repro.hypergraph.shm import attach_hypergraph
-
-        return attach_hypergraph(handle, materialize=materialize)
-
-    # ------------------------------------------------------------------
-    # Pickling: the arrays travel, per-instance caches do not.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name not in ("_lists", "_derived")
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            setattr(self, name, value)
-        self._lists = [None] * 6
-        self._derived = {}
+        return Hypergraph.from_csr, (
+            self._net_ptr,
+            self._net_pins,
+            self._num_vertices,
+            self._vertex_weights,
+            self._net_weights,
+            False,
+            self._vertex_names,
+            self._net_names,
+        )
 
     # ------------------------------------------------------------------
     # Size accessors

@@ -9,9 +9,9 @@ into a deterministic, parallel, resumable execution:
   metadata, fsynced per trial, crash-tolerant on load;
 * :mod:`~repro.orchestrate.executor` — inline execution or the
   package's one worker pool (shared with the campaign service), with
-  per-trial timeouts and bounded retries, a shared-memory instance
-  plane, adaptively batched dispatch and sticky per-worker hierarchy
-  caches;
+  per-trial timeouts and bounded retries, instances shipped inside each
+  job's once-pickled payload, adaptively batched dispatch and sticky
+  per-worker hierarchy caches;
 * :mod:`~repro.orchestrate.events` — structured progress events and a
   CLI progress printer;
 * :mod:`~repro.orchestrate.orchestrator` — the driver gluing the

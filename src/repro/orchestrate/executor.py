@@ -27,12 +27,6 @@ The pool's orchestration plane is built not to rival the trials it
 dispatches (the short-trial regime of the paper's multistart/BSF
 methodology):
 
-* **Shared-memory instance plane** — workers never receive pickled
-  hypergraphs.  The supervisor exports every instance once into
-  shared-memory segments (:mod:`repro.hypergraph.shm`) and ships only
-  name-sized handles; workers attach on first use.  Where shared memory
-  is unavailable the handles degrade to pickling fallbacks, with no
-  behavioral difference.
 * **Batched dispatch** — workers pull *batches* of trial tuples, sized
   adaptively from observed trial runtime (target
   ``_TARGET_BATCH_SECONDS`` of work per batch), amortizing queue
@@ -47,7 +41,8 @@ methodology):
   (instance, base seed, coarsening setting) block, so consecutive
   trials on the same instance reuse coarsening work exactly as
   ``run_multistart_pooled`` does serially, and heuristics that coarsen
-  alike (ML LIFO and ML CLIP) share one pool.  Pool hierarchy
+  alike (ML LIFO and ML CLIP) share one pool.  A hierarchy build is
+  timed as part of the trial that triggers it.  Pool hierarchy
   selection is keyed on the trial's *start index*
   (``TrialPlan.start``), never on worker identity, so records are
   independent of batch size, worker count and scheduling —
@@ -55,9 +50,11 @@ methodology):
 * **Blocking supervision** — the supervisor blocks on the result queue
   (bounded by the nearest trial deadline and a liveness cap) instead of
   polling; idle supervision costs no CPU.
-* **Once-pickled payload** — heuristics, handles and fixed parts are
-  serialized exactly once per campaign; every worker, respawned ones
-  included, receives the cached bytes.
+* **Once-pickled payload** — heuristics, instances and fixed parts are
+  serialized exactly once per job; every worker, respawned ones
+  included, receives the cached bytes.  This is the one instance
+  transport: a hypergraph pickles as its net side and the worker
+  rebuilds the transpose when it loads the payload.
 
 Failure policy: an exception inside a trial, a worker crash, and a
 timeout are all *attempt failures*.  A trial is retried up to
@@ -66,9 +63,8 @@ resolves to an error outcome carrying the last error text and the
 attempt count.
 
 The pool prefers the ``fork`` start method and falls back to the
-platform default elsewhere; under ``spawn``, heuristics must be
-picklable — all shipped partitioners are.  Instances need not be
-picklable at all when shared memory is available.
+platform default elsewhere.  Heuristics must be picklable — all shipped
+partitioners are.
 """
 
 from __future__ import annotations
@@ -97,11 +93,6 @@ from repro.backends import set_default_backend, warmup
 from repro.core.multistart import Bipartitioner
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.shm import (
-    SharedInstanceSet,
-    ShmHandle,
-    attach_hypergraph,
-)
 from repro.multilevel.pool import (
     HierarchyPool,
     coarsening_key,
@@ -185,24 +176,21 @@ def _requested_backends(heuristics, backend: Optional[str]) -> List[str]:
 
 # ----------------------------------------------------------------------
 class _TrialExecutor:
-    """Runs trials against lazily-attached instances with sticky caches.
+    """Runs trials against a job's instances with sticky caches.
 
     One of these lives in every pool worker (one per job) *and* in the
     inline path, so parallel and serial execution share trial semantics
-    by construction.  Instances arrive either as a plain dict (inline)
-    or as shm handles (pool) and are attached/cached on first use;
-    sticky hierarchy pools are keyed per (instance, base_seed,
-    coarsening key) block and select hierarchies by the trial's start
-    index, which makes the cached coarsening work — and therefore every
-    cut — independent of which worker runs which trial, and which
-    heuristic built it.
+    by construction.  Sticky hierarchy pools are keyed per (instance,
+    base_seed, coarsening key) block and select hierarchies by the
+    trial's start index, which makes the cached coarsening work — and
+    therefore every cut — independent of which worker runs which trial,
+    and which heuristic built it.
     """
 
     def __init__(
         self,
         heuristics: Dict[str, Bipartitioner],
-        instances: Optional[Dict[str, Hypergraph]] = None,
-        handles: Optional[Dict[str, ShmHandle]] = None,
+        instances: Dict[str, Hypergraph],
         fixed_parts: Optional[Dict[str, Sequence[Optional[int]]]] = None,
         sticky_cache: bool = False,
         sticky_pool_size: int = 2,
@@ -235,26 +223,12 @@ class _TrialExecutor:
         #: opt-in (the caller passed ``perf_totals``) so campaigns that
         #: don't ask never pay the extra wire weight.
         self.collect_perf = collect_perf
-        self._handles = handles
-        self._instances: Dict[str, Hypergraph] = (
-            dict(instances) if instances is not None else {}
-        )
+        self.instances = instances
         self._pools: Dict[Tuple[str, int, tuple], HierarchyPool] = {}
         self._pool_eligible: Dict[str, bool] = {}
 
-    # -- instance plane -------------------------------------------------
-    def instance(self, name: str) -> Hypergraph:
-        """The hypergraph for ``name``, attached and cached on first use
-        (copied out of shared memory, so no mapping outlives attach)."""
-        hg = self._instances.get(name)
-        if hg is None:
-            hg = attach_hypergraph((self._handles or {})[name])
-            self._instances[name] = hg
-        return hg
-
     def close(self) -> None:
-        """Drop the attached instances and sticky caches."""
-        self._instances.clear()
+        """Drop the sticky caches."""
         self._pools.clear()
 
     # -- sticky hierarchy pools -----------------------------------------
@@ -305,17 +279,19 @@ class _TrialExecutor:
         stamps records identically.
         """
         partitioner = self.heuristics[plan.heuristic]
-        hg = self.instance(plan.instance)
+        hg = self.instances[plan.instance]
         fp = (
             self.fixed_parts.get(plan.instance) if self.fixed_parts else None
         )
         perf = PerfCounters() if self.collect_perf else None
-        hierarchy = self._hierarchy_for(plan, hg, fp, perf)
         sink = perf is not None and hasattr(partitioner, "perf")
         if sink:
             partitioner.perf = perf
         t0 = time.perf_counter()
         try:
+            # A sticky hierarchy build counts toward the trial that
+            # triggers it, as in ``run_multistart_pooled``.
+            hierarchy = self._hierarchy_for(plan, hg, fp, perf)
             if hierarchy is not None:
                 result = partitioner.partition(
                     hg, seed=plan.seed, fixed_parts=fp, hierarchy=hierarchy
@@ -356,15 +332,15 @@ class _TrialExecutor:
 # ----------------------------------------------------------------------
 def build_payload(
     heuristics: Dict[str, Bipartitioner],
-    handles: Dict[str, ShmHandle],
+    instances: Dict[str, Hypergraph],
     fixed_parts: Optional[Dict[str, Sequence[Optional[int]]]] = None,
     sticky_cache: bool = False,
     sticky_pool_size: int = 2,
     collect_perf: bool = False,
     backend: Optional[str] = None,
 ) -> bytes:
-    """Serialize one execution context (heuristics, instance handles and
-    cache knobs) into the once-pickled payload a worker consumes via
+    """Serialize one execution context (heuristics, instances and cache
+    knobs) into the once-pickled payload a worker consumes via
     :func:`executor_from_payload`.  Shared by the campaign pool and the
     multi-tenant service fleet, so both hand workers identical contexts.
     ``backend`` rides the payload so every worker re-applies the
@@ -373,7 +349,7 @@ def build_payload(
     return pickle.dumps(
         (
             heuristics,
-            handles,
+            instances,
             fixed_parts,
             sticky_cache,
             sticky_pool_size,
@@ -389,7 +365,7 @@ def executor_from_payload(payload_blob: bytes) -> "_TrialExecutor":
     produced by :func:`build_payload`."""
     (
         heuristics,
-        handles,
+        instances,
         fixed_parts,
         sticky_cache,
         sticky_pool_size,
@@ -398,7 +374,7 @@ def executor_from_payload(payload_blob: bytes) -> "_TrialExecutor":
     ) = pickle.loads(payload_blob)
     return _TrialExecutor(
         heuristics,
-        handles=handles,
+        instances,
         fixed_parts=fixed_parts,
         sticky_cache=sticky_cache,
         sticky_pool_size=sticky_pool_size,
@@ -419,7 +395,7 @@ def _worker_main(task_q, result_q):
       — run the trials in order, streaming one result per trial as
       ``(job_id, index, "ok"|"error", payload, perf)``.
     * ``("drop", job_id)`` — close and forget the job's executor (its
-      sticky caches and attached instances).
+      sticky caches and instances).
     * ``None`` — exit.
 
     Job contexts are isolated: each job gets its own executor, so two
@@ -793,9 +769,8 @@ class ExecutionPolicy:
     The robustness trio (``workers`` / ``timeout_seconds`` /
     ``max_retries``) is unchanged from the original pool.  The dispatch
     knobs tune *where time goes*, never *what is computed*: for any
-    setting of ``batch_size``, ``sticky_cache`` and
-    ``use_shared_memory``, records are bit-identical to a serial run
-    under the same policy.
+    setting of ``batch_size`` and ``sticky_cache``, records are
+    bit-identical to a serial run under the same policy.
     """
 
     workers: int = 1
@@ -811,8 +786,6 @@ class ExecutionPolicy:
     #: rebuild-per-trial stream of a plain `partition()` loop.
     sticky_cache: bool = False
     sticky_pool_size: int = 2  #: hierarchies per sticky pool
-    #: Ship instances to workers via shared memory (else pickled).
-    use_shared_memory: bool = True
     #: Kernel backend for every trial (None = process default /
     #: ``REPRO_BACKEND`` / numpy).  Like the dispatch knobs this tunes
     #: only where time goes: backends are selectable solely when
@@ -906,7 +879,7 @@ def _execute_inline(trials, heuristics, instances, fixed_parts, policy,
                     on_outcome, perf_totals) -> List[TrialOutcome]:
     executor = _TrialExecutor(
         heuristics,
-        instances=instances,
+        instances,
         fixed_parts=fixed_parts,
         sticky_cache=policy.sticky_cache,
         sticky_pool_size=policy.sticky_pool_size,
@@ -937,14 +910,11 @@ def _execute_inline(trials, heuristics, instances, fixed_parts, policy,
 
 def _execute_pool(trials, heuristics, instances, fixed_parts, policy,
                   on_outcome, perf_totals) -> List[TrialOutcome]:
-    share = SharedInstanceSet(
-        instances, use_shared_memory=policy.use_shared_memory
-    )
     job = PoolJob(
         _CAMPAIGN_JOB,
         build_payload(
             heuristics,
-            share.handles,
+            instances,
             fixed_parts=fixed_parts,
             sticky_cache=policy.sticky_cache,
             sticky_pool_size=policy.sticky_pool_size,
@@ -984,5 +954,4 @@ def _execute_pool(trials, heuristics, instances, fixed_parts, policy,
             pool.reap(job_of, resolve)
     finally:
         pool.shutdown()
-        share.close()
     return outcomes

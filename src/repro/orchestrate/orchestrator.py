@@ -208,7 +208,6 @@ def orchestrate_campaign(
     batch_size: Optional[int] = None,
     sticky_cache: bool = False,
     sticky_pool_size: int = 2,
-    use_shared_memory: bool = True,
     backend: Optional[str] = None,
     fixed_parts: Optional[Dict[str, Sequence[Optional[int]]]] = None,
     progress: Optional[ProgressCallback] = None,
@@ -220,7 +219,7 @@ def orchestrate_campaign(
     ``store_dir`` is the *parent* directory; the journal lives in
     ``store_dir/<spec.name>/`` (matching ``CampaignResult.save``).
     Without a store the campaign runs purely in memory (no resume).
-    The dispatch knobs (``batch_size`` .. ``use_shared_memory`` and
+    The dispatch knobs (``batch_size`` .. ``sticky_pool_size`` and
     ``backend``) map onto
     :class:`~repro.orchestrate.executor.ExecutionPolicy` and never
     change results — only where the time goes.
@@ -236,7 +235,6 @@ def orchestrate_campaign(
             batch_size=batch_size,
             sticky_cache=sticky_cache,
             sticky_pool_size=sticky_pool_size,
-            use_shared_memory=use_shared_memory,
             backend=backend,
         ),
         fixed_parts=fixed_parts,

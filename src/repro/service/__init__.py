@@ -8,8 +8,8 @@ supervises many concurrent campaigns on one shared worker fleet:
   (:class:`JobSpec`, :class:`InstanceSource`): what to run, declared in
   data so jobs survive the process that submitted them;
 * :mod:`~repro.service.cache` — :class:`InstanceCache`, a cross-campaign
-  LRU of :func:`~repro.hypergraph.shm.share_hypergraph` segments keyed
-  by instance fingerprint, leased per job and unlinked refcount-safely;
+  LRU of loaded netlists keyed by instance fingerprint; each job pickles
+  its instances into its own once-built worker payload;
 * :mod:`~repro.service.scheduler` — :class:`FairShareScheduler`, a
   deficit-round-robin trial scheduler interleaving batches from many
   jobs onto one multi-tenant worker fleet, preserving every per-job

@@ -1,25 +1,16 @@
-"""Cross-campaign instance cache: shared-memory segments that outlive jobs.
+"""Cross-campaign instance cache: loaded netlists that outlive jobs.
 
-Under the one-shot orchestrator, each campaign shares its instances into
-shared memory at start and unlinks them at exit — correct, but a service
-racing many campaigns over the same benchmark suite would re-load and
-re-export identical netlists for every submission.  :class:`InstanceCache`
-keeps loaded hypergraphs *and* their shared-memory handles alive across
-jobs, keyed by the instance source's canonical fingerprint
-(:meth:`~repro.service.spec.InstanceSource.cache_key`):
+A service racing many campaigns over the same benchmark suite would
+otherwise re-read or re-generate identical netlists for every
+submission.  :class:`InstanceCache` keeps loaded hypergraphs alive
+across jobs, keyed by the instance source's canonical fingerprint
+(:meth:`~repro.service.spec.InstanceSource.cache_key`), and evicts the
+least recently used beyond ``capacity``.  A job pickles its instances
+into its own payload when it is registered, so evicting an entry never
+affects a job that is already running.
 
-* **lease/release** — a job leases every instance it uses for its whole
-  lifetime; leased entries are pinned (never evicted), so a worker can
-  always attach the segment mid-job;
-* **LRU eviction** — beyond ``capacity`` entries, the least recently
-  *leased* unpinned entries are evicted and their segments unlinked;
-* **refcount-safe unlink** — eviction and :meth:`close` go through the
-  idempotent :func:`~repro.hypergraph.shm.unlink_handle`, so a segment
-  is destroyed exactly once no matter how many jobs released it, and a
-  double release is a hard error rather than a silent refcount leak.
-
-Thread-safe: the server thread submits jobs (lease) while the scheduler
-thread finishes them (release).
+Thread-safe: the HTTP frontend submits jobs from a thread pool and
+reads ``/health`` from its event loop.
 """
 
 from __future__ import annotations
@@ -27,26 +18,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.shm import ShmHandle, share_hypergraph, unlink_handle
 from repro.service.spec import InstanceSource
-
-
-@dataclass
-class CacheEntry:
-    """One cached instance: the loaded hypergraph, its (possibly
-    fallback) shared-memory handle, and the live lease count."""
-
-    key: str
-    hypergraph: Hypergraph
-    handle: ShmHandle
-    leases: int = 0
-
-    @property
-    def pinned(self) -> bool:
-        return self.leases > 0
 
 
 @dataclass
@@ -57,109 +32,59 @@ class CacheStats:
 
 
 class InstanceCache:
-    """LRU cache of loaded + shared instances, leased per job."""
+    """LRU cache of loaded instances."""
 
-    def __init__(
-        self, capacity: int = 8, use_shared_memory: bool = True
-    ) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.use_shared_memory = use_shared_memory
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[str, Hypergraph]" = OrderedDict()
         self._closed = False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lease(self, source: InstanceSource) -> CacheEntry:
-        """The cached entry for ``source``, loading and sharing it on a
-        miss; the entry is pinned until a matching :meth:`release`."""
+    def get(self, source: InstanceSource) -> Hypergraph:
+        """The hypergraph for ``source``, loaded on a miss."""
         key = source.cache_key()
         with self._lock:
             if self._closed:
                 raise RuntimeError("instance cache is closed")
-            entry = self._entries.get(key)
-            if entry is not None:
+            hypergraph = self._entries.get(key)
+            if hypergraph is not None:
                 self.stats.hits += 1
-                entry.leases += 1
                 self._entries.move_to_end(key)
-                return entry
+                return hypergraph
         # Load outside the lock: file IO / generation may be slow and
-        # must not stall releases from the scheduler thread.
-        hypergraph = source.load()
-        if self.use_shared_memory:
-            handle = share_hypergraph(hypergraph)
-        else:
-            handle = ShmHandle(segment=None, fallback=hypergraph)
+        # must not stall other submissions or ``/health``.
+        loaded = source.load()
         with self._lock:
-            racing = self._entries.get(key)
-            if racing is not None:  # another thread loaded it first
+            hypergraph = self._entries.get(key)
+            if hypergraph is not None:  # another thread loaded it first
                 self.stats.hits += 1
-                racing.leases += 1
                 self._entries.move_to_end(key)
-                doomed: Optional[ShmHandle] = handle
-            else:
-                self.stats.misses += 1
-                entry = CacheEntry(
-                    key=key, hypergraph=hypergraph, handle=handle, leases=1
-                )
-                self._entries[key] = entry
-                self._evict_over_capacity()
-                doomed = None
-        if doomed is not None:
-            unlink_handle(doomed)
-        return racing if racing is not None else entry
-
-    def release(self, entry: CacheEntry) -> None:
-        """Drop one lease; over-capacity unpinned entries may now go."""
-        with self._lock:
-            held = self._entries.get(entry.key)
-            if held is not entry or entry.leases <= 0:
-                raise ValueError(
-                    f"release of {entry.key!r} without a matching lease"
-                )
-            entry.leases -= 1
-            self._evict_over_capacity()
-
-    def _evict_over_capacity(self) -> None:
-        """Evict LRU-first among unpinned entries (lock held)."""
-        if len(self._entries) <= self.capacity:
-            return
-        for key in list(self._entries):
-            if len(self._entries) <= self.capacity:
-                break
-            entry = self._entries[key]
-            if entry.pinned:
-                continue
-            del self._entries[key]
-            self.stats.evictions += 1
-            unlink_handle(entry.handle)
+                return hypergraph
+            self.stats.misses += 1
+            self._entries[key] = loaded
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+        return loaded
 
     def close(self) -> None:
-        """Unlink every cached segment (service shutdown).  Idempotent;
-        relies on :func:`unlink_handle` being safe to call exactly once
-        per segment even if jobs raced their releases."""
+        """Drop every cached instance (service shutdown); later
+        :meth:`get` calls raise.  Idempotent."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            entries = list(self._entries.values())
             self._entries.clear()
-        for entry in entries:
-            unlink_handle(entry.handle)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Introspection for ``/health``: per-entry lease/pin state."""
+        """Introspection for ``/health``: one row per cached key."""
         with self._lock:
             return {
-                entry.key: {
-                    "leases": entry.leases,
-                    "shared": entry.handle.is_shared,
-                    "vertices": entry.hypergraph.num_vertices,
-                }
-                for entry in self._entries.values()
+                key: {"vertices": hypergraph.num_vertices}
+                for key, hypergraph in self._entries.items()
             }

@@ -18,7 +18,7 @@ unchanged, and the determinism acceptance check — service journal
 record-identical to a standalone run — is a plain file comparison.
 
 Crash recovery (:meth:`CampaignService.recover`, run at startup) rereads
-``job.json`` for every non-finished job, re-leases its instances and
+``job.json`` for every non-finished job, reloads its instances and
 resubmits only the trials missing from the journal.  Since every
 outcome was fsynced before being counted, a killed service restarts
 with zero rerun of journaled trials.
@@ -43,7 +43,7 @@ from repro.orchestrate.executor import build_payload, PendingTrial
 from repro.orchestrate.orchestrator import build_meta
 from repro.orchestrate.plan import expand_spec, spec_fingerprint
 from repro.orchestrate.store import RunStore
-from repro.service.cache import CacheEntry, InstanceCache
+from repro.service.cache import InstanceCache
 from repro.service.scheduler import (
     JOB_ACTIVE,
     JOB_CANCELLED,
@@ -61,7 +61,7 @@ from collections import deque
 class _JobRecord:
     """Service-side bookkeeping for one job (the scheduler owns the
     :class:`ServiceJob`; this holds what the scheduler must not know
-    about — spec, directory, cache leases)."""
+    about — spec and directory)."""
 
     def __init__(
         self,
@@ -69,14 +69,12 @@ class _JobRecord:
         spec: JobSpec,
         store: RunStore,
         directory: Path,
-        leases: List[CacheEntry],
         job: ServiceJob,
     ):
         self.job_id = job_id
         self.spec = spec
         self.store = store
         self.directory = directory
-        self.leases = leases
         self.job = job
 
 
@@ -88,14 +86,11 @@ class CampaignService:
         directory,
         workers: int = 2,
         cache_capacity: int = 8,
-        use_shared_memory: bool = True,
     ):
         self.directory = Path(directory)
         self.jobs_dir = self.directory / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        self.cache = InstanceCache(
-            capacity=cache_capacity, use_shared_memory=use_shared_memory
-        )
+        self.cache = InstanceCache(capacity=cache_capacity)
         self.hub = SubscriptionHub()
         self.scheduler = FairShareScheduler(workers=workers)
         self.scheduler.start()
@@ -152,83 +147,68 @@ class CampaignService:
     def _register_job(
         self, job_id: str, spec: JobSpec, fresh: bool
     ) -> _JobRecord:
-        """Lease instances, reconcile the store with its journal, and
+        """Load instances, reconcile the store with its journal, and
         hand the remaining trials to the scheduler.  Shared by
         :meth:`submit` (``fresh=True``) and :meth:`recover`."""
         directory = self._job_dir(job_id)
-        leases: List[CacheEntry] = []
-        try:
-            instances: Dict[str, object] = {}
-            for source in spec.instances:
-                entry = self.cache.lease(source)
-                leases.append(entry)
-                instances[source.label] = entry.hypergraph
-            campaign = spec.campaign_spec(instances)
-            plan = expand_spec(campaign)
-            store = RunStore(directory)
-            if store.exists():
-                meta = store.load_meta()
-                if meta.get("spec_hash") != spec_fingerprint(campaign):
-                    raise ValueError(
-                        f"job {job_id}: existing store does not match "
-                        "the submitted spec"
-                    )
-            else:
-                store.initialize(
-                    build_meta(
-                        campaign,
-                        total_trials=len(plan),
-                        cli={"service_spec": spec.to_json()},
-                    )
+        instances = {
+            source.label: self.cache.get(source) for source in spec.instances
+        }
+        campaign = spec.campaign_spec(instances)
+        plan = expand_spec(campaign)
+        store = RunStore(directory)
+        if store.exists():
+            meta = store.load_meta()
+            if meta.get("spec_hash") != spec_fingerprint(campaign):
+                raise ValueError(
+                    f"job {job_id}: existing store does not match "
+                    "the submitted spec"
                 )
-            completed = store.completed_trials()
-            pending = deque(
-                PendingTrial(p) for p in plan if p.index not in completed
+        else:
+            store.initialize(
+                build_meta(
+                    campaign,
+                    total_trials=len(plan),
+                    cli={"service_spec": spec.to_json()},
+                )
             )
-            outcomes = store.outcomes()
-            heuristics = {
-                getattr(h, "name", type(h).__name__): h
-                for h in campaign.heuristics
-            }
-            handles = {
-                src.label: entry.handle
-                for src, entry in zip(spec.instances, leases)
-            }
-            payload_blob = build_payload(
-                heuristics,
-                handles,
-                sticky_cache=spec.sticky_cache,
-                sticky_pool_size=spec.sticky_pool_size,
-                backend=spec.backend,
-            )
-            job = ServiceJob(
-                job_id=job_id,
-                store=store,
-                total=len(plan),
-                payload_blob=payload_blob,
-                pending=pending,
-                priority=spec.priority,
-                timeout_seconds=spec.timeout_seconds,
-                max_retries=spec.max_retries,
-                on_outcome=self._on_outcome,
-                on_finish=self._on_finish,
-            )
-            for o in outcomes:  # resume: journal already holds these
-                job.done += 1
-                if o.ok:
-                    job.ok += 1
-                    if (
-                        o.instance not in job.best
-                        or o.cut < job.best[o.instance]
-                    ):
-                        job.best[o.instance] = o.cut
-                else:
-                    job.errors += 1
-        except Exception:
-            for entry in leases:
-                self.cache.release(entry)
-            raise
-        record = _JobRecord(job_id, spec, store, directory, leases, job)
+        completed = store.completed_trials()
+        pending = deque(
+            PendingTrial(p) for p in plan if p.index not in completed
+        )
+        outcomes = store.outcomes()
+        heuristics = {
+            getattr(h, "name", type(h).__name__): h
+            for h in campaign.heuristics
+        }
+        payload_blob = build_payload(
+            heuristics,
+            campaign.instances,
+            sticky_cache=spec.sticky_cache,
+            sticky_pool_size=spec.sticky_pool_size,
+            backend=spec.backend,
+        )
+        job = ServiceJob(
+            job_id=job_id,
+            store=store,
+            total=len(plan),
+            payload_blob=payload_blob,
+            pending=pending,
+            priority=spec.priority,
+            timeout_seconds=spec.timeout_seconds,
+            max_retries=spec.max_retries,
+            on_outcome=self._on_outcome,
+            on_finish=self._on_finish,
+        )
+        for o in outcomes:  # resume: journal already holds these
+            job.done += 1
+            if o.ok:
+                job.ok += 1
+                if o.instance not in job.best or o.cut < job.best[o.instance]:
+                    job.best[o.instance] = o.cut
+            else:
+                job.errors += 1
+        record = _JobRecord(job_id, spec, store, directory, job)
         with self._lock:
             self._records[job_id] = record
         if fresh:
@@ -254,9 +234,6 @@ class CampaignService:
                 builder.render(), encoding="utf-8"
             )
         self._persist_job(record)
-        for entry in record.leases:
-            self.cache.release(entry)
-        record.leases = []
         self.hub.finish(job.job_id)
 
     # -- recovery --------------------------------------------------------
@@ -358,7 +335,7 @@ class CampaignService:
         }
 
     def close(self) -> None:
-        """Stop the fleet and unlink cached segments.  Running jobs stay
+        """Stop the fleet and drop the instance cache.  Running jobs stay
         ``active`` in ``job.json`` — exactly what :meth:`recover` picks
         up on the next start."""
         with self._lock:

@@ -58,7 +58,7 @@ class InstanceSource:
     ``label`` is the instance name inside the campaign (journal lines,
     reports).  :meth:`cache_key` canonicalizes the identity fields so
     the cross-campaign :class:`~repro.service.cache.InstanceCache` can
-    share one loaded (and shared-memory-exported) copy between jobs.
+    share one loaded copy between jobs.
     """
 
     kind: str
@@ -217,7 +217,7 @@ class JobSpec:
         self, instances: Dict[str, Hypergraph]
     ) -> CampaignSpec:
         """Assemble the executable campaign from already-loaded
-        hypergraphs (``label -> Hypergraph``, normally leased from the
+        hypergraphs (``label -> Hypergraph``, normally taken from the
         service's :class:`~repro.service.cache.InstanceCache`)."""
         ordered = {src.label: instances[src.label] for src in self.instances}
         return CampaignSpec(

@@ -223,9 +223,12 @@ def _bump(array, index, delta=1):
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: Third-party stacks that only the functions using them import: no
-#: partitioning entry point may load a module whose name starts so.
-HEAVY = ("networkx", "scipy")
+#: Stacks that only the code using them imports: no partitioning entry
+#: point may load a module whose name starts so.  networkx and scipy
+#: load inside the functions that call them, and ``multiprocessing``
+#: only with ``repro.orchestrate.executor``, the one module that starts
+#: worker processes.
+HEAVY = ("networkx", "scipy", "multiprocessing")
 
 #: Activates cnative in a fresh interpreter and lists the heavy modules
 #: that got imported.
@@ -307,8 +310,9 @@ class TestSelfCheck:
     def test_activation_imports_no_evaluation_layer(self):
         """Activation is paid in every campaign worker's attach and in
         the e2e ``setup_s``; ``repro.evaluation`` loads ``scipy.stats``,
-        about a second of imports, and networkx costs another 0.1 s, so
-        neither ``import repro`` nor the self-check may reach them."""
+        about a second of imports, networkx costs another 0.1 s and
+        ``multiprocessing`` about 6 ms, so neither ``import repro`` nor
+        the self-check may reach any of them."""
         proc = subprocess.run(
             [sys.executable, "-c", ACTIVATE.format(src=SRC, heavy=HEAVY)],
             capture_output=True, text=True, check=True, timeout=300,
@@ -462,10 +466,9 @@ class TestNumbaFallback:
         plain = run("plain")
         # Forked pool workers inherit the failed activation.
         assert run("serial", backend="cnative") == plain
-        assert run("pool", backend="cnative", workers=2,
-                   use_shared_memory=False) == plain
-        assert run("batched", backend="cnative", workers=2, batch_size=2,
-                   use_shared_memory=False) == plain
+        assert run("pool", backend="cnative", workers=2) == plain
+        assert run("batched", backend="cnative", workers=2,
+                   batch_size=2) == plain
         # Sticky caching draws hierarchy seeds from the pooled stream,
         # so its reference is a sticky run without the backend request.
         sticky = run("sticky-ref", sticky_cache=True)
@@ -659,8 +662,7 @@ class TestServicePlane:
     def test_backend_job_matches_plain_job(self, tmp_path):
         from repro.service.server import CampaignService
 
-        service = CampaignService(tmp_path / "svc", workers=2,
-                                  use_shared_memory=False)
+        service = CampaignService(tmp_path / "svc", workers=2)
         try:
             maker = TestJobSpecBackend()
             plain = maker._spec()

@@ -8,6 +8,7 @@ replaced, with exact equality.
 """
 
 import io
+import pickle
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.backends import get_backend
 from repro.core import Partition2
 from repro.hypergraph import Hypergraph, read_hgr
 from repro.hypergraph.io_hmetis import _parse_nets, _parse_nets_by_line
+from repro.instances import generate_circuit
 
 SETTINGS = settings(
     max_examples=40,
@@ -101,6 +103,48 @@ class TestConstruction:
         hg = Hypergraph([[0, 1], [1, 2]], 3, net_weights=[2, 3])
         assert hg.int_net_weights() is hg.int_net_weights()
         assert hg.raw_csr[1] is hg.raw_csr[1]
+
+
+class TestPickle:
+    """A hypergraph pickles as its net side; loading rebuilds the rest."""
+
+    @SETTINGS
+    @given(hg=st.one_of(hypergraphs(), hypergraphs(float_weights=True)))
+    def test_round_trip_rebuilds_the_instance(self, hg):
+        hg.raw_csr  # fill the list views
+        if hg.integral_net_weights:
+            hg.max_weighted_degree  # and the memo
+        clone = pickle.loads(pickle.dumps(hg, pickle.HIGHEST_PROTOCOL))
+        arrays = hg.csr + (hg.vertex_weight_array, hg.net_weight_array)
+        cloned = clone.csr + (clone.vertex_weight_array,
+                              clone.net_weight_array)
+        for want, got in zip(arrays, cloned):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert clone.total_vertex_weight == hg.total_vertex_weight
+        assert (clone.integral_vertex_weights, clone.integral_net_weights) \
+            == (hg.integral_vertex_weights, hg.integral_net_weights)
+        assert clone.raw_csr == hg.raw_csr
+        if hg.integral_net_weights:
+            assert clone.max_weighted_degree == hg.max_weighted_degree
+            assert clone.int_net_weights() is not hg.int_net_weights()
+
+    def test_pickle_carries_names_and_the_net_side_only(self):
+        named = Hypergraph([[0, 1], [1, 2]], 3, vertex_names=["a", "b", "c"],
+                           net_names=["n", "m"])
+        clone = pickle.loads(pickle.dumps(named))
+        assert [clone.vertex_name(v) for v in clone.vertices()] == [
+            "a", "b", "c"]
+        assert [clone.net_name(e) for e in clone.nets()] == ["n", "m"]
+
+        hg = generate_circuit(400, seed=3)
+        net_ptr, net_pins, vtx_ptr, vtx_nets = hg.csr
+        sent = (net_ptr, net_pins, hg.vertex_weight_array,
+                hg.net_weight_array)
+        blob = pickle.dumps(hg, pickle.HIGHEST_PROTOCOL)
+        # Less than the net side plus ``vtx_ptr``: ``vtx_nets`` (as
+        # large as ``net_pins``) cannot be in it.
+        assert len(blob) < sum(a.nbytes for a in sent) + vtx_ptr.nbytes
 
 
 class TestPartitionConstruction:

@@ -195,7 +195,6 @@ class TestServiceSchedulerMatrix:
     still load."""
 
     def test_job_records_identical_to_standalone(self, tmp_path):
-        from repro.hypergraph.shm import ShmHandle
         from repro.orchestrate.executor import PendingTrial, build_payload
         from repro.orchestrate.plan import expand_spec
         from repro.service import (
@@ -233,10 +232,6 @@ class TestServiceSchedulerMatrix:
             getattr(h, "name", type(h).__name__): h
             for h in campaign_spec.heuristics
         }
-        handles = {
-            label: ShmHandle(segment=None, fallback=g)
-            for label, g in instances.items()
-        }
         store = RunStore(tmp_path / "job")
         store.initialize({"name": spec.name, "total_trials": len(plan),
                           "alpha": spec.alpha})
@@ -245,7 +240,7 @@ class TestServiceSchedulerMatrix:
             store=store,
             total=len(plan),
             payload_blob=build_payload(
-                heuristics, handles,
+                heuristics, instances,
                 sticky_cache=True,
                 sticky_pool_size=spec.sticky_pool_size,
             ),

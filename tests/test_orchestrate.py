@@ -151,6 +151,14 @@ class TestDeterminism:
         orchestrated = run_campaign(spec, workers=2).records
         assert record_key(legacy) == record_key(orchestrated)
 
+    def test_run_campaign_forwards_every_option(self, spec):
+        """``run_campaign`` takes ``orchestrate_campaign``'s options,
+        ``backend`` included; cnative, or its numpy fallback where it
+        cannot run, leaves the records unchanged."""
+        serial = run_campaign(spec)
+        tagged = run_campaign(spec, workers=2, backend="cnative")
+        assert record_key(tagged.records) == record_key(serial.records)
+
 
 class TestStore:
     def test_journal_roundtrip(self, tmp_path, spec):
@@ -405,30 +413,14 @@ class TestScale:
 
 
 # ======================================================================
-# Dispatch-plane contract: shm transport, batching and sticky caches
-# never change the outcome stream (PR 5).
+# Dispatch-plane contract: batching and sticky caches never change the
+# outcome stream.
 # ======================================================================
 
 from repro.core.perf import PerfCounters  # noqa: E402
-from repro.hypergraph import shm  # noqa: E402
 from repro.multilevel import MLConfig, MLPartitioner  # noqa: E402
-from repro.orchestrate import executor as executor_mod  # noqa: E402
 from repro.orchestrate.executor import execute_trials  # noqa: E402
 from repro.orchestrate.plan import TrialPlan  # noqa: E402
-
-
-def _segment_exists(name: str) -> bool:
-    try:
-        probe = shm._shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    probe.close()
-    return True
-
-
-needs_shm = pytest.mark.skipif(
-    not shm.HAVE_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
-)
 
 
 def _mixed_workload(hg):
@@ -485,12 +477,9 @@ def inline_keys(hg):
 class TestDispatchMatrix:
     """Every dispatch knob combination reproduces the serial stream."""
 
-    @pytest.mark.parametrize("shared", [True, False], ids=["shm", "pickle"])
     @pytest.mark.parametrize("sticky", [False, True], ids=["plain", "sticky"])
     @pytest.mark.parametrize("batch", [1, 4, None], ids=["b1", "b4", "auto"])
-    def test_pool_stream_matches_serial(
-        self, hg, inline_keys, batch, sticky, shared
-    ):
+    def test_pool_stream_matches_serial(self, hg, inline_keys, batch, sticky):
         heuristics, instances, trials = _mixed_workload(hg)
         out = execute_trials(
             trials,
@@ -501,7 +490,6 @@ class TestDispatchMatrix:
                 batch_size=batch,
                 sticky_cache=sticky,
                 sticky_pool_size=2,
-                use_shared_memory=shared,
             ),
         )
         assert outcome_key(out) == inline_keys[sticky]
@@ -632,105 +620,43 @@ class TestStickyPoolSharing:
         assert (built, built_separately) == (4, 6)
 
 
-@needs_shm
-class TestShmHygiene:
-    """The shm acceptance matrix: no leaked segments after a normal
-    exit, after worker-timeout replacement, and after kill/resume."""
+class TestStickyRuntimes:
+    """A sticky hierarchy build counts toward the trial that triggers
+    it, as in ``run_multistart_pooled``: the journaled runtimes feed
+    the BSF curves and the CPU columns of the reports."""
 
-    def _spy_segments(self, monkeypatch):
-        created = []
+    def test_build_charged_like_pooled_multistart(self, hg, monkeypatch):
+        from repro.multilevel import pool as pool_mod
 
-        class Spy(shm.SharedInstanceSet):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.extend(self.segment_names())
+        delay = 0.5
+        build = pool_mod.build_hierarchy
 
-        monkeypatch.setattr(executor_mod, "SharedInstanceSet", Spy)
-        return created
+        def slow_build(*args, **kwargs):
+            time.sleep(delay)
+            return build(*args, **kwargs)
 
-    def test_normal_exit_unlinks_everything(self, hg, monkeypatch):
-        created = self._spy_segments(monkeypatch)
-        heuristics, instances, trials = _mixed_workload(hg)
-        execute_trials(
-            trials, heuristics, instances,
-            policy=ExecutionPolicy(workers=2),
+        monkeypatch.setattr(pool_mod, "build_hierarchy", slow_build)
+        ml = MLPartitioner(
+            MLConfig(refine_passes=1, initial_starts=1),
+            tolerance=0.1,
+            name="ml",
         )
-        assert created, "pool run should have shared the instance plane"
-        assert all(not _segment_exists(n) for n in created)
-        assert all(n not in shm._MAPPINGS for n in created)
-
-    def test_worker_timeout_replacement_does_not_leak(
-        self, hg, tmp_path, monkeypatch
-    ):
-        created = self._spy_segments(monkeypatch)
-        spec = CampaignSpec(
-            name="hyg",
-            heuristics=[
-                FMPartitioner(tolerance=0.1, name="fast"),
-                SleepyPartitioner(),
-            ],
-            instances={"c100": hg},
-            num_starts=1,
+        pooled = pool_mod.run_multistart_pooled(
+            ml, hg, num_starts=3, base_seed=5, pool_size=2
         )
-        orchestrate_campaign(
-            spec, store_dir=tmp_path, workers=2, timeout_seconds=0.75
+        campaign = run_campaign(
+            CampaignSpec(
+                name="sticky-time", heuristics=[ml],
+                instances={"c100": hg}, num_starts=3, base_seed=5,
+            ),
+            sticky_cache=True,
+            sticky_pool_size=2,
         )
-        assert created
-        assert all(not _segment_exists(n) for n in created)
-
-    def test_kill_resume_does_not_leak(self, tmp_path, spec, monkeypatch):
-        created = self._spy_segments(monkeypatch)
-        orchestrate_campaign(spec, store_dir=tmp_path, workers=2)
-        store = RunStore(tmp_path / "orch")
-        lines = store.journal_path.read_text().splitlines(True)
-        store.journal_path.write_text("".join(lines[:3]))  # "crash"
-        orchestrate_campaign(
-            spec, store_dir=tmp_path, workers=2, resume=True
-        )
-        assert store.status().done == 6
-        assert len(created) >= 2  # both invocations shared the plane
-        assert all(not _segment_exists(n) for n in created)
-
-    def test_sigkilled_process_segments_are_reclaimed(self, hg):
-        """SIGKILL the owning process: the mp resource tracker must
-        reclaim the registered segments (crash-cleanliness of the
-        plane itself; in-process kill/resume is covered above)."""
-        import json
-        import os
-        import signal
-        import subprocess
-        import sys
-
-        child_src = (
-            "import json, sys, time\n"
-            "from repro.hypergraph import shm\n"
-            "from repro.instances import generate_circuit\n"
-            "inst = shm.SharedInstanceSet("
-            "{'x': generate_circuit(120, seed=3)})\n"
-            "print(json.dumps(inst.segment_names()), flush=True)\n"
-            "time.sleep(60)\n"
-        )
-        env = dict(os.environ)
-        src_dir = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-c", child_src],
-            stdout=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
-        try:
-            names = json.loads(proc.stdout.readline())
-            assert names and all(_segment_exists(n) for n in names)
-        finally:
-            proc.kill()
-        proc.wait(timeout=10)
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if all(not _segment_exists(n) for n in names):
-                break
-            time.sleep(0.2)
-        assert all(not _segment_exists(n) for n in names)
+        assert [(r.seed, r.cut) for r in campaign.records] == [
+            (s.seed, s.cut) for s in pooled.starts
+        ]
+        # Starts 0 and 1 build the pool's two hierarchies; start 2
+        # reuses the first.
+        charged = [r.runtime_seconds >= delay for r in campaign.records]
+        assert charged == [s.runtime_seconds >= delay for s in pooled.starts]
+        assert charged == [True, True, False]

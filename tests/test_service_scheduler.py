@@ -14,7 +14,6 @@ from collections import deque
 import pytest
 
 from repro.evaluation import CampaignSpec
-from repro.hypergraph.shm import ShmHandle
 from repro.instances import generate_circuit
 from repro.orchestrate import executor as executor_mod
 from repro.orchestrate import orchestrate_campaign
@@ -152,50 +151,44 @@ class TestInstanceCache:
         )
 
     def test_hit_and_miss(self):
-        cache = InstanceCache(capacity=4, use_shared_memory=False)
-        a = cache.lease(self.source(seed=1))
-        b = cache.lease(self.source(seed=1, label="other-label"))
+        cache = InstanceCache(capacity=4)
+        a = cache.get(self.source(seed=1))
+        b = cache.get(self.source(seed=1, label="other-label"))
         assert a is b  # label does not split the cache
         assert cache.stats.misses == 1 and cache.stats.hits == 1
-        assert a.leases == 2
-        cache.release(a)
-        cache.release(b)
-        assert a.leases == 0
         assert len(cache) == 1  # stays cached for the next job
         cache.close()
 
-    def test_unmatched_release_raises(self):
-        cache = InstanceCache(capacity=2, use_shared_memory=False)
-        entry = cache.lease(self.source())
-        cache.release(entry)
-        with pytest.raises(ValueError):
-            cache.release(entry)
-        cache.close()
-
-    def test_lru_eviction_skips_pinned(self):
-        cache = InstanceCache(capacity=2, use_shared_memory=False)
-        pinned = cache.lease(self.source(seed=1))
-        b = cache.lease(self.source(seed=2))
-        cache.release(b)
-        cache.lease(self.source(seed=3))  # over capacity: b evicted
+    def test_lru_evicts_least_recently_used(self):
+        cache = InstanceCache(capacity=2)
+        first, second, third = (self.source(seed=s) for s in (1, 2, 3))
+        kept = cache.get(first)
+        cache.get(second)
+        assert cache.get(first) is kept  # a hit makes it most recent
+        cache.get(third)  # over capacity: ``second`` is evicted
         assert cache.stats.evictions == 1
-        assert len(cache) == 2
-        assert pinned.key in {e for e in cache.snapshot()}
+        assert set(cache.snapshot()) == {first.cache_key(),
+                                         third.cache_key()}
+        assert cache.snapshot()[first.cache_key()] == {
+            "vertices": kept.num_vertices
+        }
+        misses = cache.stats.misses
+        cache.get(second)
+        assert cache.stats.misses == misses + 1
         cache.close()
 
     def test_close_is_idempotent(self):
-        cache = InstanceCache(capacity=2, use_shared_memory=False)
-        cache.lease(self.source())
+        cache = InstanceCache(capacity=2)
+        cache.get(self.source())
         cache.close()
         cache.close()
         with pytest.raises(RuntimeError):
-            cache.lease(self.source())
+            cache.get(self.source())
 
 
 # ----------------------------------------------------------------------
 def make_service_job(job_id, spec: JobSpec, tmp_path, on_finish=None):
-    """A ServiceJob wired straight to the scheduler (no CampaignService),
-    shipping instances by pickling fallback handles."""
+    """A ServiceJob wired straight to the scheduler (no CampaignService)."""
     instances = {src.label: src.load() for src in spec.instances}
     campaign = spec.campaign_spec(instances)
     plan = expand_spec(campaign)
@@ -205,15 +198,11 @@ def make_service_job(job_id, spec: JobSpec, tmp_path, on_finish=None):
     heuristics = {
         getattr(h, "name", type(h).__name__): h for h in campaign.heuristics
     }
-    handles = {
-        label: ShmHandle(segment=None, fallback=hg)
-        for label, hg in instances.items()
-    }
     return ServiceJob(
         job_id=job_id,
         store=store,
         total=len(plan),
-        payload_blob=build_payload(heuristics, handles),
+        payload_blob=build_payload(heuristics, instances),
         pending=deque(PendingTrial(p) for p in plan),
         priority=spec.priority,
         timeout_seconds=spec.timeout_seconds,
@@ -363,7 +352,7 @@ class TestFairShareScheduler:
                 total=len(plan),
                 payload_blob=build_payload(
                     {"fm": heuristic},
-                    {"c100": ShmHandle(segment=None, fallback=hg)},
+                    {"c100": hg},
                 ),
                 pending=deque(PendingTrial(p) for p in plan),
                 priority=3,
@@ -419,8 +408,7 @@ class TestServiceRecovery:
         # without waiting out the shutdown grace period.
         monkeypatch.setattr(executor_mod, "_JOIN_SECONDS", 0.1)
         spec = tiny_spec("phoenix", cells=150, starts=20)
-        svc = CampaignService(tmp_path / "svc", workers=2,
-                              use_shared_memory=False)
+        svc = CampaignService(tmp_path / "svc", workers=2)
         job_id = svc.submit(spec)
         record = svc._records[job_id]
         assert wait_for(lambda: record.job.done >= 3, timeout=60)
@@ -430,8 +418,7 @@ class TestServiceRecovery:
         assert journaled == {0, 1, 2}
         gate.touch()
 
-        svc2 = CampaignService(tmp_path / "svc", workers=2,
-                               use_shared_memory=False)
+        svc2 = CampaignService(tmp_path / "svc", workers=2)
         try:
             assert svc2.recover() == [job_id]
             assert svc2.wait(job_id, timeout=120) == JOB_DONE
@@ -458,8 +445,7 @@ class TestServiceRecovery:
         """A journal that already covers the plan just flips to done and
         writes the report on recovery."""
         spec = tiny_spec("already")
-        svc = CampaignService(tmp_path / "svc", workers=1,
-                              use_shared_memory=False)
+        svc = CampaignService(tmp_path / "svc", workers=1)
         job_id = svc.submit(spec)
         assert svc.wait(job_id, timeout=60) == JOB_DONE
         report = (svc._records[job_id].directory / "report.txt").read_text()
@@ -471,8 +457,7 @@ class TestServiceRecovery:
         job_json.write_text(json.dumps(data))
         svc.close()
 
-        svc2 = CampaignService(tmp_path / "svc", workers=1,
-                               use_shared_memory=False)
+        svc2 = CampaignService(tmp_path / "svc", workers=1)
         try:
             assert svc2.recover() == [job_id]
             assert svc2.wait(job_id, timeout=30) == JOB_DONE
@@ -489,8 +474,7 @@ class TestServiceRecovery:
         reruns only the trials missing from the journal, and ends with
         the standalone records."""
         spec = tiny_spec("legacy", starts=4)
-        svc = CampaignService(tmp_path / "svc", workers=1,
-                              use_shared_memory=False)
+        svc = CampaignService(tmp_path / "svc", workers=1)
         job_id = svc.submit(spec)
         assert svc.wait(job_id, timeout=60) == JOB_DONE
         directory = svc._records[job_id].directory
@@ -504,8 +488,7 @@ class TestServiceRecovery:
         data["spec"]["inrun_workers"] = 2
         job_json.write_text(json.dumps(data))
 
-        svc2 = CampaignService(tmp_path / "svc", workers=1,
-                               use_shared_memory=False)
+        svc2 = CampaignService(tmp_path / "svc", workers=1)
         try:
             assert svc2.recover() == [job_id]
             assert svc2.wait(job_id, timeout=60) == JOB_DONE
@@ -516,8 +499,7 @@ class TestServiceRecovery:
             svc2.close()
 
     def test_resubmitted_spec_mismatch_rejected(self, tmp_path):
-        svc = CampaignService(tmp_path / "svc", workers=1,
-                              use_shared_memory=False)
+        svc = CampaignService(tmp_path / "svc", workers=1)
         try:
             job_id = svc.submit(tiny_spec("strict"))
             assert svc.wait(job_id, timeout=60) == JOB_DONE

@@ -69,8 +69,7 @@ def standalone_keys(spec: JobSpec, tmp_path):
 
 @pytest.fixture
 def service(tmp_path):
-    svc = CampaignService(tmp_path / "svc", workers=2,
-                          use_shared_memory=False)
+    svc = CampaignService(tmp_path / "svc", workers=2)
     yield svc
     svc.close()
 
@@ -192,8 +191,7 @@ class TestHTTPEndToEnd:
                                engines=("flat-lifo", "flat-clip")),
             "e2e-c": tiny_spec("e2e-c", base_seed=90, starts=3, gen_seed=9),
         }
-        service = CampaignService(tmp_path / "svc", workers=2,
-                                  use_shared_memory=False)
+        service = CampaignService(tmp_path / "svc", workers=2)
         http = ServiceHTTP(service)
         http.start()
         try:
@@ -226,8 +224,7 @@ class TestHTTPEndToEnd:
             service.close()
 
     def test_control_plane_over_http(self, tmp_path):
-        service = CampaignService(tmp_path / "svc", workers=1,
-                                  use_shared_memory=False)
+        service = CampaignService(tmp_path / "svc", workers=1)
         http = ServiceHTTP(service)
         http.start()
         try:
@@ -256,8 +253,7 @@ class TestHTTPEndToEnd:
             service.close()
 
     def test_cancel_over_http(self, tmp_path):
-        service = CampaignService(tmp_path / "svc", workers=1,
-                                  use_shared_memory=False)
+        service = CampaignService(tmp_path / "svc", workers=1)
         http = ServiceHTTP(service)
         http.start()
         try:
@@ -287,8 +283,7 @@ class TestCLISmoke:
         completes a tiny spec well inside a one-minute budget."""
         from repro.cli import main
 
-        service = CampaignService(tmp_path / "svc", workers=2,
-                                  use_shared_memory=False)
+        service = CampaignService(tmp_path / "svc", workers=2)
         http = ServiceHTTP(service)
         http.start()
         try:
@@ -326,8 +321,7 @@ class TestCLISmoke:
         spec_path.write_text(json.dumps(
             tiny_spec("from-file", starts=2).to_json()
         ))
-        service = CampaignService(tmp_path / "svc", workers=1,
-                                  use_shared_memory=False)
+        service = CampaignService(tmp_path / "svc", workers=1)
         http = ServiceHTTP(service)
         http.start()
         try:

@@ -9,10 +9,11 @@ hypergraphs, ``PerfCounters`` counts and Mersenne-Twister state.  Net
 scores, the shuffle and the bootstrap tables are compared directly with
 ``matching._net_scores``, CPython's ``random.shuffle`` and numpy's
 ``cumsum`` / indexing / ``minimum.accumulate`` — the numpy branch of
-``repro.evaluation.bsf``, which is not imported because
-``repro.evaluation`` loads ``scipy.stats``.  Checks run in dependency
-order (shuffle and net scores before the clusterings that call them), so
-a mismatch raises :class:`SelfCheckError` naming the kernel at fault.
+``repro.evaluation.bsf``, which is not imported: processes that only
+partition activate a backend too, and need no evaluation layer.  Checks
+run in dependency order (shuffle and net scores before the clusterings
+that call them), so a mismatch raises :class:`SelfCheckError` naming
+the kernel at fault.
 
 The registry runs the check at every activation and records a failing
 backend unavailable.  The oracle-equivalence suites pin the interpreted

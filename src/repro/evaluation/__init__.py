@@ -90,6 +90,7 @@ from repro.evaluation.stats_tests import (
     mann_whitney,
     paired_wilcoxon,
     permutation_test,
+    signed_rank_p,
 )
 
 __all__ = [
@@ -140,6 +141,7 @@ __all__ = [
     "run_trials",
     "save_records",
     "shuffle_matrix",
+    "signed_rank_p",
     "summary_by_heuristic",
     "table1_grid",
 ]

@@ -80,12 +80,8 @@ class CampaignResult:
                 except ValueError:
                     row.append("?")
                     continue
-                if not test.significant:
-                    row.append("~")
-                elif test.better == a:
-                    row.append("<")
-                else:
-                    row.append(">")
+                better = test.better
+                row.append("~" if better is None else "<" if better == a else ">")
             rows.append(row)
         return ascii_table([""] + names, rows)
 

@@ -255,6 +255,74 @@ ENTRY_POINTS = {
     "cli_help": ["-m", "repro", "--help"],
 }
 
+#: The campaign and service planes start the worker pool, so they may
+#: load ``multiprocessing``, but neither scientific stack: the Wilcoxon
+#: matrix every report renders is numpy, ``scipy.stats`` loads only
+#: inside ``mann_whitney`` and ``scipy.sparse`` only inside the spectral
+#: baseline.
+SCIENTIFIC = ("networkx", "scipy")
+
+#: Renders a campaign report on synthetic records.
+REPORT = """
+from repro.evaluation import CampaignResult, TrialRecord
+records = [TrialRecord(h, "x", s, float(50 + (7 * s + 3 * i) % 13),
+                       0.01 * (1 + s % 4), True)
+           for i, h in enumerate("ABC") for s in range(16)]
+print(CampaignResult("synthetic", records).report(num_shuffles=20))
+"""
+
+#: Interpreter arguments of the campaign and service planes' entry
+#: points: the e2e set-up imports of ``campaign_table45``, the service,
+#: ``repro campaign report`` on a finished journal (``STORE`` stands for
+#: its directory) and a report rendered in a fresh interpreter.
+STORE = "<store>"
+PLANE_ENTRY_POINTS = {
+    "table45_setup": ["-c", "import repro.core.config, "
+                            "repro.evaluation.campaign, "
+                            "repro.hypergraph.io_hmetis, "
+                            "repro.multilevel.mlpart, repro.orchestrate"],
+    "service": ["-c", "import repro.service"],
+    "campaign_report": ["-m", "repro", "campaign", "report", STORE],
+    "report": ["-c", REPORT],
+}
+
+
+def _imported(argv):
+    """Run the interpreter on ``argv`` under ``-X importtime``, which
+    lists every module the process imports; return the completed
+    process and those module names."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "repro" in imported
+    return proc, imported
+
+
+@pytest.fixture(scope="module")
+def finished_store(tmp_path_factory):
+    """The journal directory of a finished one-worker campaign."""
+    from repro.evaluation import CampaignSpec, run_campaign
+
+    spec = CampaignSpec(
+        name="tiny",
+        heuristics=[FMPartitioner(tolerance=0.1, name="LIFO"),
+                    FMPartitioner(FMConfig(clip=True), tolerance=0.1,
+                                  name="CLIP")],
+        instances={"c80": generate_circuit(80, seed=3)},
+        num_starts=6,
+    )
+    root = tmp_path_factory.mktemp("stores")
+    run_campaign(spec, workers=1, store_dir=root)
+    return root / spec.name
+
+
 #: One perturbed output per kernel other than ``fm_pass``, addressed by
 #: its position in the kernel's arguments (see ``repro.backends.cnative``).
 MUTANTS = [
@@ -309,10 +377,11 @@ class TestSelfCheck:
 
     def test_activation_imports_no_evaluation_layer(self):
         """Activation is paid in every campaign worker's attach and in
-        the e2e ``setup_s``; ``repro.evaluation`` loads ``scipy.stats``,
-        about a second of imports, networkx costs another 0.1 s and
-        ``multiprocessing`` about 6 ms, so neither ``import repro`` nor
-        the self-check may reach any of them."""
+        the e2e ``setup_s``, and processes that only partition need no
+        evaluation layer.  scipy costs about a second of imports,
+        networkx another 0.1 s and ``multiprocessing`` about 6 ms, so
+        neither ``import repro`` nor the self-check may reach any of
+        them."""
         proc = subprocess.run(
             [sys.executable, "-c", ACTIVATE.format(src=SRC, heavy=HEAVY)],
             capture_output=True, text=True, check=True, timeout=300,
@@ -322,22 +391,21 @@ class TestSelfCheck:
     @pytest.mark.parametrize("argv", ENTRY_POINTS.values(),
                              ids=ENTRY_POINTS.keys())
     def test_entry_point_imports_no_heavy_stack(self, argv):
-        """``-X importtime`` lists every module the process imports, so
-        the CLI is checked as users run it."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", *argv],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        imported = [line.rsplit("|", 1)[-1].strip()
-                    for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")]
-        assert "repro" in imported
+        """The CLI is checked as users run it."""
+        proc, imported = _imported(argv)
         assert [m for m in imported if m.startswith(HEAVY)] == []
         if argv[0] == "-m":
             assert proc.stdout.startswith("usage:")
+
+    @pytest.mark.parametrize("name", PLANE_ENTRY_POINTS)
+    def test_plane_entry_point_imports_no_scientific_stack(
+            self, name, finished_store):
+        proc, imported = _imported(
+            [str(finished_store) if a == STORE else a
+             for a in PLANE_ENTRY_POINTS[name]])
+        assert [m for m in imported if m.startswith(SCIENTIFIC)] == []
+        if name.endswith("report"):
+            assert "Pairwise significance" in proc.stdout
 
 
 # ----------------------------------------------------------------------

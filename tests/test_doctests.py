@@ -4,6 +4,7 @@ import doctest
 
 import repro
 import repro.core.partitioner
+import repro.evaluation.stats_tests
 
 
 def test_package_doctest():
@@ -15,3 +16,9 @@ def test_package_doctest():
 def test_partitioner_doctest():
     results = doctest.testmod(repro.core.partitioner, verbose=False)
     assert results.failed == 0
+
+
+def test_stats_tests_doctest():
+    results = doctest.testmod(repro.evaluation.stats_tests, verbose=False)
+    assert results.failed == 0
+    assert results.attempted >= 1

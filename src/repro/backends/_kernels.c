@@ -11,8 +11,11 @@
  * run on activation), the cross-backend fuzz suite and the
  * oracle-equivalence suites pin this.  fm_pass runs the same pass on
  * its own working set (see the FM section).  Every kernel relies on:
- *   - all index/count/gain arguments are int64_t (cut arithmetic is
- *     exact in the integral regime the FM kernel requires);
+ *   - the hypergraph CSR (net_ptr, net_pins, vtx_ptr, vtx_nets) is
+ *     int32_t, read in place: a Hypergraph holds at most 2^31-1
+ *     vertices, nets and pins;
+ *   - every other index/count/gain argument is int64_t (cut arithmetic
+ *     is exact in the integral regime the FM kernel requires);
  *   - float accumulations run in the same order as the Python kernels;
  *   - the Mersenne Twister replicates CPython's _randommodule.c
  *     (genrand_uint32 twist + temper, genrand_res53 for random(),
@@ -78,11 +81,10 @@ mt_random(int64_t *mt, int64_t *mti)
  *   - fm_log per move: cut and balance margin after it.
  * The caller's assign/pins/pw/cut are read at entry and receive only
  * the kept prefix, replayed at the end; a pass that errors leaves them
- * untouched.  Vertex ids, pin counts and bucket indices are 32-bit, so
- * fm_pass declines (out[7] = 2) when n, m, the pin count or the span
- * 2*max_abs+1 reaches 2^31, or when an allocation fails.  out[7] = 1
- * reports a gain key outside [-max_abs, max_abs], where the interpreted
- * pass raises. */
+ * untouched.  Bucket indices are 32-bit, so fm_pass declines
+ * (out[7] = 2) when the span 2*max_abs+1 reaches 2^31, or when an
+ * allocation fails.  out[7] = 1 reports a gain key outside
+ * [-max_abs, max_abs], where the interpreted pass raises. */
 typedef struct {
     int32_t prev;
     int32_t next;
@@ -164,8 +166,8 @@ fm_select(const fm_vertex *vr, const fm_bucket *b, int64_t *maxi,
 }
 
 void
-fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
-        const int64_t *vtx_ptr, const int64_t *vtx_nets,
+fm_pass(const int32_t *net_ptr, const int32_t *net_pins,
+        const int32_t *vtx_ptr, const int32_t *vtx_nets,
         const int64_t *net_w, const int64_t *vwt,
         int64_t *assign, const int64_t *fixed,
         int64_t *pins0, int64_t *pins1, int64_t *pw, int64_t *cut_io,
@@ -177,10 +179,9 @@ fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
         int64_t *mt, int64_t *mti_io, int64_t *move_log, int64_t *out,
         int64_t n, int64_t m)
 {
-    /* Decline (out[7] = 2, state untouched) when 32-bit indices cannot
-     * hold a vertex id, a pin count or a bucket index. */
-    if (n > INT32_MAX || m > INT32_MAX || net_ptr[m] > INT32_MAX
-        || max_abs > (INT32_MAX - 1) / 2) {
+    /* Decline (out[7] = 2, state untouched) when a 32-bit bucket index
+     * cannot hold the span. */
+    if (max_abs > (INT32_MAX - 1) / 2) {
         out[7] = 2;
         return;
     }
@@ -230,8 +231,8 @@ fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
             continue;
         int s = r->side;
         int64_t g = 0;
-        for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
-            int64_t e = vtx_nets[i];
+        for (int32_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
+            int32_t e = vtx_nets[i];
             if (cnt[e][s] == 1)
                 g += net_w[e];
             if (cnt[e][1 - s] == 0)
@@ -331,8 +332,8 @@ fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
         last_src = src;
 
         /* ----- fused neighbour update + ledger update ------------- */
-        for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
-            int64_t e = vtx_nets[i];
+        for (int32_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
+            int32_t e = vtx_nets[i];
             int32_t f = cnt[e][src]; /* includes v */
             int32_t t = cnt[e][dst];
             cnt[e][src] = f - 1;
@@ -346,8 +347,8 @@ fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
              * f-1, other t -> t+1) and on the destination side. */
             int64_t d_src = (f == 2 ? w : f == 1 ? -w : 0) + (t == 0 ? w : 0);
             int64_t d_dst = (t == 0 ? w : t == 1 ? -w : 0) - (f == 1 ? w : 0);
-            for (int64_t j = net_ptr[e]; j < net_ptr[e + 1]; j++) {
-                int32_t y = (int32_t)net_pins[j];
+            for (int32_t j = net_ptr[e]; j < net_ptr[e + 1]; j++) {
+                int32_t y = net_pins[j];
                 fm_vertex *ry = &vr[y];
                 if (ry->pres == 0)
                     continue; /* locked, fixed, or guarded out */
@@ -461,8 +462,8 @@ fm_pass(const int64_t *net_ptr, const int64_t *net_pins,
         int64_t s = assign[v];
         int64_t *ps = pins[s];
         int64_t *pd = pins[1 - s];
-        for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
-            int64_t e = vtx_nets[i];
+        for (int32_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
+            int32_t e = vtx_nets[i];
             int64_t f = ps[e];
             int64_t t = pd[e];
             ps[e] = f - 1;
@@ -504,11 +505,11 @@ cleanup:
 /* Matching / clustering kernels                                       */
 /* ------------------------------------------------------------------ */
 void
-net_scores(const int64_t *net_ptr, const double *net_w,
+net_scores(const int32_t *net_ptr, const double *net_w,
            int64_t max_net_size, double *score, int64_t m)
 {
     for (int64_t e = 0; e < m; e++) {
-        int64_t size = net_ptr[e + 1] - net_ptr[e];
+        int32_t size = net_ptr[e + 1] - net_ptr[e];
         if (size < 2 || size > max_net_size)
             score[e] = -1.0;
         else
@@ -517,8 +518,8 @@ net_scores(const int64_t *net_ptr, const double *net_w,
 }
 
 void
-hem_match(const int64_t *net_ptr, const int64_t *net_pins,
-          const int64_t *vtx_ptr, const int64_t *vtx_nets,
+hem_match(const int32_t *net_ptr, const int32_t *net_pins,
+          const int32_t *vtx_ptr, const int32_t *vtx_nets,
           const double *vwt, const double *score, const int64_t *order,
           const int64_t *fixed, int64_t use_fixed,
           int64_t use_assignment, const int64_t *assignment,
@@ -537,17 +538,21 @@ hem_match(const int64_t *net_ptr, const int64_t *net_pins,
             continue;
         epoch += 1;
         int64_t ncount = 0;
-        for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
-            int64_t e = vtx_nets[i];
+        for (int32_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
+            int32_t e = vtx_nets[i];
             double w = score[e];
             if (w < 0.0)
                 continue;
-            int64_t nlo = net_ptr[e];
-            int64_t nhi = net_ptr[e + 1];
+            int32_t nlo = net_ptr[e];
+            int32_t nhi = net_ptr[e + 1];
             touched += nhi - nlo - 1;
-            for (int64_t j = nlo; j < nhi; j++) {
-                int64_t u = net_pins[j];
-                if (u == v)
+            for (int32_t j = nlo; j < nhi; j++) {
+                int32_t u = net_pins[j];
+                /* A matched neighbour can never be chosen (the
+                 * interpreted loop drops it among the candidates), so
+                 * it is not accumulated at all; the order and sums of
+                 * the others are unchanged. */
+                if (u == v || cluster[u] != -1)
                     continue;
                 if (stamp[u] == epoch) {
                     conn[u] += w;
@@ -564,8 +569,6 @@ hem_match(const int64_t *net_ptr, const int64_t *net_pins,
         double wv = vwt[v];
         for (int64_t t = 0; t < ncount; t++) {
             int64_t u = nbrs[t];
-            if (cluster[u] != -1)
-                continue;
             if (use_assignment != 0 && assignment[u] != assignment[v])
                 continue;
             if (wv + vwt[u] > max_cluster_weight)
@@ -595,8 +598,8 @@ hem_match(const int64_t *net_ptr, const int64_t *net_pins,
 }
 
 void
-fc_cluster(const int64_t *net_ptr, const int64_t *net_pins,
-           const int64_t *vtx_ptr, const int64_t *vtx_nets,
+fc_cluster(const int32_t *net_ptr, const int32_t *net_pins,
+           const int32_t *vtx_ptr, const int32_t *vtx_nets,
            const double *vwt, const double *score, const int64_t *order,
            const int64_t *fixed, int64_t use_fixed,
            double max_cluster_weight, int64_t *cluster, int64_t *out,
@@ -618,16 +621,16 @@ fc_cluster(const int64_t *net_ptr, const int64_t *net_pins,
             continue;
         epoch += 1;
         int64_t ncount = 0;
-        for (int64_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
-            int64_t e = vtx_nets[i];
+        for (int32_t i = vtx_ptr[v]; i < vtx_ptr[v + 1]; i++) {
+            int32_t e = vtx_nets[i];
             double w = score[e];
             if (w < 0.0)
                 continue;
-            int64_t nlo = net_ptr[e];
-            int64_t nhi = net_ptr[e + 1];
+            int32_t nlo = net_ptr[e];
+            int32_t nhi = net_ptr[e + 1];
             touched += nhi - nlo - 1;
-            for (int64_t j = nlo; j < nhi; j++) {
-                int64_t u = net_pins[j];
+            for (int32_t j = nlo; j < nhi; j++) {
+                int32_t u = net_pins[j];
                 if (u == v)
                     continue;
                 if (stamp[u] == epoch) {
@@ -682,7 +685,7 @@ fc_cluster(const int64_t *net_ptr, const int64_t *net_pins,
 }
 
 void
-hec_contract(const int64_t *net_ptr, const int64_t *net_pins,
+hec_contract(const int32_t *net_ptr, const int32_t *net_pins,
              const double *vwt, const int64_t *order,
              const int64_t *fixed, int64_t use_fixed,
              double max_cluster_weight, int64_t max_net_size,
@@ -693,14 +696,14 @@ hec_contract(const int64_t *net_ptr, const int64_t *net_pins,
     int64_t touched = 0;
     for (int64_t oi = 0; oi < num_nets; oi++) {
         int64_t e = order[oi];
-        int64_t nlo = net_ptr[e];
-        int64_t nhi = net_ptr[e + 1];
-        int64_t size = nhi - nlo;
+        int32_t nlo = net_ptr[e];
+        int32_t nhi = net_ptr[e + 1];
+        int32_t size = nhi - nlo;
         if (size < 2 || size > max_net_size)
             continue;
         touched += size;
         int free_net = 1;
-        for (int64_t i = nlo; i < nhi; i++) {
+        for (int32_t i = nlo; i < nhi; i++) {
             if (cluster[net_pins[i]] != -1) {
                 free_net = 0;
                 break;
@@ -709,14 +712,14 @@ hec_contract(const int64_t *net_ptr, const int64_t *net_pins,
         if (!free_net)
             continue;
         double total = 0.0;
-        for (int64_t i = nlo; i < nhi; i++)
+        for (int32_t i = nlo; i < nhi; i++)
             total += vwt[net_pins[i]];
         if (total > max_cluster_weight)
             continue;
         if (use_fixed != 0) {
             int64_t side = -1;
             int conflict = 0;
-            for (int64_t i = nlo; i < nhi; i++) {
+            for (int32_t i = nlo; i < nhi; i++) {
                 int64_t fp = fixed[net_pins[i]];
                 if (fp != -1) {
                     if (side == -1) {
@@ -730,7 +733,7 @@ hec_contract(const int64_t *net_ptr, const int64_t *net_pins,
             if (conflict)
                 continue;
         }
-        for (int64_t i = nlo; i < nhi; i++)
+        for (int32_t i = nlo; i < nhi; i++)
             cluster[net_pins[i]] = next_id;
         next_id += 1;
     }
@@ -748,18 +751,21 @@ hec_contract(const int64_t *net_ptr, const int64_t *net_pins,
 /* Contraction (coarsen) kernel                                        */
 /* ------------------------------------------------------------------ */
 static int
-cmp_int64(const void *pa, const void *pb)
+cmp_int32(const void *pa, const void *pb)
 {
-    int64_t x = *(const int64_t *)pa;
-    int64_t y = *(const int64_t *)pb;
+    int32_t x = *(const int32_t *)pa;
+    int32_t y = *(const int32_t *)pb;
     return (x > y) - (x < y);
 }
 
+/* Coarse vertex ids are below n and coarse pin slots below the fine pin
+ * count, so the projected pins and the coarse CSR are int32 like the
+ * fine one; the cluster maps stay int64. */
 void
-contract(const int64_t *net_ptr, const int64_t *net_pins,
+contract(const int32_t *net_ptr, const int32_t *net_pins,
          const int64_t *cluster_of, const double *vwt,
          const double *net_w, int64_t *mapped, double *weights,
-         int64_t *coarse_net_ptr, int64_t *coarse_pins,
+         int32_t *coarse_net_ptr, int32_t *coarse_pins,
          double *coarse_net_w, int64_t *out,
          int64_t n, int64_t m, int64_t total_pins)
 {
@@ -796,23 +802,23 @@ contract(const int64_t *net_ptr, const int64_t *net_pins,
 
     /* ----- project nets, dedup pins ------------------------------- */
     int64_t *stamp = calloc((size_t)(num_coarse + 1), sizeof(int64_t));
-    int64_t *buf = calloc((size_t)(num_coarse + 1), sizeof(int64_t));
-    int64_t *proj_pins = calloc((size_t)(total_pins > 0 ? total_pins : 1),
-                                sizeof(int64_t));
-    int64_t *proj_ptr = calloc((size_t)(m + 1), sizeof(int64_t));
+    int32_t *buf = calloc((size_t)(num_coarse + 1), sizeof(int32_t));
+    int32_t *proj_pins = calloc((size_t)(total_pins > 0 ? total_pins : 1),
+                                sizeof(int32_t));
+    int32_t *proj_ptr = calloc((size_t)(m + 1), sizeof(int32_t));
     int64_t *proj_orig = calloc((size_t)(m > 0 ? m : 1), sizeof(int64_t));
     int64_t kept = 0;
-    int64_t ppos = 0;
+    int32_t ppos = 0;
     int64_t dropped = 0;
     int64_t epoch = 0;
     for (int64_t e = 0; e < m; e++) {
         epoch += 1;
-        int64_t cnt = 0;
-        for (int64_t i = net_ptr[e]; i < net_ptr[e + 1]; i++) {
+        int32_t cnt = 0;
+        for (int32_t i = net_ptr[e]; i < net_ptr[e + 1]; i++) {
             int64_t c = mapped[net_pins[i]];
             if (stamp[c] != epoch) {
                 stamp[c] = epoch;
-                buf[cnt] = c;
+                buf[cnt] = (int32_t)c;
                 cnt += 1;
             }
         }
@@ -822,9 +828,9 @@ contract(const int64_t *net_ptr, const int64_t *net_pins,
         }
         /* Sort the deduped pin run (its pins are distinct, so any
          * sort gives the same order). */
-        qsort(buf, (size_t)cnt, sizeof(int64_t), cmp_int64);
+        qsort(buf, (size_t)cnt, sizeof(int32_t), cmp_int32);
         proj_ptr[kept] = ppos;
-        for (int64_t a = 0; a < cnt; a++) {
+        for (int32_t a = 0; a < cnt; a++) {
             proj_pins[ppos] = buf[a];
             ppos += 1;
         }
@@ -849,11 +855,11 @@ contract(const int64_t *net_ptr, const int64_t *net_pins,
     int64_t merged = 0;
     int64_t mask = table_size - 1;
     for (int64_t k = 0; k < kept; k++) {
-        int64_t klo = proj_ptr[k];
-        int64_t khi = proj_ptr[k + 1];
+        int32_t klo = proj_ptr[k];
+        int32_t khi = proj_ptr[k + 1];
         uint64_t h = 1469598103934665603ULL;
-        for (int64_t i = klo; i < khi; i++) {
-            h = ((h ^ (uint64_t)proj_pins[i]) * 1099511628211ULL)
+        for (int32_t i = klo; i < khi; i++) {
+            h = ((h ^ (uint32_t)proj_pins[i]) * 1099511628211ULL)
                 & 0x7FFFFFFFFFFFFFFFULL;
         }
         int64_t slot = (int64_t)h & mask;
@@ -863,11 +869,11 @@ contract(const int64_t *net_ptr, const int64_t *net_pins,
             if (occ == -1)
                 break;
             int64_t ho = group_head[occ];
-            int64_t olo = proj_ptr[ho];
-            int64_t ohi = proj_ptr[ho + 1];
+            int32_t olo = proj_ptr[ho];
+            int32_t ohi = proj_ptr[ho + 1];
             if (ohi - olo == khi - klo) {
                 int same = 1;
-                for (int64_t i = 0; i < khi - klo; i++) {
+                for (int32_t i = 0; i < khi - klo; i++) {
                     if (proj_pins[olo + i] != proj_pins[klo + i]) {
                         same = 0;
                         break;
@@ -892,11 +898,11 @@ contract(const int64_t *net_ptr, const int64_t *net_pins,
     }
 
     /* ----- emit the coarse CSR ------------------------------------- */
-    int64_t cpos = 0;
+    int32_t cpos = 0;
     coarse_net_ptr[0] = 0;
     for (int64_t g = 0; g < num_groups; g++) {
         int64_t hk = group_head[g];
-        for (int64_t i = proj_ptr[hk]; i < proj_ptr[hk + 1]; i++) {
+        for (int32_t i = proj_ptr[hk]; i < proj_ptr[hk + 1]; i++) {
             coarse_pins[cpos] = proj_pins[i];
             cpos += 1;
         }

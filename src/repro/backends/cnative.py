@@ -25,6 +25,12 @@ return ``None``, and they derive the shape arguments the C ABI needs.
 A kernel that draws random numbers takes CPython's Mersenne-Twister
 state as ``mt`` (the 624 words of ``Random.getstate()``) and
 ``mti_io[0]`` (the position), and leaves both where CPython would.
+
+Every kernel reads the hypergraph CSR (``net_ptr``, ``net_pins``,
+``vtx_ptr``, ``vtx_nets``) as the :class:`~repro.hypergraph.Hypergraph`
+holds it: C-contiguous int32, passed by pointer and never copied, which
+the wrappers check.  Cluster maps, orders and partition state are
+int64.
 """
 
 from __future__ import annotations
@@ -126,6 +132,18 @@ def _p(a):
     return a.ctypes.data
 
 
+def _check_csr(*arrays) -> None:
+    """Raise unless each array is C-contiguous int32, the layout the
+    kernels index the CSR in (a wider array would be misread, and a
+    conversion here would copy it on every call)."""
+    for a in arrays:
+        if a.dtype != np.int32 or not a.flags.c_contiguous or a.ndim != 1:
+            raise ValueError(
+                f"expected a C-contiguous int32 CSR array, got "
+                f"{a.dtype}{list(a.shape)}"
+            )
+
+
 def _check_state(arrays, size: int) -> None:
     """Raise unless each array is C-contiguous int64 of length ``size``:
     the kernels write through these pointers."""
@@ -165,10 +183,11 @@ def fm_pass(net_ptr, net_pins, vtx_ptr, vtx_nets, net_w, vwt,
     ``out = [mcount, best_k, ecount, selects, updates, zero_skips,
     net_skips, error]``.  ``error`` is 1 when a gain key left
     ``[-max_abs, max_abs]`` (the interpreted pass raises there) and 2
-    when a size or the bucket span ``2*max_abs+1`` reaches 2**31.  Either
-    way the partition arrays are untouched, and the engine restores the
-    MT state and runs the pass interpreted.
+    when the bucket span ``2*max_abs+1`` reaches 2**31.  Either way the
+    partition arrays are untouched, and the engine restores the MT state
+    and runs the pass interpreted.
     """
+    _check_csr(net_ptr, net_pins, vtx_ptr, vtx_nets)
     _check_state((assign, fixed, move_log), vtx_ptr.shape[0] - 1)
     _check_state((pins0, pins1), net_ptr.shape[0] - 1)
     _LIB.fm_pass(
@@ -187,6 +206,7 @@ def fm_pass(net_ptr, net_pins, vtx_ptr, vtx_nets, net_w, vwt,
 def net_scores(net_ptr, net_w, max_net_size, score):
     """Per-net connectivity score ``w/(size-1)`` into ``score``; -1.0
     for nets with fewer than 2 or more than ``max_net_size`` pins."""
+    _check_csr(net_ptr)
     _LIB.net_scores(_p(net_ptr), _p(net_w), int(max_net_size),
                     _p(score), score.shape[0])
 
@@ -200,8 +220,11 @@ def hem_match(net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, score, order,
     ``v`` is fixed to, or -1 (read only when ``use_fixed``);
     ``use_assignment`` selects the V-cycle variant, which merges only
     vertices on the same side of ``assignment``.  ``cluster`` must be
-    -1-filled.  ``out = [next_id, touched]``.
+    -1-filled.  ``out = [next_id, touched]``; ``touched`` counts every
+    pin slot of the scored nets, although neighbours already matched
+    are skipped without accumulating their connectivity.
     """
+    _check_csr(net_ptr, net_pins, vtx_ptr, vtx_nets)
     _LIB.hem_match(
         _p(net_ptr), _p(net_pins), _p(vtx_ptr), _p(vtx_nets),
         _p(vwt), _p(score), _p(order), _p(fixed),
@@ -215,6 +238,7 @@ def fc_cluster(net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, score, order,
                fixed, use_fixed, max_cluster_weight, cluster, out):
     """First-choice clustering over the visit ``order``; arguments as
     :func:`hem_match`.  ``out = [num_clusters, touched]``."""
+    _check_csr(net_ptr, net_pins, vtx_ptr, vtx_nets)
     _LIB.fc_cluster(
         _p(net_ptr), _p(net_pins), _p(vtx_ptr), _p(vtx_nets),
         _p(vwt), _p(score), _p(order), _p(fixed), int(use_fixed),
@@ -228,6 +252,7 @@ def hec_contract(net_ptr, net_pins, vwt, order, fixed, use_fixed,
     """Hyperedge coarsening over a net visit ``order`` the caller sorted
     heaviest first (it owns the RNG shuffle and the sort).  ``cluster``
     must be -1-filled.  ``out = [next_id, touched]``."""
+    _check_csr(net_ptr, net_pins)
     _LIB.hec_contract(
         _p(net_ptr), _p(net_pins), _p(vwt), _p(order), _p(fixed),
         int(use_fixed), float(max_cluster_weight), int(max_net_size),
@@ -244,13 +269,14 @@ def contract(net_ptr, net_pins, cluster_of, vwt, net_w, mapped,
     pins drop), and identical nets merged into the one with the smallest
     original id, weights summed in ascending original-net order.
 
-    Output buffers: ``mapped`` (n), ``weights`` (<= n),
-    ``coarse_net_ptr`` (m+1), ``coarse_pins`` (<= total pins),
-    ``coarse_net_w`` (<= m).  ``out = [num_coarse, num_coarse_nets,
-    num_coarse_pins, merged, dropped, error]``; ``error`` 1 flags a
-    negative cluster id, and ``out[0]`` is then the first offending
-    vertex.
+    Output buffers: ``mapped`` (n, int64), ``weights`` (<= n),
+    ``coarse_net_ptr`` (m+1, int32), ``coarse_pins`` (<= total pins,
+    int32), ``coarse_net_w`` (<= m).  ``out = [num_coarse,
+    num_coarse_nets, num_coarse_pins, merged, dropped, error]``;
+    ``error`` 1 flags a negative cluster id, and ``out[0]`` is then the
+    first offending vertex.
     """
+    _check_csr(net_ptr, net_pins, coarse_net_ptr, coarse_pins)
     _LIB.contract(
         _p(net_ptr), _p(net_pins), _p(cluster_of), _p(vwt), _p(net_w),
         _p(mapped), _p(weights), _p(coarse_net_ptr), _p(coarse_pins),

@@ -5,7 +5,10 @@ the four clusterings and contraction — on small deterministic instances,
 once with ``backend="numpy"`` and once with a candidate
 :class:`~repro.backends.registry.KernelSet`, and requires bit-identical
 partition state, move logs and pass statistics, cluster maps, coarse
-hypergraphs, ``PerfCounters`` counts and Mersenne-Twister state.  Net
+hypergraphs (values and dtypes), ``PerfCounters`` counts and
+Mersenne-Twister state.  The kernels read the instances' int32 CSR as
+the layers hand it over, so the check runs them on the layout they see
+in production.  Net
 scores, the shuffle and the bootstrap tables are compared directly with
 ``matching._net_scores``, CPython's ``random.shuffle`` and numpy's
 ``cumsum`` / indexing / ``minimum.accumulate`` — the numpy branch of
@@ -153,7 +156,9 @@ def _check_contract(ks) -> None:
                               ("cluster map", "net_ptr", "net pins",
                                "vtx_ptr", "vtx nets", "vertex weights",
                                "net weights", "counters")):
-        _require(np.array_equal(got, ref), "contract", what)
+        _require(np.array_equal(got, ref)
+                 and np.asarray(got).dtype == np.asarray(ref).dtype,
+                 "contract", what)
     bad = cluster.copy()
     bad[7] = -2
     errors = []

@@ -51,7 +51,7 @@ invariant.  The interpreted loop runs on a
 partition taken once per ``refine()`` and stored back at its end.  The
 compiled-backend path needs neither: it hands the partition's own numpy
 arrays to the kernel, which updates them in place, and reads the
-hypergraph's read-only int64 CSR and its cached integer weights and gain
+hypergraph's read-only int32 CSR and its cached integer weights and gain
 bound directly.
 """
 

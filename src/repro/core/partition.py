@@ -11,7 +11,7 @@ All FM engines, the multilevel refiner and the rollback logic operate on
 this object; its incremental bookkeeping is validated against from-scratch
 recomputation in the test suite (including hypothesis property tests).
 
-The state lives in numpy arrays beside the hypergraph's int64 CSR: the
+The state lives in numpy arrays beside the hypergraph's int32 CSR: the
 assignment (int64), the fixed mask (bool) and the two per-net pin-count
 arrays (int64), so the compiled FM kernel and the multilevel projection
 work on them in place.  Interpreted loops index Python lists several
@@ -207,10 +207,11 @@ class Partition2(_MoveRules):
         self._hot = None
 
         # Pin counts are exact integers in every regime: one prefix sum
-        # over the pin array gives each net's part-1 count.
+        # over the pin array gives each net's part-1 count.  The gather
+        # reads a bool copy of the sides, so it is a byte per pin.
         net_ptr, net_pins, _, _ = hypergraph.csr
         ones = np.zeros(net_pins.shape[0] + 1, dtype=np.int64)
-        np.cumsum(sides[net_pins], out=ones[1:])
+        np.cumsum(sides.astype(bool)[net_pins], out=ones[1:])
         pins1 = ones[net_ptr[1:]] - ones[net_ptr[:-1]]
         pins0 = np.diff(net_ptr) - pins1
         self.pins_in_part: List[np.ndarray] = [pins0, pins1]

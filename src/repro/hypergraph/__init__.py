@@ -13,7 +13,8 @@ Public entry points
 ``HypergraphBuilder``
     Incremental construction with name handling and pin de-duplication.
 ``read_hgr`` / ``write_hgr``
-    hMetis ``.hgr`` text format.
+    hMetis ``.hgr`` text format; malformed input raises
+    ``HgrFormatError``, a ``ValueError`` naming the file line.
 ``read_netd`` / ``write_netd``
     ISPD98 ``.netD`` + ``.are`` netlist format (as used by the IBM
     benchmark suite the paper reports on).
@@ -24,7 +25,7 @@ Public entry points
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.builder import HypergraphBuilder
-from repro.hypergraph.io_hmetis import read_hgr, write_hgr
+from repro.hypergraph.io_hmetis import HgrFormatError, read_hgr, write_hgr
 from repro.hypergraph.io_netd import read_netd, write_netd
 from repro.hypergraph.io_fix import read_fix, write_fix
 from repro.hypergraph.io_solution import read_solution, write_solution
@@ -38,6 +39,7 @@ from repro.hypergraph.conversion import (
 )
 
 __all__ = [
+    "HgrFormatError",
     "Hypergraph",
     "HypergraphBuilder",
     "read_hgr",

@@ -12,10 +12,13 @@ weights).  A hypergraph is one immutable CSR, built once:
 
 All six are read-only numpy arrays (:attr:`Hypergraph.csr`,
 :attr:`Hypergraph.vertex_weight_array`,
-:attr:`Hypergraph.net_weight_array`).  The compiled kernels and the
-vectorized constructors consume them as they are, and an accidental
-write raises instead of silently invalidating something derived from
-them.  Because nothing can change, every derived value — weight
+:attr:`Hypergraph.net_weight_array`).  The four CSR arrays are int32 on
+every construction path, which halves the index bytes of every instance
+and hierarchy level; a hypergraph with more than :data:`INDEX_LIMIT`
+vertices, nets or pins raises ``ValueError``.  The compiled kernels and
+the vectorized constructors consume the arrays as they are, and an
+accidental write raises instead of silently invalidating something
+derived from them.  Because nothing can change, every derived value — weight
 integrality, the gain bound, per-consumer statics — is computed at most
 once per hypergraph and kept on the instance (:meth:`Hypergraph.cached`).
 
@@ -33,6 +36,10 @@ import math
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+#: Largest vertex, net or pin count of a hypergraph: its CSR holds
+#: 32-bit ids and offsets.
+INDEX_LIMIT = 2**31 - 1
 
 
 class Hypergraph:
@@ -94,9 +101,11 @@ class Hypergraph:
             np.fromiter((len(p) for p in net_pins), np.int64, num_nets),
             out=net_ptr[1:],
         )
+        check_index_range(num_vertices, num_nets, int(net_ptr[-1]))
         pins = np.fromiter(
             itertools.chain.from_iterable(net_pins), np.int64, int(net_ptr[-1])
         )
+        # Checked wide, so a bad pin raises before anything narrows.
         _check_pins(net_ptr, pins, num_vertices)
         vw = checked_weights(vertex_weights, num_vertices, "vertex")
         nw = checked_weights(net_weights, num_nets, "net")
@@ -120,16 +129,18 @@ class Hypergraph:
         vertex_names: Optional[List[str]],
         net_names: Optional[List[str]],
     ) -> None:
-        """Freeze the arrays and compute the construction-time statics."""
+        """Freeze the arrays (the CSR narrowed to int32, which every
+        caller has range-checked) and compute the construction-time
+        statics."""
         self._num_vertices = num_vertices
-        self._net_ptr = _frozen(net_ptr, np.int64)
-        self._net_pins = _frozen(net_pins, np.int64)
+        self._net_ptr = _frozen(net_ptr, np.int32)
+        self._net_pins = _frozen(net_pins, np.int32)
         self._num_nets = self._net_ptr.shape[0] - 1
         vtx_ptr, vtx_nets = _build_transpose(
             num_vertices, self._net_ptr, self._net_pins
         )
-        self._vtx_ptr = _frozen(vtx_ptr, np.int64)
-        self._vtx_nets = _frozen(vtx_nets, np.int64)
+        self._vtx_ptr = _frozen(vtx_ptr, np.int32)
+        self._vtx_nets = _frozen(vtx_nets, np.int32)
         vw = self._vertex_weights = _frozen(vertex_weights, np.float64)
         self._net_weights = _frozen(net_weights, np.float64)
         self._vertex_names = vertex_names
@@ -166,17 +177,21 @@ class Hypergraph:
         kernels, the netlist builder, the ``.hgr`` reader, unpickling):
         the caller *transfers ownership* of the arguments, which
         may be lists or numpy arrays.  Contiguous arrays of the right
-        dtype are adopted without copying and frozen; CSR arguments given
-        as lists also become the interpreted loops' list views.  Unless
-        ``validate`` is set nothing is
+        dtype (int32 CSR, float64 weights) are adopted without copying
+        and frozen; wider CSR arrays are narrowed to int32; CSR
+        arguments given as lists also become the interpreted loops' list
+        views.  The sizes are always checked against
+        :data:`INDEX_LIMIT`.  Unless ``validate`` is set nothing else is
         re-checked, on the contract that pins are in range and
         duplicate-free within each net, weights are finite, non-negative
         and of the right length, and ``net_ptr`` is a proper monotone prefix
         array.
 
         ``validate=True`` applies the same checks as the list-of-lists
-        constructor (useful when adopting CSR data of uncertain origin).
+        constructor (useful when adopting CSR data of uncertain origin),
+        before anything narrows.
         """
+        check_index_range(num_vertices, len(net_ptr) - 1, len(net_pins))
         if validate:
             if num_vertices < 0:
                 raise ValueError("num_vertices must be non-negative")
@@ -272,7 +287,7 @@ class Hypergraph:
     # ------------------------------------------------------------------
     @property
     def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only int64 ``(net_ptr, net_pins, vtx_ptr, vtx_nets)``."""
+        """Read-only int32 ``(net_ptr, net_pins, vtx_ptr, vtx_nets)``."""
         return self._net_ptr, self._net_pins, self._vtx_ptr, self._vtx_nets
 
     @property
@@ -547,6 +562,18 @@ def _integral(weights: np.ndarray) -> bool:
     return bool((np.mod(weights, 1.0) == 0.0).all())
 
 
+def check_index_range(num_vertices: int, num_nets: int, num_pins: int) -> None:
+    """Raise ``ValueError`` naming the size when a count exceeds
+    :data:`INDEX_LIMIT`, the largest an int32 CSR can index."""
+    for count, kind in ((num_vertices, "vertices"), (num_nets, "nets"),
+                        (num_pins, "pins")):
+        if count > INDEX_LIMIT:
+            raise ValueError(
+                f"hypergraph has {count} {kind}; the int32 CSR holds at "
+                f"most {INDEX_LIMIT}"
+            )
+
+
 def checked_weights(values, count: int, kind: str) -> np.ndarray:
     """Validated float64 copy of a ``kind`` ("vertex"/"net") weight
     vector; unit weights when ``values`` is ``None``."""
@@ -562,29 +589,45 @@ def checked_weights(values, count: int, kind: str) -> np.ndarray:
     return arr
 
 
+class WeightError(ValueError):
+    """A negative or non-finite weight; ``index`` is its position in
+    its weight vector."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 def checked_weight(kind: str, index: int, weight: float) -> float:
-    """``weight`` as a float; raises ``ValueError`` naming ``kind`` and
-    ``index`` when it is negative or not finite (a NaN area fails every
-    balance check, an infinite one passes every one)."""
+    """``weight`` as a float; raises :class:`WeightError` naming ``kind``
+    and ``index`` when it is negative or not finite (a NaN area fails
+    every balance check, an infinite one passes every one)."""
     w = float(weight)
     if w < 0:
-        raise ValueError(f"{kind} {index} has negative weight {w}")
+        raise WeightError(f"{kind} {index} has negative weight {w}", index)
     if not math.isfinite(w):
-        raise ValueError(f"{kind} {index} has non-finite weight {w}")
+        raise WeightError(f"{kind} {index} has non-finite weight {w}", index)
     return w
 
 
 def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of int64 ``keys`` in ``[0, bound)``.
+    """Stable argsort of integer ``keys`` in ``[0, bound)``.
 
     Sorting the distinct composites ``key * len + slot`` gives the same
     order several times faster than numpy's stable argsort; keys too
-    wide for the composite to fit int64 take the argsort.
+    wide for the composite to fit int64 take the argsort.  The composite
+    is formed in int64 whatever the keys' dtype (an int32 key times the
+    length wraps once ``bound * len`` passes 2**31), and sorted in place.
     """
     size = keys.shape[0]
     if size == 0 or bound * size >= 1 << 62:
         return np.argsort(keys, kind="stable")
-    return np.sort(keys * size + np.arange(size, dtype=np.int64)) % size
+    composite = keys.astype(np.int64)
+    composite *= size
+    composite += np.arange(size, dtype=np.int64)
+    composite.sort()
+    composite %= size
+    return composite
 
 
 def repeated_pins(
@@ -596,7 +639,9 @@ def repeated_pins(
     num_nets = net_ptr.shape[0] - 1
     owner = np.repeat(np.arange(num_nets, dtype=np.int64), np.diff(net_ptr))
     width = num_vertices + 2
-    key = owner * width + (np.clip(pins, -1, num_vertices) + 1)
+    key = owner * width
+    key += np.clip(pins, -1, num_vertices)
+    key += 1
     order = stable_order(key, num_nets * width)
     repeat = np.zeros(pins.shape[0], dtype=bool)
     repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
@@ -623,12 +668,12 @@ def _check_pins(net_ptr: np.ndarray, pins: np.ndarray, num_vertices: int) -> Non
 def _build_transpose(
     num_vertices: int, net_ptr: np.ndarray, net_pins: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vertex -> nets CSR from the net -> pins CSR (nets ascending per
-    vertex): a stable sort of the pin slots by vertex."""
-    vtx_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    """Vertex -> nets int32 CSR from the int32 net -> pins CSR (nets
+    ascending per vertex): a stable sort of the pin slots by vertex."""
+    vtx_ptr = np.zeros(num_vertices + 1, dtype=np.int32)
     np.cumsum(np.bincount(net_pins, minlength=num_vertices), out=vtx_ptr[1:])
     owner = np.repeat(
-        np.arange(net_ptr.shape[0] - 1, dtype=np.int64), np.diff(net_ptr)
+        np.arange(net_ptr.shape[0] - 1, dtype=np.int32), np.diff(net_ptr)
     )
     return vtx_ptr, owner[stable_order(net_pins, num_vertices)]
 

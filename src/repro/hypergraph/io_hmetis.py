@@ -9,6 +9,10 @@ Format (hMetis 1.5 user manual):
 * One line per net: ``[weight] pin pin ...`` with 1-based vertex ids.
 * If vertex weights are present, one weight per line follows the nets.
 * Lines starting with ``%`` are comments.
+
+Malformed input raises :class:`HgrFormatError`, a ``ValueError`` whose
+``line`` is the 1-based file line at fault (comment and blank lines
+counted).
 """
 
 from __future__ import annotations
@@ -16,13 +20,31 @@ from __future__ import annotations
 import io
 import warnings
 from pathlib import Path
-from typing import List, Optional, TextIO, Union
+from typing import Callable, List, Optional, TextIO, Union
 
 import numpy as np
 
-from repro.hypergraph.hypergraph import Hypergraph, checked_weights, repeated_pins
+from repro.hypergraph.hypergraph import (
+    Hypergraph,
+    WeightError,
+    checked_weights,
+    repeated_pins,
+)
 
 PathLike = Union[str, Path]
+
+
+class HgrFormatError(ValueError):
+    """Malformed ``.hgr`` input.
+
+    ``line`` is the 1-based line of the file at fault, counting comment
+    and blank lines; a file that ends early names the line after its
+    last.  The message is the reason with `` (line N)`` appended.
+    """
+
+    def __init__(self, message: str, line: int) -> None:
+        super().__init__(f"{message} (line {line})")
+        self.line = line
 
 
 def _open_text(source: Union[PathLike, TextIO], mode: str) -> TextIO:
@@ -35,9 +57,11 @@ def read_hgr(source: Union[PathLike, TextIO]) -> Hypergraph:
     """Read a hypergraph in hMetis ``.hgr`` format.
 
     ``source`` may be a path or an open text stream.  Raises
-    ``ValueError`` on malformed input, including a negative or
-    non-finite weight.  Duplicate pins within a net are merged (first
-    occurrence kept).
+    :class:`HgrFormatError` (a ``ValueError`` naming the line) on
+    malformed input: a bad header, a truncated file, a token that is
+    not a number, an out-of-range pin, or a negative or non-finite
+    weight.  Duplicate pins within a net are merged (first occurrence
+    kept).
     """
     stream = _open_text(source, "r")
     close = isinstance(source, (str, Path))
@@ -49,50 +73,61 @@ def read_hgr(source: Union[PathLike, TextIO]) -> Hypergraph:
     lines = list(filter(None, map(str.strip, text.split("\n"))))
     if "%" in text:
         lines = [ln for ln in lines if not ln.startswith("%")]
+
+    def line_of(i: int) -> int:
+        """File line of ``lines[i]`` (error paths only)."""
+        return _content_lines(text)[i]
+
     if not lines:
-        raise ValueError("empty .hgr file")
+        raise HgrFormatError("empty .hgr file", _end_line(text))
 
     header = lines[0].split()
     fmt = header[2] if len(header) == 3 else "0"
     if (len(header) not in (2, 3) or fmt not in ("0", "1", "10", "11")
             or not all(f.isdecimal() for f in header[:2])):
-        raise ValueError(f"bad .hgr header: {lines[0]!r}")
+        raise HgrFormatError(f"bad .hgr header: {lines[0]!r}", line_of(0))
     num_nets, num_vertices = int(header[0]), int(header[1])
     has_net_weights = fmt in ("1", "11")
     has_vertex_weights = fmt in ("10", "11")
 
     expected = 1 + num_nets + (num_vertices if has_vertex_weights else 0)
     if len(lines) < expected:
-        raise ValueError(
-            f".hgr truncated: expected {expected} lines, got {len(lines)}"
+        raise HgrFormatError(
+            f".hgr truncated: expected {expected} lines, got {len(lines)}",
+            _end_line(text),
         )
 
     net_lines = lines[1 : 1 + num_nets]
     parsed = _parse_nets(net_lines, num_vertices, has_net_weights)
     if parsed is None:
         nets, net_weights = _parse_nets_by_line(
-            net_lines, num_vertices, has_net_weights
+            net_lines, num_vertices, has_net_weights,
+            line_of=lambda e: line_of(1 + e),
         )
+    else:
+        net_ptr, pins, net_weights = parsed
+    first = 1 + num_nets  # the first vertex-weight line
     vertex_weights: Optional[List[float]] = None
     if has_vertex_weights:
-        vertex_weights = list(
-            map(float, lines[1 + num_nets : 1 + num_nets + num_vertices])
-        )
+        tokens = lines[first : first + num_vertices]
+        try:
+            vertex_weights = list(map(float, tokens))
+        except ValueError:
+            for i, token in enumerate(tokens):
+                try:
+                    float(token)
+                except ValueError as exc:
+                    raise HgrFormatError(
+                        str(exc), line_of(first + i)
+                    ) from None
+    vw = _checked(vertex_weights, num_vertices, "vertex",
+                  lambda v: line_of(first + v))
+    nw = _checked(net_weights, num_nets, "net", lambda e: line_of(1 + e))
     if parsed is None:
         return Hypergraph(
-            nets,
-            num_vertices=num_vertices,
-            vertex_weights=vertex_weights,
-            net_weights=net_weights,
+            nets, num_vertices=num_vertices, vertex_weights=vw, net_weights=nw
         )
-    net_ptr, pins, net_weights = parsed
-    return Hypergraph.from_csr(
-        net_ptr,
-        pins,
-        num_vertices,
-        checked_weights(vertex_weights, num_vertices, "vertex"),
-        checked_weights(net_weights, num_nets, "net"),
-    )
+    return Hypergraph.from_csr(net_ptr, pins, num_vertices, vw, nw)
 
 
 def _parse_nets(
@@ -160,28 +195,61 @@ def _parse_nets(
     return net_ptr, pins, net_weights
 
 
+def _content_lines(text: str) -> List[int]:
+    """1-based file line of each line :func:`read_hgr` parses (comment
+    and blank lines skipped)."""
+    return [
+        number for number, line in enumerate(text.split("\n"), 1)
+        if line.strip() and not line.strip().startswith("%")
+    ]
+
+
+def _end_line(text: str) -> int:
+    """The line after the last (error paths only)."""
+    return len(text.splitlines()) + 1
+
+
+def _checked(
+    values, count: int, kind: str, line_of: Callable[[int], int]
+) -> np.ndarray:
+    """:func:`checked_weights`, its :class:`WeightError` raised again as
+    :class:`HgrFormatError` on the file line of the bad weight."""
+    try:
+        return checked_weights(values, count, kind)
+    except WeightError as exc:
+        raise HgrFormatError(str(exc), line_of(exc.index)) from None
+
+
 def _parse_nets_by_line(
-    net_lines: List[str], num_vertices: int, has_net_weights: bool
+    net_lines: List[str],
+    num_vertices: int,
+    has_net_weights: bool,
+    line_of: Callable[[int], int] = lambda e: e + 2,
 ) -> tuple:
-    """Reference line-by-line parse: ``(nets, net_weights)``; raises on
-    the first malformed net."""
+    """Reference line-by-line parse: ``(nets, net_weights)``; raises
+    :class:`HgrFormatError` at the first malformed net, on the file line
+    ``line_of(e)`` of net ``e`` (by default, the line after the header
+    with no comments in between)."""
     nets: List[List[int]] = []
     net_weights: Optional[List[float]] = [] if has_net_weights else None
     for e, line in enumerate(net_lines):
         fields = line.split()
-        if has_net_weights:
-            assert net_weights is not None
-            net_weights.append(float(fields[0]))
-            fields = fields[1:]
-        pins = []
-        seen = set()
-        for f in fields:
-            v = int(f) - 1
-            if not 0 <= v < num_vertices:
-                raise ValueError(f"net {e} pin {f} out of range")
-            if v not in seen:
-                seen.add(v)
-                pins.append(v)
+        try:
+            if has_net_weights:
+                assert net_weights is not None
+                net_weights.append(float(fields[0]))
+                fields = fields[1:]
+            pins = []
+            seen = set()
+            for f in fields:
+                v = int(f) - 1
+                if not 0 <= v < num_vertices:
+                    raise ValueError(f"net {e} pin {f} out of range")
+                if v not in seen:
+                    seen.add(v)
+                    pins.append(v)
+        except ValueError as exc:
+            raise HgrFormatError(str(exc), line_of(e)) from None
         nets.append(pins)
     return nets, net_weights
 

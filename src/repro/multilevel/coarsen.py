@@ -24,9 +24,10 @@ same float weight accumulation order — but computes it on flat arrays:
   weight accumulation order bit for bit,
 * coarse CSR assembled flat and adopted by the trusted
   :meth:`Hypergraph.from_csr` fast path — no re-validation of pins the
-  kernel just constructed.  The compiled backends hand their int64
-  output arrays over as they are, so a coarse level never exists as
-  Python lists unless an interpreted loop asks for them.
+  kernel just constructed.  The compiled backends write the coarse CSR
+  as int32, the dtype every hypergraph holds, and hand it over as it is,
+  so a coarse level never exists as Python lists (or as an int64 copy)
+  unless an interpreted loop asks for the lists.
 
 Cluster maps are int64 arrays: :attr:`CoarseLevel.cluster_of` is the
 contraction kernel's own ``mapped`` output, and projecting an
@@ -252,8 +253,8 @@ def _coarsen_kernel(
     m = hypergraph.num_nets
     mapped = np.zeros(n, dtype=np.int64)
     weights = np.zeros(n, dtype=np.float64)
-    coarse_net_ptr = np.zeros(m + 1, dtype=np.int64)
-    coarse_pins = np.zeros(net_pins.shape[0], dtype=np.int64)
+    coarse_net_ptr = np.zeros(m + 1, dtype=np.int32)
+    coarse_pins = np.zeros(net_pins.shape[0], dtype=np.int32)
     coarse_net_w = np.zeros(m, dtype=np.float64)
     out = np.zeros(6, dtype=np.int64)
     ks.contract(

@@ -4,7 +4,7 @@ Turns a declarative :class:`~repro.evaluation.campaign.CampaignSpec`
 into a deterministic, parallel, resumable execution:
 
 * :mod:`~repro.orchestrate.plan` — explicit trial expansion with
-  per-trial seeds and a spec fingerprint;
+  per-trial seeds, a spec fingerprint and a run fingerprint;
 * :mod:`~repro.orchestrate.store` — append-only JSONL journal + run
   metadata, fsynced per trial, crash-tolerant on load;
 * :mod:`~repro.orchestrate.executor` — inline execution or the
@@ -29,7 +29,12 @@ from repro.orchestrate.orchestrator import (
     build_meta,
     orchestrate_campaign,
 )
-from repro.orchestrate.plan import TrialPlan, expand_spec, spec_fingerprint
+from repro.orchestrate.plan import (
+    TrialPlan,
+    expand_spec,
+    run_fingerprint,
+    spec_fingerprint,
+)
 from repro.orchestrate.store import (
     RunStore,
     StoreStatus,
@@ -53,5 +58,6 @@ __all__ = [
     "machine_info",
     "orchestrate_campaign",
     "parse_journal_line",
+    "run_fingerprint",
     "spec_fingerprint",
 ]

@@ -14,7 +14,8 @@ Guarantees:
   canonical plan order.
 * With a store, a killed run resumes with ``resume=True`` and reruns
   **zero** already-journaled trials; a resume against a store built
-  from a different spec fails fast on the spec fingerprint.
+  from a different spec, or from same-named heuristics or instances
+  that run differently, fails fast on the spec and run fingerprints.
 * Trial failures and timeouts become journaled error outcomes; the
   campaign always runs to completion.
 """
@@ -29,7 +30,12 @@ from repro.core.perf import PerfCounters
 from repro.evaluation.campaign import CampaignResult, CampaignSpec
 from repro.orchestrate.events import ProgressEvent
 from repro.orchestrate.executor import ExecutionPolicy, execute_trials
-from repro.orchestrate.plan import expand_spec, spec_fingerprint
+from repro.orchestrate.plan import (
+    expand_spec,
+    run_fingerprint,
+    spec_fingerprint,
+    store_mismatch,
+)
 from repro.orchestrate.store import RunStore, TrialOutcome, machine_info
 
 ProgressCallback = Callable[[ProgressEvent], None]
@@ -57,6 +63,9 @@ def build_meta(
         "instances": sorted(spec.instances),
         "machine": machine_info(),
     }
+    run_hash = run_fingerprint(spec)
+    if run_hash is not None:
+        meta["run_hash"] = run_hash
     if cli is not None:
         meta["cli"] = cli  # enough to rebuild the spec for `campaign resume`
     return meta
@@ -93,11 +102,11 @@ class Orchestrator:
     def _prepare_store(self, resume: bool) -> None:
         store = self.store
         if store.exists():
-            meta = store.load_meta()
-            if meta.get("spec_hash") != spec_fingerprint(self.spec):
+            mismatch = store_mismatch(store.load_meta(), self.spec)
+            if mismatch is not None:
                 raise ValueError(
                     f"store at {store.directory} was created from a "
-                    "different campaign spec (spec_hash mismatch); "
+                    f"different campaign spec ({mismatch} mismatch); "
                     "refusing to mix trial streams"
                 )
             if not resume and store.completed_trials():

@@ -41,7 +41,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.evaluation.streaming import ReportBuilder
 from repro.orchestrate.executor import build_payload, PendingTrial
 from repro.orchestrate.orchestrator import build_meta
-from repro.orchestrate.plan import expand_spec, spec_fingerprint
+from repro.orchestrate.plan import expand_spec, store_mismatch
 from repro.orchestrate.store import RunStore
 from repro.service.cache import InstanceCache
 from repro.service.scheduler import (
@@ -158,11 +158,11 @@ class CampaignService:
         plan = expand_spec(campaign)
         store = RunStore(directory)
         if store.exists():
-            meta = store.load_meta()
-            if meta.get("spec_hash") != spec_fingerprint(campaign):
+            mismatch = store_mismatch(store.load_meta(), campaign)
+            if mismatch is not None:
                 raise ValueError(
                     f"job {job_id}: existing store does not match "
-                    "the submitted spec"
+                    f"the submitted spec ({mismatch} mismatch)"
                 )
         else:
             store.initialize(

@@ -336,6 +336,54 @@ MUTANTS = [
 ]
 
 
+class TestInt32Kernels:
+    """The kernels read the hypergraph's int32 CSR in place."""
+
+    def test_wrappers_refuse_other_csr_layouts(self):
+        ks = _cnative_kernels()
+        hg = generate_circuit(60, seed=3)
+        wide = [a.astype(np.int64) for a in hg.csr]
+        strided = np.repeat(hg.csr[1], 2)[::2]
+        assert strided.dtype == np.int32 and not strided.flags.c_contiguous
+        calls = {
+            "fm_pass": lambda c: ks.fm_pass(*c, *[None] * 25),
+            "net_scores": lambda c: ks.net_scores(c[0], None, 5, None),
+            "hem_match": lambda c: ks.hem_match(*c, *[None] * 10),
+            "fc_cluster": lambda c: ks.fc_cluster(*c, *[None] * 8),
+            "hec_contract": lambda c: ks.hec_contract(*c[:2], *[None] * 8),
+            "contract": lambda c: ks.contract(
+                *c[:2], None, None, None, None, None, *c[:2], None, None),
+        }
+        for kernel, call in calls.items():
+            for csr in (wide, [strided] * 4):
+                with pytest.raises(ValueError, match="int32"):
+                    call(csr)
+
+    @pytest.mark.parametrize("clustering", ["heavy_edge", "restricted"])
+    def test_matching_skips_matched_neighbours_unseen(self, clustering):
+        """Neighbours matched earlier are skipped while connectivity
+        accumulates; cluster maps, draws and the touched count stay the
+        interpreted loop's."""
+        from repro.multilevel import matching
+
+        _cnative_kernels()
+        hg = generate_circuit(3000, seed=8)
+        runs = []
+        for backend in ("numpy", "cnative"):
+            rng, perf = random.Random(4), PerfCounters()
+            if clustering == "heavy_edge":
+                cluster = matching.heavy_edge_matching(
+                    hg, rng, perf=perf, backend=backend)
+            else:
+                side = [v % 2 for v in range(hg.num_vertices)]
+                cluster = matching.restricted_matching(
+                    hg, side, rng, perf=perf, backend=backend)
+            runs.append((cluster.tolist(), rng.getstate(),
+                         perf.coarsen_neighbors_touched))
+        assert runs[0] == runs[1]
+        assert len(set(runs[0][0])) < hg.num_vertices  # it matched
+
+
 class TestSelfCheck:
     def test_selfcheck_accepts_reference(self):
         """cnative reproduces the interpreted paths."""

@@ -196,6 +196,44 @@ class TestCampaignCLI:
         assert "Pairwise significance" in capsys.readouterr().out
         assert report_file.exists()
 
+    def test_resume_refuses_an_edited_jobspec(self, tmp_path, capsys):
+        """A 6-start Flat LIFO campaign on ibm01s (scale 16) loses its
+        last three journal lines; its JobSpec file is then edited to a
+        10% tolerance.  The heuristic keeps its name, so only the run
+        fingerprint tells the two experiments apart."""
+        import json
+
+        from repro.orchestrate import RunStore
+
+        spec_file = tmp_path / "job.json"
+        job = {
+            "name": "mixed",
+            "instances": [{"kind": "suite", "label": "ibm01s",
+                           "suite": "ibm01s", "scale": 16}],
+            "engines": ["flat-lifo"],
+            "num_starts": 6,
+        }
+        spec_file.write_text(json.dumps(job))
+        store_dir = tmp_path / "campaigns"
+        assert main(["campaign", "run", "--spec", str(spec_file),
+                     "--num-shuffles", "20",
+                     "--store-dir", str(store_dir)]) == 0
+        store = RunStore(store_dir / "mixed")
+        lines = store.journal_path.read_text().splitlines(True)
+        store.journal_path.write_text("".join(lines[:3]))
+        spec_file.write_text(json.dumps(dict(job, tolerance=0.1)))
+        capsys.readouterr()
+
+        campaign_dir = str(store_dir / "mixed")
+        assert main(["campaign", "resume", campaign_dir,
+                     "--num-shuffles", "20"]) == 2
+        assert "run_hash mismatch" in capsys.readouterr().err
+        assert store.status().done == 3
+        spec_file.write_text(json.dumps(job))
+        assert main(["campaign", "resume", campaign_dir,
+                     "--num-shuffles", "20"]) == 0
+        assert store.status().done == 6
+
     def test_resume_completes_truncated_journal(
         self, hgr_path, tmp_path, capsys
     ):

@@ -18,9 +18,23 @@ from hypothesis import strategies as st
 
 from repro.backends import get_backend
 from repro.core import Partition2
-from repro.hypergraph import Hypergraph, read_hgr
+from repro.hypergraph import (
+    Hypergraph,
+    HypergraphBuilder,
+    read_hgr,
+    read_netd,
+    write_netd,
+)
+from repro.hypergraph.hypergraph import (
+    INDEX_LIMIT,
+    _build_transpose,
+    check_index_range,
+    repeated_pins,
+    stable_order,
+)
 from repro.hypergraph.io_hmetis import _parse_nets, _parse_nets_by_line
 from repro.instances import generate_circuit
+from repro.multilevel.coarsen import coarsen
 
 SETTINGS = settings(
     max_examples=40,
@@ -103,6 +117,142 @@ class TestConstruction:
         hg = Hypergraph([[0, 1], [1, 2]], 3, net_weights=[2, 3])
         assert hg.int_net_weights() is hg.int_net_weights()
         assert hg.raw_csr[1] is hg.raw_csr[1]
+
+
+def _construction_paths(tmp_path):
+    """One hypergraph per construction path, keyed by the path."""
+    nets = [[0, 1, 2], [2, 3], [1, 3, 4], [0, 4]]
+    weights = [1.0, 2.0, 1.0, 3.0]
+    built = {"init": Hypergraph(nets, 5, net_weights=weights)}
+    net_ptr = [0, 3, 5, 8, 10]
+    pins = [v for net in nets for v in net]
+    for label, ptr, flat in (
+        ("from_csr-lists", list(net_ptr), list(pins)),
+        ("from_csr-int64", np.array(net_ptr), np.array(pins)),
+        ("from_csr-int32", np.array(net_ptr, dtype=np.int32),
+         np.array(pins, dtype=np.int32)),
+    ):
+        built[label] = Hypergraph.from_csr(ptr, flat, 5, None, None)
+    built["from_csr-validate"] = Hypergraph.from_csr(
+        np.array(net_ptr), np.array(pins), 5, None, None, validate=True)
+    text = "4 5 1\n1 1 2 3\n2 3 4\n1 2 4 5\n3 1 5\n"
+    built["read_hgr"] = read_hgr(io.StringIO(text))
+    # Comments and repeated pins (merged, first kept).
+    built["read_hgr-merged"] = read_hgr(io.StringIO(
+        "% c\n4 5\n1 2 3 1\n3 4 3\n\n2 4 5\n1 5 5\n"))
+    builder = HypergraphBuilder()
+    for v in range(5):
+        builder.add_vertex(f"c{v}")
+    for net in nets:
+        builder.add_net(net + net[:1])
+    built["builder"] = builder.build()
+    write_netd(built["init"], tmp_path / "x.netD")
+    built["read_netd"] = read_netd(tmp_path / "x.netD")
+    hg = generate_circuit(200, seed=5)
+    cluster = np.arange(hg.num_vertices, dtype=np.int64) // 3
+    built["coarsen-numpy"] = coarsen(hg, cluster, backend="numpy").coarse
+    if get_backend("cnative").available:
+        built["coarsen-cnative"] = coarsen(
+            hg, cluster, backend="cnative").coarse
+    built["unpickle"] = pickle.loads(pickle.dumps(hg))
+    return built
+
+
+class TestInt32CSR:
+    """Every construction path stores the CSR as read-only int32."""
+
+    def test_every_construction_path(self, tmp_path):
+        built = _construction_paths(tmp_path)
+        for label, hg in built.items():
+            for arr in hg.csr:
+                assert arr.dtype == np.int32, label
+                assert arr.flags.c_contiguous, label
+                assert not arr.flags.writeable, label
+        init = built["init"]
+        for label in ("from_csr-lists", "from_csr-int64", "from_csr-int32",
+                      "from_csr-validate", "read_hgr", "read_hgr-merged",
+                      "builder", "read_netd"):
+            assert built[label].raw_csr == init.raw_csr, label
+        if "coarsen-cnative" in built:
+            for got, want in zip(built["coarsen-cnative"].csr,
+                                 built["coarsen-numpy"].csr):
+                assert np.array_equal(got, want)
+
+    def test_int32_arrays_are_adopted_without_a_copy(self):
+        ptr = np.array([0, 2, 4], dtype=np.int32)
+        pins = np.array([0, 1, 1, 2], dtype=np.int32)
+        hg = Hypergraph.from_csr(ptr, pins, 3, None, None)
+        assert np.shares_memory(hg.csr[0], ptr)
+        assert np.shares_memory(hg.csr[1], pins)
+
+    def test_bad_pin_raises_before_narrowing(self):
+        # 2**32 wraps to 0 in int32, which would read as a duplicate.
+        with pytest.raises(ValueError, match="references vertex 4294967296"):
+            Hypergraph([[0, 2**32]], 4)
+        with pytest.raises(ValueError, match="references vertex 4294967297"):
+            Hypergraph.from_csr(np.array([0, 2]), np.array([0, 2**32 + 1]),
+                                4, None, None, validate=True)
+
+    @pytest.mark.parametrize("sizes,kind", [
+        ((INDEX_LIMIT + 1, 0, 0), "vertices"),
+        ((0, INDEX_LIMIT + 1, 0), "nets"),
+        ((0, 0, 2**40), "pins"),
+    ])
+    def test_size_guard_names_the_size(self, sizes, kind):
+        count = max(sizes)
+        with pytest.raises(ValueError, match=f"{count} {kind}"):
+            check_index_range(*sizes)
+        check_index_range(INDEX_LIMIT, INDEX_LIMIT, INDEX_LIMIT)
+
+    def test_oversized_instances_raise_before_allocating(self):
+        # Unit weights for 2**31 vertices would take 16 GiB: the guard
+        # must come first on both constructors.
+        big = INDEX_LIMIT + 1
+        with pytest.raises(ValueError, match=f"{big} vertices"):
+            Hypergraph([], big)
+        for validate in (False, True):
+            with pytest.raises(ValueError, match=f"{big} vertices"):
+                Hypergraph.from_csr([0], [], big, None, None,
+                                    validate=validate)
+
+    def test_transpose_and_duplicates_past_int32_composites(self):
+        """``max key * len(keys)`` passes 2**31 here (40k vertices, about
+        70k pins), where an int32 composite sort key would wrap."""
+        rng = np.random.default_rng(7)
+        n, m = 40_000, 24_000
+        sizes = rng.integers(2, 5, size=m)
+        net_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(sizes, out=net_ptr[1:])
+        pins = rng.integers(0, n, size=int(net_ptr[-1]))
+        assert n * pins.size > 2**31
+        # stable_order against numpy's stable argsort, on int32 keys.
+        keys = pins.astype(np.int32)
+        assert np.array_equal(stable_order(keys, n),
+                              np.argsort(keys, kind="stable"))
+        # Duplicate detection against a per-net seen-set loop.
+        ptr_l, pins_l = net_ptr.tolist(), pins.tolist()
+        want = []
+        for e in range(m):
+            seen = set()
+            for v in pins_l[ptr_l[e]:ptr_l[e + 1]]:
+                want.append(v in seen)
+                seen.add(v)
+        assert repeated_pins(net_ptr, pins, n).tolist() == want
+        # The transpose of the de-duplicated int32 CSR against a loop.
+        keep = ~np.array(want)
+        owner = np.repeat(np.arange(m), sizes)[keep]
+        net_ptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(owner, minlength=m), out=net_ptr[1:])
+        pins = pins[keep].astype(np.int32)
+        vtx_ptr, vtx_nets = _build_transpose(n, net_ptr, pins)
+        assert vtx_ptr.dtype == vtx_nets.dtype == np.int32
+        nets_of = [[] for _ in range(n)]
+        ptr_l, pins_l = net_ptr.tolist(), pins.tolist()
+        for e in range(m):
+            for v in pins_l[ptr_l[e]:ptr_l[e + 1]]:
+                nets_of[v].append(e)
+        assert vtx_nets.tolist() == [e for lst in nets_of for e in lst]
+        assert np.diff(vtx_ptr).tolist() == [len(lst) for lst in nets_of]
 
 
 class TestPickle:

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.hypergraph import (
+    HgrFormatError,
     Hypergraph,
     read_hgr,
     read_netd,
@@ -85,6 +86,64 @@ class TestHgr:
     def test_pin_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             read_hgr(io.StringIO("1 2\n1 5\n"))
+
+
+class TestHgrErrorLines:
+    """Every malformed-input error is an ``HgrFormatError`` naming the
+    1-based file line, comment and blank lines counted; the message
+    keeps its reason."""
+
+    @staticmethod
+    def _error(text):
+        with pytest.raises(HgrFormatError) as info:
+            read_hgr(io.StringIO(text))
+        assert isinstance(info.value, ValueError)
+        assert str(info.value).endswith(f"(line {info.value.line})")
+        return info.value
+
+    def test_bad_header(self):
+        err = self._error("% netlist\n\n2 4 7\n1 2\n3 4\n")
+        assert err.line == 3 and "bad .hgr header: '2 4 7'" in str(err)
+
+    def test_truncated_names_the_line_after_the_last(self):
+        err = self._error("3 4\n% nets\n1 2\n\n3 4\n")
+        assert err.line == 6
+        assert "truncated: expected 4 lines, got 3" in str(err)
+
+    def test_empty_names_the_line_after_the_comments(self):
+        assert self._error("% only\n% comments\n").line == 3
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("2 4\n1 2\n% c\n\n3 x\n", 5, "invalid literal"),
+        ("2 4\n1 2\n% c\n3 2.5\n", 4, "invalid literal"),
+        ("1 2 1\n\nw 1 2\n", 3, "could not convert"),
+        ("1 2 10\n1 2\n% areas\n1\nbig\n", 5, "could not convert"),
+    ], ids=["pin", "fractional-pin", "net-weight", "vertex-weight"])
+    def test_non_numeric_token(self, text, line, message):
+        err = self._error(text)
+        assert err.line == line and message in str(err)
+
+    def test_out_of_range_pin(self):
+        err = self._error("2 4\n% c\n1 2\n\n3 9\n")
+        assert err.line == 5 and "net 1 pin 9 out of range" in str(err)
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("2 4 1\n1 1 2\n% c\n-2 3 4\n", 4, "net 1 has negative weight"),
+        ("2 4 10\n1 2\n3 4\n\n1\n% c\n-1\n1\n1\n", 7,
+         "vertex 1 has negative weight"),
+    ], ids=["net", "vertex"])
+    def test_negative_weight(self, text, line, message):
+        err = self._error(text)
+        assert err.line == line and message in str(err)
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("2 4 1\n% c\n1 1 2\ninf 3 4\n", 4, "net 1 has non-finite"),
+        ("2 4 1\n% c\n1 1 2\ninf 3 9\n", 4, "net 1 pin 9 out of range"),
+        ("1 2 10\n\n1 2\nnan\n1\n", 4, "vertex 0 has non-finite"),
+    ], ids=["net", "pin-before-weight", "vertex"])
+    def test_non_finite_weight(self, text, line, message):
+        err = self._error(text)
+        assert err.line == line and message in str(err)
 
 
 class TestNetD:

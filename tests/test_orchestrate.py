@@ -1,14 +1,17 @@
 """Tests for the campaign orchestration subsystem (repro.orchestrate)."""
 
+import hashlib
 import json
 import os
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
-from repro.core import FMPartitioner
+from repro.core import FMConfig, FMPartitioner
 from repro.evaluation import CampaignSpec, run_campaign
+from repro.hypergraph import Hypergraph
 from repro.instances import generate_circuit
 from repro.orchestrate import (
     ExecutionPolicy,
@@ -17,6 +20,7 @@ from repro.orchestrate import (
     RunStore,
     expand_spec,
     orchestrate_campaign,
+    run_fingerprint,
     spec_fingerprint,
 )
 from repro.orchestrate.store import TrialOutcome
@@ -263,6 +267,102 @@ class TestResume:
         )
         with pytest.raises(ValueError, match="spec_hash"):
             orchestrate_campaign(changed, store_dir=tmp_path, resume=True)
+
+
+class TestRunFingerprint:
+    """A resume is refused when a same-named heuristic or instance
+    would run differently (``run_hash``), not only when names or shapes
+    change (``spec_hash``)."""
+
+    @staticmethod
+    def _flat_lifo_store(tmp_path):
+        """A 6-start Flat LIFO campaign on ibm01s at scale 16 whose
+        journal lost its last three lines."""
+        from repro.instances import suite_instance
+
+        spec = CampaignSpec(
+            name="mixed",
+            heuristics=[FMPartitioner(name="Flat LIFO")],
+            instances={"ibm01s": suite_instance("ibm01s", scale=16)},
+            num_starts=6,
+        )
+        orchestrate_campaign(spec, store_dir=tmp_path, workers=1)
+        store = RunStore(tmp_path / "mixed")
+        lines = store.journal_path.read_text().splitlines(True)
+        store.journal_path.write_text("".join(lines[:3]))
+        return spec, store
+
+    @staticmethod
+    def _changed(spec):
+        """Same names and instance, CLIP at 10%: another experiment."""
+        return CampaignSpec(
+            name=spec.name,
+            heuristics=[FMPartitioner(FMConfig(clip=True), tolerance=0.1,
+                                      name="Flat LIFO")],
+            instances=spec.instances,
+            num_starts=spec.num_starts,
+        )
+
+    def test_resume_refuses_a_changed_config(self, tmp_path):
+        spec, store = self._flat_lifo_store(tmp_path)
+        changed = self._changed(spec)
+        assert spec_fingerprint(changed) == spec_fingerprint(spec)
+        with pytest.raises(ValueError, match="run_hash mismatch"):
+            orchestrate_campaign(changed, store_dir=tmp_path, resume=True)
+        assert store.status().done == 3
+        orchestrate_campaign(spec, store_dir=tmp_path, resume=True)
+        assert store.status().done == 6
+
+    def test_store_without_run_hash_keeps_the_name_rule(self, tmp_path):
+        spec, store = self._flat_lifo_store(tmp_path)
+        meta = store.load_meta()
+        assert meta["run_hash"] == run_fingerprint(spec)
+        del meta["run_hash"]
+        store.meta_path.write_text(json.dumps(meta))
+        orchestrate_campaign(self._changed(spec), store_dir=tmp_path,
+                             resume=True)
+        assert store.status().done == 6
+
+    def test_unknown_heuristic_keeps_the_name_rule(self, tmp_path, hg):
+        spec = CampaignSpec(name="opaque", heuristics=[BrokenPartitioner()],
+                            instances={"c100": hg}, num_starts=1)
+        assert run_fingerprint(spec) is None
+        orchestrate_campaign(spec, store_dir=tmp_path, workers=1)
+        assert "run_hash" not in RunStore(tmp_path / "opaque").load_meta()
+
+    def test_what_the_hash_covers(self, hg):
+        from repro.multilevel import MLConfig, MLPartitioner
+        from repro.orchestrate.plan import instance_digest
+
+        def fingerprint(heuristic, instance=hg):
+            return run_fingerprint(CampaignSpec(
+                name="x", heuristics=[heuristic], instances={"c": instance},
+                num_starts=1))
+
+        base = fingerprint(MLPartitioner(tolerance=0.1, name="ml"))
+        # No backend changes a record, so none changes the hash.
+        assert fingerprint(MLPartitioner(
+            MLConfig(fm_config=FMConfig(backend="cnative"), backend="numpy"),
+            tolerance=0.1, name="ml", backend="cnative")) == base
+        for other in (
+            MLPartitioner(tolerance=0.02, name="ml"),
+            MLPartitioner(MLConfig(vcycles=1), tolerance=0.1, name="ml"),
+            MLPartitioner(MLConfig(fm_config=FMConfig(clip=True)),
+                          tolerance=0.1, name="ml"),
+        ):
+            assert fingerprint(other) != base
+        heavier = Hypergraph.from_csr(
+            *hg.csr[:2], hg.num_vertices,
+            hg.vertex_weight_array * 2, hg.net_weight_array)
+        assert fingerprint(MLPartitioner(tolerance=0.1, name="ml"),
+                           heavier) != base
+        # The content hash reads the CSR as int64, whatever it is held in.
+        digest = hashlib.sha256(str(hg.num_vertices).encode("ascii"))
+        for values in hg.raw_csr[:2]:
+            digest.update(np.array(values, dtype=np.int64))
+        digest.update(np.array(hg.vertex_weights))
+        digest.update(np.array(hg.net_weights))
+        assert instance_digest(hg) == digest.hexdigest()[:16]
 
 
 class TestRobustness:

@@ -498,6 +498,20 @@ class TestServiceRecovery:
         finally:
             svc2.close()
 
+    def test_resubmitted_config_mismatch_rejected(self, tmp_path):
+        """Same engine names and instance, another tolerance: the spec
+        hash matches and the run hash refuses it."""
+        svc = CampaignService(tmp_path / "svc", workers=1)
+        try:
+            job_id = svc.submit(tiny_spec("strict"))
+            assert svc.wait(job_id, timeout=60) == JOB_DONE
+            with pytest.raises(ValueError, match="run_hash mismatch"):
+                svc._register_job(
+                    job_id, tiny_spec("strict", tolerance=0.1), fresh=False
+                )
+        finally:
+            svc.close()
+
     def test_resubmitted_spec_mismatch_rejected(self, tmp_path):
         svc = CampaignService(tmp_path / "svc", workers=1)
         try:

@@ -748,7 +748,7 @@ hec_contract(const int32_t *net_ptr, const int32_t *net_pins,
 }
 
 /* ------------------------------------------------------------------ */
-/* Contraction (coarsen) kernel                                        */
+/* Contraction (coarsen) and transpose kernels                        */
 /* ------------------------------------------------------------------ */
 static int
 cmp_int32(const void *pa, const void *pb)
@@ -757,6 +757,9 @@ cmp_int32(const void *pa, const void *pb)
     int32_t y = *(const int32_t *)pb;
     return (x > y) - (x < y);
 }
+
+/* Longest pin run contract sorts by insertion. */
+#define SHORT_RUN 32
 
 /* Coarse vertex ids are below n and coarse pin slots below the fine pin
  * count, so the projected pins and the coarse CSR are int32 like the
@@ -827,8 +830,20 @@ contract(const int32_t *net_ptr, const int32_t *net_pins,
             continue;
         }
         /* Sort the deduped pin run (its pins are distinct, so any
-         * sort gives the same order). */
-        qsort(buf, (size_t)cnt, sizeof(int32_t), cmp_int32);
+         * sort gives the same order): insertion sort for the short
+         * runs nearly every net projects to, qsort for the rare long
+         * one, where insertion sort turns quadratic. */
+        if (cnt <= SHORT_RUN) {
+            for (int32_t a = 1; a < cnt; a++) {
+                int32_t x = buf[a];
+                int32_t b = a;
+                for (; b > 0 && buf[b - 1] > x; b--)
+                    buf[b] = buf[b - 1];
+                buf[b] = x;
+            }
+        } else {
+            qsort(buf, (size_t)cnt, sizeof(int32_t), cmp_int32);
+        }
         proj_ptr[kept] = ppos;
         for (int32_t a = 0; a < cnt; a++) {
             proj_pins[ppos] = buf[a];
@@ -932,6 +947,30 @@ contract(const int32_t *net_ptr, const int32_t *net_pins,
     free(table);
     free(group_of);
     free(group_head);
+}
+
+/* Vertex -> nets CSR of a net -> pins CSR, by counting sort: visiting
+ * the nets in order lists each vertex's nets ascending, the order of
+ * the stable sort Hypergraph builds its transpose with.  Every pin
+ * lies in [0, n).  vtx_ptr[v] is v's fill cursor, which leaves it at
+ * the start of v + 1; one shift restores the offsets. */
+void
+transpose(const int32_t *net_ptr, const int32_t *net_pins,
+          int32_t *vtx_ptr, int32_t *vtx_nets, int64_t n, int64_t m)
+{
+    memset(vtx_ptr, 0, sizeof(int32_t) * (size_t)(n + 1));
+    for (int32_t i = 0; i < net_ptr[m]; i++)
+        vtx_ptr[net_pins[i] + 1] += 1;
+    for (int64_t v = 0; v < n; v++)
+        vtx_ptr[v + 1] += vtx_ptr[v];
+    for (int64_t e = 0; e < m; e++) {
+        for (int32_t i = net_ptr[e]; i < net_ptr[e + 1]; i++) {
+            vtx_nets[vtx_ptr[net_pins[i]]] = (int32_t)e;
+            vtx_ptr[net_pins[i]] += 1;
+        }
+    }
+    memmove(vtx_ptr + 1, vtx_ptr, sizeof(int32_t) * (size_t)n);
+    vtx_ptr[0] = 0;
 }
 
 /* ------------------------------------------------------------------ */

@@ -124,6 +124,7 @@ _bind("fc_cluster", *([_PTR] * 8), _I64, _F64, _PTR, _PTR, _I64)
 _bind("hec_contract", *([_PTR] * 5), _I64, _F64, _I64, _PTR, _PTR,
       _I64, _I64)
 _bind("contract", *([_PTR] * 11), _I64, _I64, _I64)
+_bind("transpose", *([_PTR] * 4), _I64, _I64)
 _bind("shuffle_rows", _PTR, _PTR, _PTR, _PTR, _I64, _I64)
 _bind("bootstrap_tables", *([_PTR] * 6), _I64, _I64)
 
@@ -283,6 +284,22 @@ def contract(net_ptr, net_pins, cluster_of, vwt, net_w, mapped,
         _p(coarse_net_w), _p(out),
         cluster_of.shape[0], net_ptr.shape[0] - 1, net_pins.shape[0],
     )
+
+
+def transpose(net_ptr, net_pins, vtx_ptr, vtx_nets):
+    """The vertex -> nets CSR of ``(net_ptr, net_pins)``, written into
+    ``vtx_ptr`` (n+1) and ``vtx_nets`` (one slot per pin), each vertex's
+    nets ascending: the arrays ``Hypergraph`` builds with a stable sort,
+    here by counting sort.  Every pin must lie in ``[0, n)``, as in any
+    hypergraph's CSR."""
+    _check_csr(net_ptr, net_pins, vtx_ptr, vtx_nets)
+    if vtx_nets.shape != net_pins.shape:
+        raise ValueError(
+            f"vtx_nets holds {vtx_nets.shape[0]} slots for "
+            f"{net_pins.shape[0]} pins"
+        )
+    _LIB.transpose(_p(net_ptr), _p(net_pins), _p(vtx_ptr), _p(vtx_nets),
+                   vtx_ptr.shape[0] - 1, net_ptr.shape[0] - 1)
 
 
 def shuffle_rows(mt, mti_io, order, perm):

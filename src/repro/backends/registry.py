@@ -59,6 +59,7 @@ class KernelSet:
         "fc_cluster",
         "hec_contract",
         "contract",
+        "transpose",
         "shuffle_rows",
         "bootstrap_tables",
     )
@@ -71,6 +72,7 @@ class KernelSet:
         self.fc_cluster = mod.fc_cluster
         self.hec_contract = mod.hec_contract
         self.contract = mod.contract
+        self.transpose = mod.transpose
         self.shuffle_rows = mod.shuffle_rows
         self.bootstrap_tables = mod.bootstrap_tables
 

@@ -9,14 +9,15 @@ hypergraphs (values and dtypes), ``PerfCounters`` counts and
 Mersenne-Twister state.  The kernels read the instances' int32 CSR as
 the layers hand it over, so the check runs them on the layout they see
 in production.  Net
-scores, the shuffle and the bootstrap tables are compared directly with
-``matching._net_scores``, CPython's ``random.shuffle`` and numpy's
+scores, the transpose, the shuffle and the bootstrap tables are compared
+directly with ``matching._net_scores``, the hypergraph's own
+``_build_transpose``, CPython's ``random.shuffle`` and numpy's
 ``cumsum`` / indexing / ``minimum.accumulate`` — the numpy branch of
 ``repro.evaluation.bsf``, which is not imported: processes that only
 partition activate a backend too, and need no evaluation layer.  Checks
 run in dependency order (shuffle and net scores before the clusterings
-that call them), so a mismatch raises :class:`SelfCheckError` naming
-the kernel at fault.
+that call them, the transpose before the contraction that calls it), so
+a mismatch raises :class:`SelfCheckError` naming the kernel at fault.
 
 The registry runs the check at every activation and records a failing
 backend unavailable.  The oracle-equivalence suites pin the interpreted
@@ -38,7 +39,7 @@ from repro.core.engine import FMEngine, PassStats
 from repro.core.gain_bucket import IllegalHeadPolicy, InsertionOrder
 from repro.core.partition import Partition2
 from repro.core.perf import PerfCounters
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.hypergraph import Hypergraph, _build_transpose
 from repro.multilevel import matching
 from repro.multilevel.coarsen import coarsen
 
@@ -138,6 +139,20 @@ def _check_matching(ks) -> None:
             _require(got == ref, kernel, f"{clustering.__name__} {what}")
 
 
+def _check_transpose(ks) -> None:
+    # Beside a random instance: isolated vertices (0, 4 and 6), an empty
+    # net and a one-pin net.
+    for hg in (_micro(53, 12, 10),
+               Hypergraph([[3], [], [1, 2, 3], [5, 1]], 7)):
+        net_ptr, net_pins, _, _ = hg.csr
+        ref = _build_transpose(hg.num_vertices, net_ptr, net_pins)
+        got = [np.empty_like(a) for a in ref]
+        ks.transpose(net_ptr, net_pins, *got)
+        for a, b, what in zip(got, ref, ("vtx_ptr", "vtx nets")):
+            _require(np.array_equal(a, b), "transpose",
+                     f"{hg.num_vertices} vertices: {what}")
+
+
 def _check_contract(ks) -> None:
     hg = _micro(41, 18, 20)
     n = hg.num_vertices
@@ -228,5 +243,6 @@ def run_selfcheck(ks) -> None:
     reproduces the interpreted paths bit for bit."""
     _check_bootstrap(ks)
     _check_matching(ks)
+    _check_transpose(ks)
     _check_contract(ks)
     _check_fm(ks)

@@ -336,6 +336,15 @@ class FMEngine:
         self._scratch_for = hg
         self._scratch_order = order
 
+    def release(self, hypergraph) -> None:
+        """Drop the scratch kept for ``hypergraph``, which the caller
+        will not refine again (a multilevel start's own coarse levels),
+        so the cache does not keep it alive."""
+        self._scratch_cache.pop(
+            (id(hypergraph), self.config.insertion_order), None)
+        if self._scratch_for is hypergraph:
+            self._scratch = self._scratch_for = None
+
     # ------------------------------------------------------------------
     def _resolve_kernels(self):
         """Resolve the backend request once per registry generation.

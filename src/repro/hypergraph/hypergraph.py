@@ -82,6 +82,7 @@ class Hypergraph:
         "_integral_nets",
         "_lists",
         "_derived",
+        "__weakref__",
     )
 
     def __init__(
@@ -128,15 +129,17 @@ class Hypergraph:
         net_weights,
         vertex_names: Optional[List[str]],
         net_names: Optional[List[str]],
+        transpose=None,
     ) -> None:
         """Freeze the arrays (the CSR narrowed to int32, which every
         caller has range-checked) and compute the construction-time
-        statics."""
+        statics.  ``transpose`` is the ``(vtx_ptr, vtx_nets)`` pair when
+        the caller built it already."""
         self._num_vertices = num_vertices
         self._net_ptr = _frozen(net_ptr, np.int32)
         self._net_pins = _frozen(net_pins, np.int32)
         self._num_nets = self._net_ptr.shape[0] - 1
-        vtx_ptr, vtx_nets = _build_transpose(
+        vtx_ptr, vtx_nets = transpose or _build_transpose(
             num_vertices, self._net_ptr, self._net_pins
         )
         self._vtx_ptr = _frozen(vtx_ptr, np.int32)
@@ -170,6 +173,7 @@ class Hypergraph:
         validate: bool = False,
         vertex_names: Optional[List[str]] = None,
         net_names: Optional[List[str]] = None,
+        transpose: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "Hypergraph":
         """Build a hypergraph directly from flat CSR arrays.
 
@@ -187,9 +191,14 @@ class Hypergraph:
         and of the right length, and ``net_ptr`` is a proper monotone prefix
         array.
 
+        ``transpose``, a ``(vtx_ptr, vtx_nets)`` pair a producer built
+        already (the contraction kernel, the ``.hgr`` reader), is
+        adopted on the same trust in place of the stable sort that
+        would build it: int32, each vertex's nets ascending.
+
         ``validate=True`` applies the same checks as the list-of-lists
         constructor (useful when adopting CSR data of uncertain origin),
-        before anything narrows.
+        before anything narrows, and builds the transpose itself.
         """
         check_index_range(num_vertices, len(net_ptr) - 1, len(net_pins))
         if validate:
@@ -210,6 +219,7 @@ class Hypergraph:
                 raise ValueError("vertex_names length mismatch")
             if net_names is not None and len(net_names) != ptr.size - 1:
                 raise ValueError("net_names length mismatch")
+            transpose = None
         hg = object.__new__(cls)
         hg._adopt(
             num_vertices,
@@ -219,6 +229,7 @@ class Hypergraph:
             net_weights,
             vertex_names,
             net_names,
+            transpose,
         )
         # A list-building producer already paid for the list form.
         for i, values in enumerate((net_ptr, net_pins)):
@@ -558,8 +569,10 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _integral(weights: np.ndarray) -> bool:
-    """True when every weight is a finite integer value."""
-    return bool((np.mod(weights, 1.0) == 0.0).all())
+    """True when every weight is a finite integer value (several times
+    faster than testing ``np.mod(w, 1.0) == 0``, with the same answer)."""
+    return bool(np.isfinite(weights).all()
+                and (np.trunc(weights) == weights).all())
 
 
 def check_index_range(num_vertices: int, num_nets: int, num_pins: int) -> None:

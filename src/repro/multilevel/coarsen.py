@@ -25,9 +25,11 @@ same float weight accumulation order — but computes it on flat arrays:
 * coarse CSR assembled flat and adopted by the trusted
   :meth:`Hypergraph.from_csr` fast path — no re-validation of pins the
   kernel just constructed.  The compiled backends write the coarse CSR
-  as int32, the dtype every hypergraph holds, and hand it over as it is,
-  so a coarse level never exists as Python lists (or as an int64 copy)
-  unless an interpreted loop asks for the lists.
+  as int32, the dtype every hypergraph holds, and its transpose by
+  counting sort (the ``transpose`` kernel), and hand both over as they
+  are, so a coarse level is never sorted again, and never exists as
+  Python lists (or as an int64 copy) unless an interpreted loop asks
+  for the lists.
 
 Cluster maps are int64 arrays: :attr:`CoarseLevel.cluster_of` is the
 contraction kernel's own ``mapped`` output, and projecting an
@@ -270,12 +272,18 @@ def _coarsen_kernel(
     num_groups = int(out[1])
     cpos = int(out[2])
     # Copies, so the level does not pin the fine-sized output buffers.
+    coarse_net_ptr = coarse_net_ptr[: num_groups + 1].copy()
+    coarse_pins = coarse_pins[:cpos].copy()
+    vtx_ptr = np.empty(num_coarse + 1, dtype=np.int32)
+    vtx_nets = np.empty(cpos, dtype=np.int32)
+    ks.transpose(coarse_net_ptr, coarse_pins, vtx_ptr, vtx_nets)
     coarse = Hypergraph.from_csr(
-        coarse_net_ptr[: num_groups + 1].copy(),
-        coarse_pins[:cpos].copy(),
+        coarse_net_ptr,
+        coarse_pins,
         num_vertices=num_coarse,
         vertex_weights=weights[:num_coarse].copy(),
         net_weights=coarse_net_w[:num_groups].copy(),
+        transpose=(vtx_ptr, vtx_nets),
     )
     if perf is not None:
         perf.coarsen_nets_projected += m

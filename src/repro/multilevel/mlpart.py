@@ -181,6 +181,12 @@ class MLPartitioner:
             self._refine_engine.rng = rng
         return self._init_engine, self._refine_engine
 
+    def _release(self, hg: Hypergraph) -> None:
+        """Forget ``hg`` in both engines' scratch caches: a level this
+        partitioner built and has projected through."""
+        self._init_engine.release(hg)
+        self._refine_engine.release(hg)
+
     def _project(self, level, assignment: np.ndarray) -> np.ndarray:
         """Lift ``assignment`` through one level into a reused buffer.
 
@@ -207,8 +213,10 @@ class MLPartitioner:
         When ``hierarchy`` is supplied (pooled multistart), coarsening
         is skipped and the per-start RNG drives only initial
         partitioning and refinement; the hierarchy must have been built
-        for this hypergraph and the same fixed assignment.  Without one,
-        the start coarsens for itself.
+        for this hypergraph and the same fixed assignment, and it stays
+        whole.  Without one, the start coarsens for itself and releases
+        each level once uncoarsening has projected through it, so the
+        finest levels are refined without the coarser ones alive.
         """
         start_time = time.perf_counter()
         rng = random.Random(seed)
@@ -216,7 +224,8 @@ class MLPartitioner:
         balance = BalanceConstraint(hypergraph.total_vertex_weight, self.tolerance)
         fixed = list(fixed_parts) if fixed_parts else None
 
-        if hierarchy is None:
+        built = hierarchy is None
+        if built:
             hierarchy = build_hierarchy(
                 hypergraph,
                 cfg,
@@ -235,20 +244,23 @@ class MLPartitioner:
                 raise ValueError(
                     "hierarchy was built under different fixed_parts"
                 )
-        levels = hierarchy.levels
-        coarsest = hierarchy.coarsest
-        coarsest_fixed = hierarchy.coarsest_fixed
-
+        levels = list(hierarchy.levels)
         init_engine, refine_engine = self._engines(balance, rng)
-        part = self._initial_partition(
-            coarsest, balance, rng, coarsest_fixed, init_engine
-        )
-
-        assignment = part.assignment
-        for level, level_fixed in reversed(levels):
+        assignment = self._initial_partition(
+            hierarchy.coarsest, balance, rng, hierarchy.coarsest_fixed,
+            init_engine,
+        ).assignment
+        # From here on the popped level is this start's only reference
+        # to a hierarchy it built itself.
+        hierarchy = None
+        while levels:
+            level, level_fixed = levels.pop()
             assignment = self._project(level, assignment)
+            if built:
+                self._release(level.coarse)
+            fine, level = level.fine, None  # the coarser side is done
             fine_part = Partition2(
-                level.fine,
+                fine,
                 assignment,
                 [p is not None for p in level_fixed] if level_fixed else None,
             )
@@ -374,6 +386,7 @@ class MLPartitioner:
         assignment = coarse_part.assignment
         for level, level_fixed in zip(reversed(levels), reversed(fixed_per_level)):
             assignment = self._project(level, assignment)
+            self._release(level.coarse)
             fine_part = Partition2(level.fine, assignment, level_fixed)
             self._note_perf(engine.refine(fine_part))
             assignment = fine_part.assignment

@@ -49,6 +49,8 @@ from repro.backends import registry as registry_mod
 from repro.backends.selfcheck import SelfCheckError, run_selfcheck
 from repro.core import BalanceConstraint, FMConfig, FMEngine, FMPartitioner, Partition2
 from repro.core.perf import PerfCounters
+from repro.hypergraph import Hypergraph, write_hgr
+from repro.hypergraph.hypergraph import _build_transpose
 from repro.instances import generate_circuit
 from repro.multilevel import MLPartitioner
 
@@ -331,6 +333,7 @@ MUTANTS = [
     ("fc_cluster", lambda a: _bump(a[-2], 0)),
     ("hec_contract", lambda a: _bump(a[-2], 0)),
     ("contract", lambda a: _bump(a[-2], 0, 1.0)),            # a net weight
+    ("transpose", lambda a: _bump(a[-1], 0)),                # a vtx_nets entry
     ("shuffle_rows", lambda a: _bump(a[3], (0, 0))),         # a permutation entry
     ("bootstrap_tables", lambda a: _bump(a[5], (0, -1), -1.0)),  # a prefix minimum
 ]
@@ -358,6 +361,46 @@ class TestInt32Kernels:
             for csr in (wide, [strided] * 4):
                 with pytest.raises(ValueError, match="int32"):
                     call(csr)
+
+    def test_transpose_matches_the_stable_sort(self):
+        """The counting-sort kernel lists each vertex's nets as
+        ``_build_transpose`` does, on the shapes a coarse level can take:
+        isolated vertices, empty and one-pin nets, and one net of
+        160,000 pins (listed in descending order) that every other net
+        overlaps."""
+        ks = _cnative_kernels()
+        rng = random.Random(6)
+        big = 160_000
+        cases = [
+            Hypergraph([], 3),
+            Hypergraph([[3], [], [1, 2, 3], [5, 1], [], [6]], 9),
+            Hypergraph([list(range(big - 1, -1, -1))]
+                       + [rng.sample(range(big), 3) for _ in range(500)],
+                       big + 2),
+            generate_circuit(3000, seed=2),
+        ]
+        for hg in cases:
+            net_ptr, net_pins, _, _ = hg.csr
+            want = _build_transpose(hg.num_vertices, net_ptr, net_pins)
+            got = [np.full_like(a, -7) for a in want]
+            ks.transpose(net_ptr, net_pins, *got)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int32 and np.array_equal(g, w)
+
+    def test_transpose_refuses_other_layouts(self):
+        ks = _cnative_kernels()
+        csr = generate_circuit(60, seed=3).csr
+        wide = [a.astype(np.int64) for a in csr]
+        strided = [np.repeat(a, 2)[::2] for a in csr]
+        for bad in (wide, strided):
+            for i in range(4):
+                args = list(csr[:2]) + [np.empty_like(a) for a in csr[2:]]
+                args[i] = bad[i]
+                with pytest.raises(ValueError, match="int32"):
+                    ks.transpose(*args)
+        short = np.empty(csr[1].shape[0] - 1, dtype=np.int32)
+        with pytest.raises(ValueError, match="slots for"):
+            ks.transpose(csr[0], csr[1], np.empty_like(csr[2]), short)
 
     @pytest.mark.parametrize("clustering", ["heavy_edge", "restricted"])
     def test_matching_skips_matched_neighbours_unseen(self, clustering):
@@ -422,6 +465,27 @@ class TestSelfCheck:
         registry_mod.reset()
         assert start("cnative") == warm
         assert start("numpy") == warm
+
+    def test_read_hgr_activates_no_backend(self, tmp_path):
+        """The reader runs on numpy alone, even where the environment
+        asks for cnative: it neither activates a backend nor loads the
+        kernel module."""
+        path = tmp_path / "c.hgr"
+        write_hgr(generate_circuit(300, seed=5), path)
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r}); "
+            "from repro.backends import registry; "
+            "from repro.hypergraph import read_hgr; "
+            f"read_hgr({str(path)!r}); "
+            "print(sorted(registry._ACTIVATED), "
+            "'repro.backends.cnative' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=300,
+            env=dict(os.environ, REPRO_BACKEND="cnative"),
+        )
+        assert proc.stdout.split() == ["[]", "False"]
 
     def test_activation_imports_no_evaluation_layer(self):
         """Activation is paid in every campaign worker's attach and in

@@ -8,6 +8,7 @@ replaced, with exact equality.
 """
 
 import io
+import math
 import pickle
 import random
 
@@ -28,11 +29,16 @@ from repro.hypergraph import (
 from repro.hypergraph.hypergraph import (
     INDEX_LIMIT,
     _build_transpose,
+    _integral,
     check_index_range,
     repeated_pins,
     stable_order,
 )
-from repro.hypergraph.io_hmetis import _parse_nets, _parse_nets_by_line
+from repro.hypergraph.io_hmetis import (
+    _parse_bytes,
+    _parse_nets_by_line,
+    _read_lines,
+)
 from repro.instances import generate_circuit
 from repro.multilevel.coarsen import coarsen
 
@@ -55,6 +61,40 @@ def hypergraphs(draw, float_weights=False):
     vw = draw(st.lists(weight, min_size=n, max_size=n))
     nw = draw(st.lists(weight, min_size=len(nets), max_size=len(nets)))
     return Hypergraph(nets, n, vertex_weights=vw, net_weights=nw)
+
+
+@st.composite
+def hgr_texts(draw):
+    """A well-formed ``.hgr`` file in any of the four formats, dressed in
+    what such a file may hold: ``%`` comments, blank and whitespace-only
+    lines, tabs, CRLF, no final newline, repeated pins and numeric lines
+    past the last one read."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 8))
+    code = draw(st.sampled_from(["", "0", "1", "10", "11"]))
+    net_weighted, vertex_weighted = code in ("1", "11"), code in ("10", "11")
+    weight = st.one_of(st.integers(0, 10**6).map(str),
+                       st.floats(0, 1e6).map(repr))
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    content = [f"{m} {n}" + (f" {code}" if code else "")]
+    for _ in range(m):
+        pins = draw(st.lists(st.integers(1, n), min_size=0 if net_weighted
+                             else 1, max_size=6))  # repeats allowed
+        tokens = ([draw(weight)] if net_weighted else []) + list(
+            map(str, pins))
+        content.append("".join(draw(gap) + t for t in tokens).lstrip(
+            " " if draw(st.booleans()) else ""))
+    if vertex_weighted:
+        content += [draw(weight) for _ in range(n)]
+    content += [" ".join(map(str, extra)) for extra in draw(st.lists(
+        st.lists(st.integers(0, 99), min_size=1, max_size=3), max_size=2))]
+    lines = []
+    for line in content:
+        lines += draw(st.lists(st.sampled_from(
+            ["% a comment", "  %x 1 2", "", "   ", "\t"]), max_size=2))
+        lines.append(line + draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 def loop_transpose(hg):
@@ -106,6 +146,16 @@ class TestConstruction:
             (sum(net_w[e] for e in hg.nets_of(v)) for v in hg.vertices()),
             default=0,
         )
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 0.5, 2.0**52 + 0.5, 2.0**51 + 0.5, 1e300,
+        math.inf, -math.inf, math.nan,
+    ])
+    def test_integrality_matches_the_modulo_test(self, value):
+        weights = np.array([3.0, value])
+        with np.errstate(invalid="ignore"):
+            modulo = bool((np.mod(weights, 1.0) == 0.0).all())
+        assert _integral(weights) is modulo
 
     def test_first_bad_pin_is_reported(self):
         with pytest.raises(ValueError, match="net 1 has duplicate pin 2"):
@@ -330,19 +380,62 @@ class TestReader:
                 continue
             head = [str(int(hg.net_weight(e)) + 1)] if weighted else []
             lines.append(" \t".join(head + [str(p) for p in pins]))
-        fast = _parse_nets(lines, hg.num_vertices, weighted)
+        header = f"{len(lines)} {hg.num_vertices}" + (" 1" if weighted else "")
+        fast = _parse_bytes("\n".join([header] + lines).encode("ascii"))
         nets, weights = _parse_nets_by_line(lines, hg.num_vertices, weighted)
-        net_ptr, pins, fast_weights = fast
+        net_ptr, pins, _, _, fast_weights, _ = fast
         assert [pins[net_ptr[e]:net_ptr[e + 1]].tolist()
                 for e in range(len(nets))] == nets
         if weighted:
             assert fast_weights.tolist() == weights
+
+    @SETTINGS
+    @given(text=hgr_texts())
+    def test_bytes_parse_matches_line_parse(self, text):
+        parsed = _parse_bytes(text.encode("ascii"))
+        assert parsed is not None  # the bytes path read it
+        *args, transpose = parsed
+        fast = Hypergraph.from_csr(*args, transpose=transpose)
+        ref = _read_lines(text)
+        for got, want in zip(fast.csr, ref.csr):
+            assert got.tolist() == want.tolist()
+        assert fast.vertex_weights == ref.vertex_weights
+        assert fast.net_weights == ref.net_weights
+
+    @pytest.mark.parametrize("text", [
+        "1 30\n1 2_0\n",                # underscores: int() reads 20
+        "1 3 1\n+2 +1 3\n",             # signs
+        "1 3 10\n1 3\n1\n1_5\n2\n",     # float() reads 1_5 too
+        "1 3\n1\x1c3\n",                # a separator numpy does not skip
+        "1 3\n1\r3\n",                  # a lone CR (whitespace in a stream)
+    ])
+    def test_declined_spellings_read_as_before(self, text):
+        """Input the bytes path declines is read line by line, as it
+        always was."""
+        assert _parse_bytes(text.encode("ascii", "replace")) is None
+        got, want = read_hgr(io.StringIO(text)), _read_lines(text)
+        assert got.raw_csr == want.raw_csr
+        assert got.vertex_weights == want.vertex_weights
+
+    def test_each_source_keeps_its_text_rules(self, tmp_path):
+        """A path reads as a text-mode open of it did: lone CRs end
+        lines, and a byte outside ASCII raises ``UnicodeDecodeError``.
+        A stream may hold any text in its comments."""
+        path = tmp_path / "cr.hgr"
+        path.write_bytes(b"2 3\r1 2\r2 3\r")
+        assert read_hgr(path).raw_csr[:2] == ([0, 2, 4], [0, 1, 1, 2])
+        path.write_bytes(b"% \xe9\n1 3\n1 3\n")
+        with pytest.raises(UnicodeDecodeError):
+            read_hgr(path)
+        hg = read_hgr(io.StringIO("% r\u00e9sum\u00e9\n1 3\n1 3\n"))
+        assert hg.raw_csr[:2] == ([0, 2], [0, 2])
 
     def test_malformed_tokens_fall_back_to_line_errors(self):
         for text, message in [
             ("2 4\n1 2\n3 9\n", "net 1 pin 9 out of range"),
             ("2 4\n1 x\n3 4\n", "invalid literal"),
             ("2 4\n1 2.5\n3 4\n", "invalid literal"),
+            ("1 4 1\n1 1 2.\n", "invalid literal"),  # a pin, not a weight
         ]:
             with pytest.raises(ValueError, match=message):
                 read_hgr(io.StringIO(text))

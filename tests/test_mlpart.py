@@ -1,10 +1,15 @@
 """Tests for the multilevel partitioner and V-cycling."""
 
+import weakref
+
 import pytest
 
+from repro.backends import get_backend
 from repro.core import FMConfig, FMPartitioner
+from repro.core.engine import FMEngine
 from repro.instances import generate_circuit
-from repro.multilevel import MLConfig, MLPartitioner
+from repro.multilevel import MLConfig, MLPartitioner, mlpart
+from repro.multilevel.pool import HierarchyPool
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +97,53 @@ class TestVCycle:
         base = ml.partition(hg, seed=4)
         r2 = ml.vcycle(hg, base.assignment, seed=5, rounds=2)
         assert r2.cut <= base.cut
+
+
+class TestLevelRelease:
+    """A start releases the levels of a hierarchy it built itself as
+    uncoarsening passes them; a hierarchy it is handed stays whole."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "cnative"])
+    def test_no_coarser_level_alive_at_the_finest_refine(
+            self, hg, backend, monkeypatch):
+        if not get_backend(backend).available:
+            pytest.skip(f"{backend} unavailable")
+        expected = MLPartitioner(tolerance=0.1, backend=backend).partition(
+            hg, seed=1)
+        coarse = []
+        build = mlpart.build_hierarchy
+
+        def recording(*args, **kwargs):
+            hierarchy = build(*args, **kwargs)
+            coarse.extend(weakref.ref(level.coarse)
+                          for level, _ in hierarchy.levels)
+            return hierarchy
+
+        alive = []
+        refine = FMEngine.refine
+
+        def watching(engine, partition):
+            if partition.hypergraph is hg:
+                alive.append(sum(ref() is not None for ref in coarse))
+            return refine(engine, partition)
+
+        monkeypatch.setattr(mlpart, "build_hierarchy", recording)
+        monkeypatch.setattr(FMEngine, "refine", watching)
+        result = MLPartitioner(tolerance=0.1, backend=backend).partition(
+            hg, seed=1)
+        assert len(coarse) > 2 and alive == [0]
+        assert (result.cut, result.assignment) == (
+            expected.cut, expected.assignment)
+
+    def test_supplied_hierarchy_keeps_every_level(self, hg):
+        hierarchy = HierarchyPool(hg, MLConfig(), 1).get(0)
+        levels = [weakref.ref(level.coarse)
+                  for level, _ in hierarchy.levels]
+        ml = MLPartitioner(tolerance=0.1)
+        runs = [ml.partition(hg, seed=2, hierarchy=hierarchy)
+                for _ in range(2)]
+        assert len(hierarchy.levels) == len(levels) > 2
+        assert all(ref() is level.coarse
+                   for ref, (level, _) in zip(levels, hierarchy.levels))
+        assert (runs[0].cut, runs[0].assignment) == (
+            runs[1].cut, runs[1].assignment)

@@ -16,6 +16,8 @@ Subpackages
     decision (Section 2.2) exposed as configuration.
 ``repro.multilevel``
     Multilevel (ML LIFO / ML CLIP) partitioning with V-cycling.
+``repro.engines``
+    The engine ladder: the five named engines the tables race.
 ``repro.baselines``
     KL, spectral, random/BFS baselines, and the weak "Reported" FM.
 ``repro.evaluation``

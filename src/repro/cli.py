@@ -27,55 +27,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
-from repro.baselines import WeakFM
-from repro.core import FMConfig, FMPartitioner, run_multistart
+from repro.core import run_multistart
 from repro.core.kway import RecursiveBisection
-from repro.hypergraph import (
-    Hypergraph,
-    hypergraph_stats,
-    read_hgr,
-    read_netd,
-    write_hgr,
-)
+from repro.engines import ENGINE_NAMES, make_engine
+from repro.hypergraph import hypergraph_stats, read_netlist, write_hgr
 from repro.hypergraph.io_fix import read_fix
 from repro.hypergraph.io_solution import write_solution
 from repro.instances import generate_circuit
-from repro.multilevel import MLConfig, MLPartitioner
 
-ENGINES = ("flat-lifo", "flat-clip", "ml-lifo", "ml-clip", "weak")
-
-
-def _load(path: str, are: Optional[str]) -> Hypergraph:
-    if path.endswith((".netD", ".netd", ".net")):
-        return read_netd(path, are)
-    return read_hgr(path)
-
-
-def _make_engine(engine: str, tolerance: float):
-    if engine == "flat-lifo":
-        return FMPartitioner(tolerance=tolerance, name="Flat LIFO FM")
-    if engine == "flat-clip":
-        return FMPartitioner(
-            FMConfig(clip=True), tolerance=tolerance, name="Flat CLIP FM"
-        )
-    if engine == "ml-lifo":
-        return MLPartitioner(tolerance=tolerance, name="ML LIFO FM")
-    if engine == "ml-clip":
-        return MLPartitioner(
-            MLConfig(fm_config=FMConfig(clip=True)),
-            tolerance=tolerance,
-            name="ML CLIP FM",
-        )
-    if engine == "weak":
-        return WeakFM(tolerance=tolerance)
-    raise ValueError(f"unknown engine {engine!r}")
+#: The engines ``evaluate``, ``report`` and ``campaign run INPUT`` race:
+#: the ladder without the weak baseline.
+LADDER = tuple(name for name in ENGINE_NAMES if name != "weak")
 
 
 # ----------------------------------------------------------------------
 def cmd_stats(args: argparse.Namespace) -> int:
-    hg = _load(args.input, args.are)
+    hg = read_netlist(args.input, args.are)
     print(hg)
     print(hypergraph_stats(hg).summary())
     return 0
@@ -91,7 +61,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    hg = _load(args.input, args.are)
+    hg = read_netlist(args.input, args.are)
     fixed = read_fix(args.fix, hg) if args.fix else None
     if args.k > 2:
         if fixed is not None:
@@ -100,7 +70,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         rb = RecursiveBisection(
             args.k,
             tolerance=tol,
-            partitioner_factory=lambda t: _make_engine(args.engine, t),
+            partitioner_factory=partial(make_engine, args.engine),
         )
         result = rb.partition(hg, seed=args.seed)
         print(
@@ -111,7 +81,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         )
         assignment = result.assignment
     else:
-        engine = _make_engine(args.engine, args.tolerance)
+        engine = make_engine(args.engine, args.tolerance)
         ms = run_multistart(
             engine, hg, args.starts, base_seed=args.seed, fixed_parts=fixed
         )
@@ -134,11 +104,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         summary_by_heuristic,
     )
 
-    hg = _load(args.input, args.are)
-    engines = [
-        _make_engine(name, args.tolerance)
-        for name in ("flat-lifo", "flat-clip", "ml-lifo", "ml-clip")
-    ]
+    hg = read_netlist(args.input, args.are)
+    engines = [make_engine(name, args.tolerance) for name in LADDER]
     records = run_trials(engines, {args.input: hg}, args.starts,
                          base_seed=args.seed)
     print(summary_by_heuristic(records))
@@ -155,11 +122,8 @@ def _campaign_spec(args: argparse.Namespace):
 
     from repro.evaluation import CampaignSpec
 
-    hg = _load(args.input, args.are)
-    engines = [
-        _make_engine(name, args.tolerance)
-        for name in ("flat-lifo", "flat-clip", "ml-lifo", "ml-clip")
-    ]
+    hg = read_netlist(args.input, args.are)
+    engines = [make_engine(name, args.tolerance) for name in LADDER]
     return CampaignSpec(
         name=args.name,
         heuristics=engines,
@@ -587,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="partition a netlist")
     p.add_argument("input")
     p.add_argument("--are", help=".are area file for .netD inputs")
-    p.add_argument("--engine", choices=ENGINES, default="ml-lifo")
+    p.add_argument("--engine", choices=ENGINE_NAMES, default="ml-lifo")
     p.add_argument("--tolerance", type=float, default=0.02)
     p.add_argument("--starts", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -89,12 +89,17 @@ def run_multistart(
     instance_name: str = "",
     base_seed: int = 0,
     fixed_parts: Optional[Sequence[Optional[int]]] = None,
+    pool=None,
 ) -> MultistartResult:
     """Run ``num_starts`` independent single-start trials.
 
     Start ``i`` uses seed ``base_seed + i`` so experiments are exactly
     reproducible and different heuristics see identical seed streams
-    ("apples to apples", Section 2.3).
+    ("apples to apples", Section 2.3).  Given ``pool``, a
+    :class:`~repro.multilevel.pool.HierarchyPool` built for
+    ``hypergraph``, start ``i`` runs on ``pool.get(i)``, and a build
+    counts toward that start's runtime.  ``fixed_parts`` and the
+    hierarchy are passed to ``partition`` only when given.
     """
     if num_starts < 1:
         raise ValueError("num_starts must be >= 1")
@@ -102,11 +107,14 @@ def run_multistart(
         heuristic=getattr(partitioner, "name", type(partitioner).__name__),
         instance=instance_name,
     )
+    kwargs = {} if fixed_parts is None else {"fixed_parts": fixed_parts}
     best_cut = float("inf")
     for i in range(num_starts):
         seed = base_seed + i
         t0 = time.perf_counter()
-        out = partitioner.partition(hypergraph, seed=seed, fixed_parts=fixed_parts)
+        if pool is not None:
+            kwargs["hierarchy"] = pool.get(i)
+        out = partitioner.partition(hypergraph, seed=seed, **kwargs)
         elapsed = time.perf_counter() - t0
         result.starts.append(
             StartRecord(

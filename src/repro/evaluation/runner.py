@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.multistart import Bipartitioner
+from repro.core.multistart import Bipartitioner, run_multistart
 from repro.evaluation.records import TrialRecord
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -34,24 +34,16 @@ def run_trials(
     for instance_name, hypergraph in instances.items():
         fp = fixed_parts.get(instance_name) if fixed_parts else None
         for partitioner in partitioners:
-            name = getattr(partitioner, "name", type(partitioner).__name__)
-            for i in range(num_starts):
-                seed = base_seed + i
-                t0 = time.perf_counter()
-                result = partitioner.partition(
-                    hypergraph, seed=seed, fixed_parts=fp
-                )
-                elapsed = time.perf_counter() - t0
-                records.append(
-                    TrialRecord(
-                        heuristic=name,
-                        instance=instance_name,
-                        seed=seed,
-                        cut=result.cut,
-                        runtime_seconds=elapsed,
-                        legal=result.legal,
-                    )
-                )
+            ms = run_multistart(
+                partitioner, hypergraph, num_starts,
+                instance_name=instance_name, base_seed=base_seed,
+                fixed_parts=fp,
+            )
+            records.extend(
+                TrialRecord(ms.heuristic, instance_name, start.seed,
+                            start.cut, start.runtime_seconds, start.legal)
+                for start in ms.starts
+            )
     return records
 
 
@@ -98,7 +90,9 @@ def run_configuration_evaluation(
     ``vcycle`` is given, applies ``vcycle(hypergraph, best_assignment,
     seed)`` to it (shmetis V-cycles the best of its starts).  Returns
     ``{s: {"avg_best_cut": ..., "avg_cpu_seconds": ...}}`` — the
-    ``cut/time`` cells of Tables 4 and 5.
+    ``cut/time`` cells of Tables 4 and 5.  Each bundle is one
+    :func:`~repro.core.multistart.run_multistart` call on a partitioner
+    from ``make_partitioner()``.
 
     Seeding is explicit per configuration: every configuration ``s``
     draws from its own seed block via :func:`configuration_seed`, so
@@ -112,18 +106,16 @@ def run_configuration_evaluation(
         cpu_times: List[float] = []
         for rep in range(repetitions):
             t0 = time.perf_counter()
-            best_cut = float("inf")
-            best_assignment = None
-            for i in range(s):
-                partitioner = make_partitioner()
-                seed = configuration_seed(base_seed, s, rep, i)
-                result = partitioner.partition(hypergraph, seed=seed)
-                if result.cut < best_cut:
-                    best_cut = result.cut
-                    best_assignment = result.assignment
-            if vcycle is not None and best_assignment is not None:
+            # A repetition's start seeds are one contiguous block.
+            ms = run_multistart(
+                make_partitioner(), hypergraph, s,
+                instance_name=instance_name,
+                base_seed=configuration_seed(base_seed, s, rep, 0),
+            )
+            best_cut = ms.min_cut
+            if vcycle is not None:
                 vseed = configuration_seed(base_seed, s, rep, s)
-                improved = vcycle(hypergraph, best_assignment, vseed)
+                improved = vcycle(hypergraph, ms.best_assignment, vseed)
                 if improved.cut < best_cut:
                     best_cut = improved.cut
             cpu_times.append(time.perf_counter() - t0)

@@ -8,10 +8,11 @@ it) and a :class:`ScenarioHeuristic` adapter that makes any scenario
 look like a campaign heuristic:
 
 * ``kind="kway"`` — partition into ``k`` parts by recursive bisection
-  (``method="rb"``, any CLI ladder engine as the inner bipartitioner)
-  or direct k-way FM (``method="direct"``), ranked by net cut or the
-  hMetis connectivity ((lambda - 1)) objective under the documented
-  per-k balance model (:class:`~repro.core.kway.KWayBalance`);
+  (``method="rb"``, any :mod:`repro.engines` ladder engine as the
+  inner bipartitioner) or direct k-way FM (``method="direct"``),
+  ranked by net cut or the hMetis connectivity ((lambda - 1))
+  objective under the documented per-k balance model
+  (:class:`~repro.core.kway.KWayBalance`);
 * ``kind="terminal-propagation"`` — drive
   :class:`~repro.placement.topdown.TopDownPlacer` end to end (external
   pins of spanning nets become fixed dummy terminals in every
@@ -37,44 +38,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.kway import KWayBalance, RecursiveBisection
 from repro.core.kway_fm import KWayFM
+from repro.engines import ENGINE_NAMES, make_engine
 from repro.hypergraph.hypergraph import Hypergraph
-
-#: Engine ladder names a scenario may name as its inner bipartitioner —
-#: the same names ``repro partition --engine`` takes, built by the same
-#: factory (:func:`repro.cli._make_engine`), so a scenario computes
-#: exactly what the standalone CLI computes.  ``repro.service.spec``
-#: re-exports this tuple as the job-spec engine vocabulary.
-ENGINE_NAMES = ("flat-lifo", "flat-clip", "ml-lifo", "ml-clip", "weak")
 
 SCENARIO_KINDS = ("kway", "terminal-propagation")
 SCENARIO_OBJECTIVES = ("cut", "connectivity", "hpwl")
 KWAY_METHODS = ("rb", "direct")
-
-
-class _EngineFactory:
-    """Picklable ``(tolerance) -> bipartitioner`` factory for one CLI
-    ladder engine.
-
-    Recursive bisection calls its factory once per split with the
-    split's own budgeted tolerance, so this must be a real callable —
-    and pool workers unpickle it, so it must be a module-level class,
-    not the lambda :class:`RecursiveBisection` defaults to.  The CLI
-    import is deferred to call time (the same pattern as
-    :func:`repro.service.spec.make_engine`) to keep this module free of
-    import cycles.
-    """
-
-    def __init__(self, engine: str) -> None:
-        self.engine = engine
-
-    def __call__(self, tolerance: float):
-        from repro.cli import _make_engine
-
-        return _make_engine(self.engine, tolerance)
 
 
 @dataclass(frozen=True)
@@ -85,7 +59,7 @@ class Scenario:
     apply to k-way scenarios (``objective`` is "cut" or
     "connectivity"); ``min_region_cells`` applies to
     terminal-propagation scenarios (whose objective is always "hpwl").
-    ``engine`` names the inner 2-way bipartitioner from the CLI ladder
+    ``engine`` names the inner 2-way bipartitioner from the ladder
     in both kinds; ``tolerance`` is the per-part balance tolerance
     (k-way) or the per-bisection tolerance (placement).  ``label``
     overrides the derived heuristic name.
@@ -245,7 +219,7 @@ class ScenarioHeuristic:
                 rb = RecursiveBisection(
                     sc.k,
                     tolerance=sc.tolerance,
-                    partitioner_factory=_EngineFactory(sc.engine),
+                    partitioner_factory=partial(make_engine, sc.engine),
                 )
                 res = rb.partition(hypergraph, seed=seed)
             value = (
@@ -263,7 +237,7 @@ class ScenarioHeuristic:
         from repro.placement.topdown import TopDownPlacer
 
         placer = TopDownPlacer(
-            partitioner=_EngineFactory(sc.engine)(sc.tolerance),
+            partitioner=make_engine(sc.engine, sc.tolerance),
             min_region_cells=sc.min_region_cells,
             terminal_propagation=True,
             seed=seed,

@@ -18,6 +18,9 @@ Public entry points
 ``read_netd`` / ``write_netd``
     ISPD98 ``.netD`` + ``.are`` netlist format (as used by the IBM
     benchmark suite the paper reports on).
+``read_netlist``
+    Either format, chosen by file suffix (the CLI's and the service's
+    file reader).
 ``hypergraph_stats``
     Instance statistics matching Section 2.1 of the paper (sparsity,
     degree and net-size distributions, area spread).
@@ -26,7 +29,7 @@ Public entry points
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.builder import HypergraphBuilder
 from repro.hypergraph.io_hmetis import HgrFormatError, read_hgr, write_hgr
-from repro.hypergraph.io_netd import read_netd, write_netd
+from repro.hypergraph.io_netd import read_netd, read_netlist, write_netd
 from repro.hypergraph.io_fix import read_fix, write_fix
 from repro.hypergraph.io_solution import read_solution, write_solution
 from repro.hypergraph.rent import RentFit, external_nets, rent_analysis
@@ -46,6 +49,7 @@ __all__ = [
     "write_hgr",
     "read_fix",
     "read_netd",
+    "read_netlist",
     "read_solution",
     "write_fix",
     "write_netd",

@@ -29,8 +29,19 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.hypergraph.builder import HypergraphBuilder
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.io_hmetis import read_hgr
 
 PathLike = Union[str, Path]
+
+
+def read_netlist(
+    path: PathLike, are: Optional[PathLike] = None
+) -> Hypergraph:
+    """Read a netlist by suffix: ISPD98 ``.netD``/``.netd``/``.net``
+    (with optional ``.are`` areas), hMetis ``.hgr`` otherwise."""
+    if str(path).endswith((".netD", ".netd", ".net")):
+        return read_netd(path, are)
+    return read_hgr(path)
 
 
 def read_netd(

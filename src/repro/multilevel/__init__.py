@@ -16,7 +16,6 @@ from repro.multilevel.pool import (
     HierarchyPool,
     build_hierarchy,
     hierarchy_seed,
-    run_multistart_pooled,
 )
 from repro.multilevel.shmetis import ShmetisResult, shmetis, ubfactor_to_tolerance
 
@@ -33,7 +32,6 @@ __all__ = [
     "hierarchy_seed",
     "hyperedge_coarsening",
     "restricted_matching",
-    "run_multistart_pooled",
     "ShmetisResult",
     "shmetis",
     "ubfactor_to_tolerance",

@@ -72,12 +72,6 @@ class MLConfig:
     vcycles:
         Number of V-cycle refinement rounds applied to the final
         solution of each start.
-    backend:
-        Kernel backend for refinement, matching and contraction
-        (``None`` = process default / ``REPRO_BACKEND`` / numpy; see
-        :mod:`repro.backends`).  ``fm_config.backend`` takes precedence
-        when both are set.  Every registered backend is bit-identical
-        to numpy, so this knob changes wall-clock only.
     """
 
     fm_config: FMConfig = FMConfig()
@@ -87,7 +81,6 @@ class MLConfig:
     refine_passes: int = 4
     clustering: str = "heavy_edge"
     vcycles: int = 0
-    backend: Optional[str] = None
 
     def describe(self) -> str:
         """Short tag, e.g. ``ML CLIP/nonzero/away/lifo``."""
@@ -108,9 +101,12 @@ class MLPartitioner:
     config, tolerance, name:
         As before (configuration, balance tolerance, report label).
     backend:
-        Overrides the configured kernel backend when given (explicit
-        argument > ``fm_config.backend`` > ``config.backend`` > process
-        default).  Bit-identical across backends.
+        Kernel backend for refinement, matching and contraction.  This
+        is the one place an ML backend request is resolved: the
+        explicit argument, else ``config.fm_config.backend``, else the
+        process default (``None``; see :mod:`repro.backends`).  Every
+        backend is bit-identical to numpy, so it changes wall-clock
+        only.
     """
 
     def __init__(
@@ -122,13 +118,11 @@ class MLPartitioner:
     ) -> None:
         self.config = config if config is not None else MLConfig()
         self.tolerance = tolerance
-        if backend is None:
-            backend = self.config.fm_config.backend
-        if backend is None:
-            backend = getattr(self.config, "backend", None)
         #: Resolved backend request threaded into every engine,
         #: matching and contraction call (None = process default).
-        self.backend = backend
+        self.backend = (
+            backend if backend is not None else self.config.fm_config.backend
+        )
         if self.config.clustering not in (
             "heavy_edge",
             "first_choice",

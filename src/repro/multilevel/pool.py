@@ -35,10 +35,9 @@ import inspect
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.multistart import MultistartResult, StartRecord
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.multilevel.coarsen import coarsen
@@ -141,22 +140,6 @@ def project_fixed(level, fixed) -> Optional[List[Optional[int]]]:
     return coarse_fixed
 
 
-def config_backend(config) -> Optional[str]:
-    """Kernel-backend request carried by a coarsening ``config``.
-
-    ``fm_config.backend`` wins over the multilevel-level ``backend`` —
-    the same precedence :class:`~repro.multilevel.mlpart.MLPartitioner`
-    applies — so pooled and standalone builds resolve identically.
-    Configs that predate the backend registry simply resolve to
-    ``None`` (process default).
-    """
-    fm = getattr(config, "fm_config", None)
-    backend = getattr(fm, "backend", None)
-    if backend is None:
-        backend = getattr(config, "backend", None)
-    return backend
-
-
 def coarsening_key(config) -> Tuple[str, int, float]:
     """The part of ``config`` a hierarchy depends on: the three fields
     :func:`build_hierarchy` reads.
@@ -195,9 +178,9 @@ def build_hierarchy(
     ``config`` supplies ``coarsest_size``, ``min_reduction`` and
     ``clustering`` (an :class:`~repro.multilevel.mlpart.MLConfig` or any
     object with those attributes).  ``backend`` selects the kernel
-    backend for matching/contraction (``None`` reads it off ``config``
-    via :func:`config_backend`); every backend is bit-identical, so the
-    hierarchy never depends on it.
+    backend for matching/contraction, as the caller resolved it
+    (``None`` = process default); every backend is bit-identical, so
+    the hierarchy never depends on it.
 
     Coarsening stops at ``coarsest_size``, when a level shrinks by less
     than ``min_reduction``, or — the stall guard — when a level fails to
@@ -207,8 +190,6 @@ def build_hierarchy(
     """
     t0 = time.perf_counter() if perf is not None else 0.0
     cluster_fn = _cluster_fn(config.clustering)
-    if backend is None:
-        backend = config_backend(config)
     levels: List[Tuple[object, Optional[List[Optional[int]]]]] = []
     hg = hypergraph
     # Truthiness (not None-ness) on purpose: MLPartitioner.partition
@@ -249,7 +230,9 @@ class HierarchyPool:
     ``get(i)`` returns hierarchy ``i % size``, building it on first use
     with ``random.Random(hierarchy_seed(base_seed, i % size))``.  Lazy
     construction means a pool sized larger than the actual start count
-    never builds unused hierarchies.
+    never builds unused hierarchies.  ``run_multistart(..., pool=pool)``
+    runs start ``i`` on ``get(i)``; ``backend`` is the kernel backend
+    the caller's partitioner resolved (``None`` = process default).
 
     ``get`` is safe under concurrent callers (threads racing for the
     same slot): a double-checked build lock guarantees exactly one build
@@ -275,7 +258,7 @@ class HierarchyPool:
         self.base_seed = base_seed
         self.fixed_parts = list(fixed_parts) if fixed_parts else None
         self.perf = perf if perf is not None else PerfCounters()
-        self.backend = backend if backend is not None else config_backend(config)
+        self.backend = backend
         self._hierarchies: List[Optional[Hierarchy]] = [None] * size
         self._build_lock = threading.Lock()
 
@@ -314,71 +297,3 @@ class HierarchyPool:
     def __len__(self) -> int:
         return self.size
 
-
-def run_multistart_pooled(
-    partitioner,
-    hypergraph: Hypergraph,
-    num_starts: int,
-    instance_name: str = "",
-    base_seed: int = 0,
-    pool_size: int = 2,
-    fixed_parts: Optional[Sequence[Optional[int]]] = None,
-    pool: Optional[HierarchyPool] = None,
-) -> MultistartResult:
-    """Multistart driver drawing hierarchies from a seeded pool.
-
-    Mirrors :func:`repro.core.multistart.run_multistart` — same seeds,
-    same record stream — but start ``i`` partitions on pooled hierarchy
-    ``i % pool_size`` instead of re-coarsening.  ``partitioner`` must
-    accept a ``hierarchy`` keyword (i.e. be an
-    :class:`~repro.multilevel.mlpart.MLPartitioner`).
-
-    A pre-built ``pool`` may be supplied (it must match ``hypergraph``);
-    otherwise one is created from ``partitioner.config``.
-
-    To run the starts in parallel, run them as a campaign:
-    ``orchestrate_campaign(..., workers=N, sticky_cache=True,
-    sticky_pool_size=pool_size)`` (``repro campaign run --workers N
-    --sticky-cache``) gives this function's ``(seed, cut, legal)``
-    stream.
-    """
-    if num_starts < 1:
-        raise ValueError("num_starts must be >= 1")
-    if pool is None:
-        pool = HierarchyPool(
-            hypergraph,
-            partitioner.config,
-            pool_size,
-            base_seed=base_seed,
-            fixed_parts=fixed_parts,
-            backend=getattr(partitioner, "backend", None),
-        )
-    elif pool.hypergraph is not hypergraph:
-        raise ValueError("pool was built for a different hypergraph")
-    result = MultistartResult(
-        heuristic=getattr(partitioner, "name", type(partitioner).__name__),
-        instance=instance_name,
-    )
-    best_cut = float("inf")
-    for i in range(num_starts):
-        seed = base_seed + i
-        t0 = time.perf_counter()
-        out = partitioner.partition(
-            hypergraph,
-            seed=seed,
-            fixed_parts=fixed_parts,
-            hierarchy=pool.get(i),
-        )
-        elapsed = time.perf_counter() - t0
-        result.starts.append(
-            StartRecord(
-                seed=seed,
-                cut=out.cut,
-                runtime_seconds=elapsed,
-                legal=out.legal,
-            )
-        )
-        if out.cut < best_cut:
-            best_cut = out.cut
-            result.best_assignment = list(out.assignment)
-    return result

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import FMConfig
 from repro.core.kway import RecursiveBisection
+from repro.core.multistart import run_multistart
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.multilevel.mlpart import MLConfig, MLPartitioner
 from repro.multilevel.pool import HierarchyPool
@@ -93,25 +94,17 @@ def shmetis(
             min(nruns, 4),
             base_seed=seed,
             fixed_parts=fixed_parts,
+            backend=engine.backend,
         )
-        best = None
-        for i in range(nruns):
-            result = engine.partition(
-                hypergraph,
-                seed=seed + i,
-                fixed_parts=fixed_parts,
-                hierarchy=pool.get(i),
-            )
-            if best is None or result.cut < best.cut:
-                best = result
-        assert best is not None
+        starts = run_multistart(
+            engine, hypergraph, nruns, base_seed=seed,
+            fixed_parts=fixed_parts, pool=pool,
+        )
+        assignment, cut = starts.best_assignment, starts.min_cut
         # hMetis V-cycles the best of the starts.
-        improved = engine.vcycle(
-            hypergraph, best.assignment, seed=seed + nruns
-        )
-        final = improved if improved.cut < best.cut else best
-        assignment = final.assignment
-        cut = final.cut
+        improved = engine.vcycle(hypergraph, assignment, seed=seed + nruns)
+        if improved.cut < cut:
+            assignment, cut = improved.assignment, improved.cut
         weights = hypergraph.part_weights(assignment, 2)
     else:
         if fixed_parts is not None:

@@ -40,9 +40,9 @@ methodology):
   worker keeps a :class:`~repro.multilevel.pool.HierarchyPool` per
   (instance, base seed, coarsening setting) block, so consecutive
   trials on the same instance reuse coarsening work exactly as
-  ``run_multistart_pooled`` does serially, and heuristics that coarsen
-  alike (ML LIFO and ML CLIP) share one pool.  A hierarchy build is
-  timed as part of the trial that triggers it.  Pool hierarchy
+  ``run_multistart(..., pool=...)`` does serially, and heuristics that
+  coarsen alike (ML LIFO and ML CLIP) share one pool.  A hierarchy
+  build is timed as part of the trial that triggers it.  Pool hierarchy
   selection is keyed on the trial's *start index*
   (``TrialPlan.start``), never on worker identity, so records are
   independent of batch size, worker count and scheduling —
@@ -156,9 +156,11 @@ def _merge_perf(
 
 def _requested_backends(heuristics, backend: Optional[str]) -> List[str]:
     """Every distinct backend this execution context can reach: the
-    executor-level request plus any carried by heuristic configs.  All
-    of them are warmed at payload-attach so compilation never leaks
-    into a trial runtime (the first-trial timing-skew fix)."""
+    executor-level request plus each heuristic's own (an ML
+    partitioner's resolved ``backend``, a flat one's
+    ``config.backend``).  All of them are warmed at payload-attach so
+    compilation never leaks into a trial runtime (the first-trial
+    timing-skew fix)."""
     names: List[str] = []
 
     def add(name: Optional[str]) -> None:
@@ -168,9 +170,7 @@ def _requested_backends(heuristics, backend: Optional[str]) -> List[str]:
     add(backend)
     for h in heuristics.values():
         add(getattr(h, "backend", None))
-        cfg = getattr(h, "config", None)
-        add(getattr(cfg, "backend", None))
-        add(getattr(getattr(cfg, "fm_config", None), "backend", None))
+        add(getattr(getattr(h, "config", None), "backend", None))
     return names
 
 
@@ -290,7 +290,7 @@ class _TrialExecutor:
         t0 = time.perf_counter()
         try:
             # A sticky hierarchy build counts toward the trial that
-            # triggers it, as in ``run_multistart_pooled``.
+            # triggers it, as in a pooled ``run_multistart``.
             hierarchy = self._hierarchy_for(plan, hg, fp, perf)
             if hierarchy is not None:
                 result = partitioner.partition(
@@ -782,7 +782,7 @@ class ExecutionPolicy:
     #: Keep per-worker hierarchy pools so consecutive trials on one
     #: instance reuse coarsening (multilevel heuristics only).  Off by
     #: default: pooled coarsening draws from the split hierarchy-seed
-    #: RNG stream, so cuts match `run_multistart_pooled`, not the
+    #: RNG stream, so cuts match a pooled `run_multistart`, not the
     #: rebuild-per-trial stream of a plain `partition()` loop.
     sticky_cache: bool = False
     sticky_pool_size: int = 2  #: hierarchies per sticky pool

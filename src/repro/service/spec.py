@@ -6,7 +6,8 @@ useless for a service where jobs arrive over HTTP, outlive the process
 that submitted them, and must be reconstructible after a server restart.
 :class:`JobSpec` is the data-only form: instances are declared as
 *sources* (a file on disk, a synthetic-suite entry, a generator call),
-heuristics as engine names from the CLI ladder, and every execution knob
+heuristics as engine names from the ladder (:mod:`repro.engines`,
+the names ``repro partition --engine`` takes), and every execution knob
 as a plain field.  ``JobSpec.from_json(spec.to_json())`` round-trips
 exactly, and building the same JobSpec twice yields campaigns with
 identical trial plans — the property the service's resume-after-restart
@@ -21,27 +22,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.engines import ENGINE_NAMES, make_engine
 from repro.evaluation.campaign import CampaignSpec
-
-#: Engine ladder names accepted in ``JobSpec.engines`` — the same names
-#: ``repro partition --engine`` takes, built by the same factory, so a
-#: service job computes exactly what the standalone CLI computes.  The
-#: canonical tuple lives next to the scenario layer, which shares the
-#: vocabulary for its inner bipartitioners.
-from repro.evaluation.scenarios import (
-    ENGINE_NAMES,
-    Scenario,
-    ScenarioHeuristic,
-)
+from repro.evaluation.scenarios import Scenario, ScenarioHeuristic
+from repro.hypergraph import read_netlist
 from repro.hypergraph.hypergraph import Hypergraph
-
-
-def make_engine(engine: str, tolerance: float):
-    """Build one ladder engine (delegates to the CLI factory so service
-    jobs and ``repro campaign run`` construct identical partitioners)."""
-    from repro.cli import _make_engine
-
-    return _make_engine(engine, tolerance)
 
 
 @dataclass(frozen=True)
@@ -98,9 +83,7 @@ class InstanceSource:
 
     def load(self) -> Hypergraph:
         if self.kind == "file":
-            from repro.cli import _load
-
-            return _load(self.path, self.are)
+            return read_netlist(self.path, self.are)
         if self.kind == "suite":
             from repro.instances import suite_instance
 

@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -252,3 +258,63 @@ class TestCampaignCLI:
         ) == 0
         assert "Pairwise significance" in capsys.readouterr().out
         assert store.status().done == 8
+
+
+class TestLayering:
+    """Library code never imports the CLI: the engine ladder lives in
+    ``repro.engines`` and the netlist reader in ``repro.hypergraph``."""
+
+    PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    def test_no_library_module_imports_the_cli(self):
+        offenders = []
+        for path in sorted(self.PACKAGE.rglob("*.py")):
+            if path.parent == self.PACKAGE and path.name in (
+                "cli.py", "__main__.py"
+            ):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(n == "repro.cli" or n.startswith("repro.cli.")
+                       for n in names):
+                    where = path.relative_to(self.PACKAGE)
+                    offenders.append(f"{where}:{node.lineno}")
+        assert offenders == []
+
+    def test_file_backed_job_runs_without_the_cli(self, hgr_path):
+        """A service job's whole path: load a file instance, build the
+        ladder engines, run a recursive-bisection scenario trial."""
+        code = f"""
+import sys
+from repro.evaluation import Scenario
+from repro.service import InstanceSource, JobSpec
+spec = JobSpec(
+    name="layers",
+    instances=[InstanceSource(kind="file", label="c", path={hgr_path!r})],
+    engines=["flat-lifo", "weak"],
+    scenarios=[Scenario(kind="kway", k=4)],
+    num_starts=1,
+)
+hg = spec.instances[0].load()
+heuristics = spec.campaign_spec({{"c": hg}}).heuristics
+assert [h.name for h in heuristics[:2]] == [
+    "Flat LIFO FM", "Reported LIFO (weak impl)"]
+assert heuristics[2].partition(hg, seed=0).legal
+print("repro.cli" in sys.modules)
+"""
+        src = str(self.PACKAGE.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["False"]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.backends import BACKEND_NAMES, get_backend
+from repro.core.multistart import run_multistart
 from repro.core.perf import PerfCounters
 from repro.hypergraph import Hypergraph
 from repro.instances import generate_circuit
@@ -22,7 +23,6 @@ from repro.multilevel import (
     MLPartitioner,
     build_hierarchy,
     hierarchy_seed,
-    run_multistart_pooled,
     shmetis,
 )
 from tests.oracles.seed_ml import seed_build_hierarchy, seed_ml_partition
@@ -253,9 +253,8 @@ class TestPooledMultistart:
     def test_serial_equals_pooled(self, hg):
         """The pooling contract: same seeds, bit-identical records."""
         engine = MLPartitioner(tolerance=0.1)
-        pooled = run_multistart_pooled(
-            engine, hg, 6, base_seed=11, pool_size=2
-        )
+        pool = HierarchyPool(hg, engine.config, 2, base_seed=11)
+        pooled = run_multistart(engine, hg, 6, base_seed=11, pool=pool)
         serial_cuts = []
         cfg = MLConfig()
         serial_engine = MLPartitioner(tolerance=0.1)
@@ -271,8 +270,9 @@ class TestPooledMultistart:
     def test_kernel_equals_seed_oracle(self, hg):
         """Pooled kernel path vs per-start oracle rebuild with frozen
         seed engines."""
-        pooled = run_multistart_pooled(
-            MLPartitioner(tolerance=0.1), hg, 4, base_seed=0, pool_size=2
+        pool = HierarchyPool(hg, MLConfig(), 2, base_seed=0)
+        pooled = run_multistart(
+            MLPartitioner(tolerance=0.1), hg, 4, base_seed=0, pool=pool
         )
         assert [s.cut for s in pooled.starts] == seed_oracle_cuts(hg, 4)
 
@@ -284,15 +284,18 @@ class TestPooledMultistart:
     def test_backend_equals_seed_oracle(self, hg, backend):
         """The same pooled run with matching, contraction and FM on a
         registry backend."""
-        pooled = run_multistart_pooled(
+        pool = HierarchyPool(hg, MLConfig(), 2, base_seed=0,
+                             backend=backend)
+        pooled = run_multistart(
             MLPartitioner(tolerance=0.1, backend=backend),
-            hg, 4, base_seed=0, pool_size=2,
+            hg, 4, base_seed=0, pool=pool,
         )
         assert [s.cut for s in pooled.starts] == seed_oracle_cuts(hg, 4)
 
     def test_best_assignment_matches_best_cut(self, hg):
-        ms = run_multistart_pooled(
-            MLPartitioner(tolerance=0.1), hg, 3, base_seed=2
+        pool = HierarchyPool(hg, MLConfig(), 2, base_seed=2)
+        ms = run_multistart(
+            MLPartitioner(tolerance=0.1), hg, 3, base_seed=2, pool=pool
         )
         assert hg.cut_size(ms.best_assignment) == ms.min_cut
 
@@ -300,11 +303,13 @@ class TestPooledMultistart:
         other = generate_circuit(100, seed=1)
         pool = HierarchyPool(other, MLConfig(), 2)
         with pytest.raises(ValueError, match="different hypergraph"):
-            run_multistart_pooled(MLPartitioner(), hg, 2, pool=pool)
+            run_multistart(MLPartitioner(), hg, 2, pool=pool)
 
     def test_bad_num_starts(self, hg):
         with pytest.raises(ValueError):
-            run_multistart_pooled(MLPartitioner(), hg, 0)
+            run_multistart(
+                MLPartitioner(), hg, 0, pool=HierarchyPool(hg, MLConfig(), 2)
+            )
 
     def test_shmetis_pooled_path_still_legal(self, hg):
         res = shmetis(hg, k=2, ubfactor=5.0, nruns=3, seed=1)

@@ -22,10 +22,11 @@ from collections import deque
 
 import pytest
 
+from repro.core.multistart import run_multistart
 from repro.core.perf import PerfCounters
 from repro.evaluation.campaign import CampaignSpec, run_campaign
 from repro.instances import generate_circuit
-from repro.multilevel import MLConfig, MLPartitioner, run_multistart_pooled
+from repro.multilevel import HierarchyPool, MLConfig, MLPartitioner
 from repro.orchestrate import orchestrate_campaign
 from repro.orchestrate.store import RunStore
 from tests.test_orchestrate import DyingPartitioner
@@ -66,6 +67,16 @@ def ml(scheme="heavy_edge"):
     return MLPartitioner(MLConfig(clustering=scheme), tolerance=0.1, name="m")
 
 
+def pooled_multistart(engine, hg, num_starts, base_seed, pool_size,
+                      fixed_parts=None):
+    """The serial reference: ``run_multistart`` on a hierarchy pool."""
+    pool = HierarchyPool(hg, engine.config, pool_size, base_seed=base_seed,
+                         fixed_parts=fixed_parts)
+    return run_multistart(engine, hg, num_starts, instance_name="g",
+                          base_seed=base_seed, fixed_parts=fixed_parts,
+                          pool=pool)
+
+
 def campaign(hg, heuristic, num_starts, base_seed=0, name="c"):
     return CampaignSpec(
         name=name,
@@ -79,7 +90,7 @@ def campaign(hg, heuristic, num_starts, base_seed=0, name="c"):
 # ----------------------------------------------------------------------
 class TestHierarchyDeterminism:
     """Sticky hierarchies built inside pool workers serve every start
-    exactly as ``run_multistart_pooled``'s do."""
+    exactly as a pooled ``run_multistart``'s do."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("workers", (2, 4))
@@ -88,9 +99,8 @@ class TestHierarchyDeterminism:
         self, hg, fixed, scheme, workers, use_fixed
     ):
         parts = fixed if use_fixed else None
-        serial = run_multistart_pooled(
-            ml(scheme), hg, 6, instance_name="g", base_seed=3,
-            pool_size=2, fixed_parts=parts,
+        serial = pooled_multistart(
+            ml(scheme), hg, 6, base_seed=3, pool_size=2, fixed_parts=parts
         )
         parallel = orchestrate_campaign(
             campaign(hg, ml(scheme), 6, base_seed=3),
@@ -123,9 +133,7 @@ class TestStandaloneMatrix:
 
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_multistart_records_identical(self, hg, workers):
-        serial = run_multistart_pooled(
-            ml(), hg, 6, instance_name="g", base_seed=3, pool_size=2
-        )
+        serial = pooled_multistart(ml(), hg, 6, base_seed=3, pool_size=2)
         result = run_campaign(
             campaign(hg, ml(), 6, base_seed=3), workers=workers,
             sticky_cache=True, sticky_pool_size=2,
@@ -144,9 +152,8 @@ class TestStandaloneMatrix:
         ]
 
     def test_fixed_vertices_through_fanout(self, hg, fixed):
-        serial = run_multistart_pooled(
-            ml(), hg, 4, instance_name="g", base_seed=0,
-            pool_size=1, fixed_parts=fixed,
+        serial = pooled_multistart(
+            ml(), hg, 4, base_seed=0, pool_size=1, fixed_parts=fixed
         )
         for v, side in enumerate(fixed):
             if side is not None:
@@ -285,9 +292,7 @@ class TestSelfHealing:
     dispatches the rest of its batch again."""
 
     def test_kill_mid_fanout_records_identical(self, hg, tmp_path):
-        serial = run_multistart_pooled(
-            ml(), hg, 8, instance_name="g", base_seed=1, pool_size=2
-        )
+        serial = pooled_multistart(ml(), hg, 8, base_seed=1, pool_size=2)
         dying = DyingPartitioner(tmp_path, ml(), die_at_seed=5, name="m")
         result = run_campaign(
             campaign(hg, dying, 8, base_seed=1), workers=2, batch_size=4,

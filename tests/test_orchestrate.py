@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import FMConfig, FMPartitioner
+from repro.core import FMConfig, FMPartitioner, run_multistart
 from repro.evaluation import CampaignSpec, run_campaign
 from repro.hypergraph import Hypergraph
 from repro.instances import generate_circuit
@@ -342,7 +342,7 @@ class TestRunFingerprint:
         base = fingerprint(MLPartitioner(tolerance=0.1, name="ml"))
         # No backend changes a record, so none changes the hash.
         assert fingerprint(MLPartitioner(
-            MLConfig(fm_config=FMConfig(backend="cnative"), backend="numpy"),
+            MLConfig(fm_config=FMConfig(backend="cnative")),
             tolerance=0.1, name="ml", backend="cnative")) == base
         for other in (
             MLPartitioner(tolerance=0.02, name="ml"),
@@ -722,7 +722,7 @@ class TestStickyPoolSharing:
 
 class TestStickyRuntimes:
     """A sticky hierarchy build counts toward the trial that triggers
-    it, as in ``run_multistart_pooled``: the journaled runtimes feed
+    it, as in a pooled ``run_multistart``: the journaled runtimes feed
     the BSF curves and the CPU columns of the reports."""
 
     def test_build_charged_like_pooled_multistart(self, hg, monkeypatch):
@@ -741,9 +741,8 @@ class TestStickyRuntimes:
             tolerance=0.1,
             name="ml",
         )
-        pooled = pool_mod.run_multistart_pooled(
-            ml, hg, num_starts=3, base_seed=5, pool_size=2
-        )
+        pool = pool_mod.HierarchyPool(hg, ml.config, 2, base_seed=5)
+        pooled = run_multistart(ml, hg, num_starts=3, base_seed=5, pool=pool)
         campaign = run_campaign(
             CampaignSpec(
                 name="sticky-time", heuristics=[ml],

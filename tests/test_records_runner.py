@@ -14,7 +14,7 @@ from repro.evaluation import (
     run_trials,
     save_records,
 )
-from repro.instances import generate_circuit
+from repro.instances import generate_circuit, suite_instance
 from repro.multilevel import MLPartitioner
 
 
@@ -121,6 +121,26 @@ class TestConfigurationEvaluation:
         }
         assert calls[1] == 2 and calls[2] == 2 * calls[1]
         assert sum(calls.values()) == len(seeds)
+
+    @pytest.mark.parametrize("with_vcycle, cells", [
+        (True, {1: 26.0, 2: 26.0}),
+        (False, {1: 37.0, 2: 26.0}),
+    ])
+    def test_pinned_cells(self, with_vcycle, cells):
+        """Exact Tables 4-5 cells on an instance where the V-cycle of
+        the best start improves the one-start configuration."""
+        ibm = suite_instance("ibm02s", scale=32)
+        ml = MLPartitioner(tolerance=0.1)
+        out = run_configuration_evaluation(
+            lambda: ml,
+            ibm,
+            "ibm02s",
+            start_counts=[1, 2],
+            repetitions=2,
+            vcycle=(lambda h, a, s: ml.vcycle(h, a, seed=s))
+            if with_vcycle else None,
+        )
+        assert {s: out[s]["avg_best_cut"] for s in out} == cells
 
     def test_more_starts_do_not_hurt_quality_much(self, hg):
         ml = MLPartitioner(tolerance=0.1)

@@ -25,7 +25,7 @@ from repro.core.partitioner import FMPartitioner
 from repro.core.pruning import PrunedMultistart
 from repro.instances import generate_circuit
 from repro.multilevel.mlpart import MLConfig, MLPartitioner
-from repro.multilevel.pool import run_multistart_pooled
+from repro.multilevel.pool import HierarchyPool
 
 PARTITIONERS = {
     "fm": lambda: FMPartitioner(tolerance=0.1),
@@ -73,5 +73,6 @@ def test_multistart_best_assignment_is_int_list(hg):
 
 
 def test_pooled_multistart_best_assignment_is_int_list(hg):
-    result = run_multistart_pooled(MLPartitioner(tolerance=0.1), hg, 3)
+    pool = HierarchyPool(hg, MLConfig(), 2)
+    result = run_multistart(MLPartitioner(tolerance=0.1), hg, 3, pool=pool)
     assert_json_int_list(result.best_assignment, hg.num_vertices)

@@ -527,11 +527,34 @@ class TestServiceRecovery:
 
 # ----------------------------------------------------------------------
 class TestEngineFactory:
-    def test_make_engine_matches_cli(self):
-        from repro.cli import _make_engine
+    def test_one_ladder_vocabulary(self):
+        """Each ladder name builds the engine the tables name, and the
+        CLI, the scenario layer and the service all hold the one
+        factory and the one vocabulary."""
+        from repro import cli, engines, service
+        from repro.baselines import WeakFM
+        from repro.core import FMPartitioner
+        from repro.evaluation import scenarios
+        from repro.multilevel import MLPartitioner
 
-        for name in ("flat-lifo", "ml-clip", "weak"):
-            ours = make_engine(name, 0.02)
-            cli = _make_engine(name, 0.02)
-            assert type(ours) is type(cli)
-            assert getattr(ours, "name", None) == getattr(cli, "name", None)
+        expected = {
+            "flat-lifo": (FMPartitioner, "Flat LIFO FM", False),
+            "flat-clip": (FMPartitioner, "Flat CLIP FM", True),
+            "ml-lifo": (MLPartitioner, "ML LIFO FM", False),
+            "ml-clip": (MLPartitioner, "ML CLIP FM", True),
+            "weak": (WeakFM, "Reported LIFO (weak impl)", False),
+        }
+        assert engines.ENGINE_NAMES == tuple(expected)
+        for name, (cls, display, clip) in expected.items():
+            engine = make_engine(name, 0.02)
+            assert type(engine) is cls
+            assert engine.name == display
+            assert engine.tolerance == 0.02
+            fm_config = getattr(engine.config, "fm_config", engine.config)
+            assert fm_config.clip is clip
+        with pytest.raises(ValueError, match="flat-lifo"):
+            make_engine("hmetis", 0.02)
+        for module in (cli, scenarios, spec_mod):
+            assert module.make_engine is engines.make_engine
+        for module in (cli, scenarios, service):
+            assert module.ENGINE_NAMES is engines.ENGINE_NAMES

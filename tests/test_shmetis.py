@@ -1,9 +1,11 @@
 """Tests for the shmetis-compatible entry point."""
 
+import hashlib
+
 import pytest
 
 from repro.core import BalanceConstraint
-from repro.instances import generate_circuit
+from repro.instances import generate_circuit, suite_instance
 from repro.multilevel import (
     MLPartitioner,
     shmetis,
@@ -71,6 +73,51 @@ class TestBisection:
     def test_nruns_validated(self, hg):
         with pytest.raises(ValueError):
             shmetis(hg, nruns=0)
+
+
+def assignment_digest(assignment):
+    text = ",".join(map(str, assignment))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+class TestPinnedRecords:
+    """Exact k = 2 records: the best of ``nruns`` starts, then the
+    V-cycle.  On this instance CLIP's best of three starts beats its
+    first start, so the keep-the-best step shows in the pins."""
+
+    PINS = {
+        (False, 1): (17, "2a5a7f679411492f7031578cbb7a3092"
+                         "3d8f1c5e971765eb2068b8a6766715be"),
+        (False, 3): (17, "2a5a7f679411492f7031578cbb7a3092"
+                         "3d8f1c5e971765eb2068b8a6766715be"),
+        (True, 1): (19, "5dd3cca5deb375901dae549fe1404da2"
+                        "bf49b6a9e9d8445c47fa2902c1e2d103"),
+        (True, 3): (17, "e5ed292d24fdb035f6254509cc6ec470"
+                        "5bb0a6251251e8a70efce8a67bfb3a29"),
+    }
+
+    @pytest.fixture(scope="class")
+    def ibm(self):
+        return suite_instance("ibm01s", scale=32)
+
+    @pytest.mark.parametrize("clip, nruns", sorted(PINS))
+    def test_cut_and_assignment(self, ibm, clip, nruns):
+        result = shmetis(ibm, k=2, ubfactor=5, nruns=nruns, seed=4,
+                         clip=clip)
+        assert (result.cut, assignment_digest(result.assignment)) == \
+            self.PINS[clip, nruns]
+
+    def test_fixed_parts(self, ibm):
+        fixed = [None] * ibm.num_vertices
+        for v in range(0, ibm.num_vertices, 40):
+            fixed[v] = (v // 40) % 2
+        result = shmetis(ibm, k=2, ubfactor=5, nruns=3, seed=4, clip=True,
+                         fixed_parts=fixed)
+        assert (result.cut, assignment_digest(result.assignment)) == (
+            17,
+            "31e2036a42e12c9cd0de5a401235dc92"
+            "9d2c8b6ded127ac0c6c47e0cbad70a24",
+        )
 
 
 class TestKWay:

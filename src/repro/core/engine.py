@@ -21,21 +21,32 @@ reproduces the corking pathology of Section 2.3 (a wide cell at the head
 of the zero bucket blocks the pass); the engine counts such stuck passes
 in :attr:`FMResult.stuck_passes`.
 
-**Kernel architecture.**  The pass body is an allocation-free, flat-array
-kernel in the style of modern FM codes (n-level KaHyPar, Mt-KaHyPar):
+**Kernel architecture.**  The interpreted pass and the compiled
+``fm_pass`` (``repro/backends/_kernels.c``) share one flat-array layout
+in the style of modern FM codes (n-level KaHyPar, Mt-KaHyPar): one
+record per vertex — bucket links, bucket index (the gain plus the gain
+bound) and a free flag — serves both sides, because a vertex sits only
+in its own side's buckets, and side ``s`` owns slots
+``[s*span, (s+1)*span)`` of the bucket heads and tails.  So seeding,
+selection and the neighbour relink each exist once.  The layout, the
 per-hypergraph invariants (integer net weights, vertex weights, gain
-bound), the gain-bucket pair, and the per-pass logs (moves, cuts,
-balance margins) live in a preallocated :class:`_PassScratch` reused
-across passes and ``refine()`` calls.  Per move, the kernel performs no
-Python-level allocation: selection compares bucket heads with inlined
-locals, the neighbour delta-gain update and the partition ledger update
-are fused into a single sweep over the moved vertex's nets (using
-pre-move pin counts, exactly as the classic gain-update rule requires),
-and the balance margin is computed with scalar comparisons instead of
-generator expressions.  The move-for-move behavior of the seed engine
-(``SeedFMEngine`` in ``tests/oracles/_seed_engine.py``) is preserved
-exactly — the equivalence suite asserts identical move sequences, kept
-prefixes and final cuts for every configuration combination.
+bound) and the per-pass logs (moves, cuts, balance margins) live in a
+preallocated :class:`_PassScratch` reused across passes and
+``refine()`` calls.  Per move, the pass performs no Python-level
+allocation: each net of the moved vertex yields one source-side and one
+destination-side delta gain from its pre-move pin counts, exactly as
+the classic gain-update rule requires, and the gain and cut-ledger
+updates are fused into a single sweep over those nets.  The
+move-for-move behavior of the seed engine (``SeedFMEngine`` in
+``tests/oracles/_seed_engine.py``) is preserved exactly — the
+equivalence suite asserts identical move sequences, kept prefixes and
+final cuts for every configuration combination.
+
+One ``refine`` loop drives both implementations under one pass budget:
+a pass runs on the backend's kernel while the kernel accepts it, and
+interpreted otherwise.  A pass the kernel declines leaves the partition
+and the random state as it found them, so the interpreted pass that
+replaces it continues the same refinement bit for bit.
 
 Because :class:`~repro.core.partition.Partition2` maintains an exact
 integer cut ledger for integral net weights, the logged cut values here
@@ -44,9 +55,9 @@ in :meth:`FMEngine._best_prefix` exact (the seed engine compared
 float-accumulated cuts for equality — correct only because, and as long
 as, all intermediate values stayed exactly representable).
 
-Scratch is cached per ``(hypergraph identity, insertion order)``:
-hypergraphs are immutable, so identity alone keys every per-hypergraph
-invariant.  The interpreted loop runs on a
+Scratch is cached per hypergraph identity: hypergraphs are immutable,
+so identity keys every per-hypergraph invariant, and the scratch holds
+nothing that depends on the configuration.  The interpreted loop runs on a
 :class:`~repro.core.partition.ListPartition`, list copies of the
 partition taken once per ``refine()`` and stored back at its end.  The
 compiled-backend path needs neither: it hands the partition's own numpy
@@ -66,11 +77,7 @@ import numpy as np
 
 from repro.core.balance import BalanceConstraint
 from repro.core.config import BestChoice, FMConfig, TieBias, UpdatePolicy
-from repro.core.gain_bucket import (
-    GainBuckets,
-    IllegalHeadPolicy,
-    InsertionOrder,
-)
+from repro.core.gain_bucket import IllegalHeadPolicy, InsertionOrder
 from repro.core.partition import (
     ListPartition,
     Partition2,
@@ -121,15 +128,20 @@ class FMResult:
 
 
 class _PassScratch:
-    """Preallocated per-hypergraph state of the interpreted pass loop.
+    """Preallocated per-hypergraph state of the interpreted pass.
 
     The weight views it reads are the hypergraph's shared lists: integer
     net weights for gain arithmetic, the partition-ledger net weights
     (identical in the integral regime; the float originals otherwise)
-    and vertex weights, plus the cached gain bound.  What it owns is the
-    two gain-bucket structures and flat arrays backing the per-pass logs
-    and the rollback snapshot (a vertex moves at most once per pass, so
-    length ``n`` suffices).
+    and vertex weights, plus the cached gain bound.  What it owns is
+    ``fm_pass``'s bucket layout and flat arrays backing the per-pass
+    logs and the rollback snapshot (a vertex moves at most once per
+    pass, so length ``n`` suffices).  The layout keeps one record per
+    vertex for both sides — bucket links ``prev``/``next``, bucket index
+    ``key`` (the gain plus ``max_abs``) and the free flag ``present`` —
+    because a vertex sits only in its own side's buckets; side ``s``
+    owns slots ``[s*span, (s+1)*span)`` of ``heads`` and ``tails``.
+    Nothing here depends on the engine's configuration.
     """
 
     __slots__ = (
@@ -138,8 +150,14 @@ class _PassScratch:
         "vwt",
         "vw_integral",
         "max_abs",
-        "buckets",
-        "gain",
+        "prev",
+        "next",
+        "key",
+        "present",
+        "heads",
+        "tails",
+        "blank_present",
+        "blank_heads",
         "eligible",
         "move_log",
         "cut_log",
@@ -150,7 +168,7 @@ class _PassScratch:
         "snap_break_even",
     )
 
-    def __init__(self, hg, order, rng) -> None:
+    def __init__(self, hg) -> None:
         n = hg.num_vertices
         m = hg.num_nets
         # Raises unless every net weight is (near-)integral.
@@ -161,11 +179,15 @@ class _PassScratch:
         # Gain bound: twice the max weighted degree covers both actual
         # gains (plain FM) and cumulative delta gains (CLIP).
         self.max_abs = 2 * hg.max_weighted_degree + 1
-        self.buckets = (
-            GainBuckets(n, self.max_abs, order, rng),
-            GainBuckets(n, self.max_abs, order, rng),
-        )
-        self.gain = [0] * n
+        self.prev = [-1] * n
+        self.next = [-1] * n
+        self.key = [0] * n
+        self.present = [False] * n
+        # Blank templates: each pass clears by slice copy.
+        self.blank_present = [False] * n
+        self.blank_heads = [-1] * (2 * (2 * self.max_abs + 1))
+        self.heads = self.blank_heads.copy()
+        self.tails = self.blank_heads.copy()
         self.eligible = [0] * n
         self.move_log = [0] * n
         self.cut_log = [0.0] * n
@@ -185,6 +207,119 @@ class _PassScratch:
         # is a Python call that walks the vertex's nets, so the copies
         # amortize over roughly (2n + 4m)/128 moves.
         self.snap_break_even = 1 + (2 * n + 4 * m) // 128
+
+
+class _KernelRun:
+    """One ``refine`` call's working state for a backend's ``fm_pass``.
+
+    The kernel updates the partition's own assignment and pin-count
+    arrays in place.  The part weights, the cut and (RANDOM insertion
+    order only) the engine's Mersenne-Twister state cross as small int64
+    arrays, set up once per refine and written back by :meth:`publish`.
+    """
+
+    __slots__ = ("fm_pass", "balance", "rng", "args", "codes", "pw",
+                 "cut_io", "mt", "mti", "move_log", "out")
+
+    def __init__(self, engine: "FMEngine", partition: Partition2,
+                 ks) -> None:
+        cfg = engine.config
+        hg = partition.hypergraph
+        self.fm_pass = ks.fm_pass
+        self.balance = engine.balance
+        self.pw = np.array([int(w) for w in partition.part_weights],
+                           dtype=np.int64)
+        self.cut_io = np.array([int(partition.cut)], dtype=np.int64)
+        self.move_log = np.zeros(hg.num_vertices, dtype=np.int64)
+        self.out = np.zeros(8, dtype=np.int64)
+        self.args = (
+            *hg.csr, hg.int_net_weights(), hg.int_vertex_weights(),
+            partition.assignment, partition.fixed.astype(np.int64),
+            *partition.pins_in_part, self.pw, self.cut_io,
+        )
+        # The kernel's codes (documented on the cnative wrapper).
+        self.codes = (
+            1 if cfg.clip else 0,
+            1 if cfg.update_policy is UpdatePolicy.ALL else 0,
+            0 if cfg.tie_bias is TieBias.AWAY
+            else 1 if cfg.tie_bias is TieBias.PART0 else 2,
+            0 if cfg.insertion_order is InsertionOrder.LIFO
+            else 1 if cfg.insertion_order is InsertionOrder.FIFO else 2,
+            0 if cfg.best_choice is BestChoice.FIRST
+            else 1 if cfg.best_choice is BestChoice.LAST else 2,
+            0 if cfg.illegal_head is IllegalHeadPolicy.SKIP_BUCKET
+            else 1 if cfg.illegal_head is IllegalHeadPolicy.SKIP_PARTITION
+            else 2,
+            1 if cfg.guard_oversized else 0,
+            2 * hg.max_weighted_degree + 1,
+        )
+        # Hand the kernel the live CPython MT19937 state; it consumes
+        # exactly the draws the interpreted pass would.
+        rnd = cfg.insertion_order is InsertionOrder.RANDOM
+        self.rng = engine.rng if rnd else None
+        words = engine.rng.getstate()[1] if rnd else (0,) * 625
+        self.mt = np.array(words[:624], dtype=np.int64)
+        self.mti = np.array(words[624:], dtype=np.int64)
+
+    def run_pass(self, perf: PerfCounters,
+                 record_moves: bool) -> Optional[PassStats]:
+        """One pass on the kernel, or ``None`` when the kernel declined
+        it: a gain left the bounded window (the interpreted pass raises
+        there) or the sizes exceed its 32-bit working set.  A declined
+        pass changed no partition state, and the MT state is re-armed to
+        the pass's entry."""
+        bal = self.balance
+        pwf = (float(self.pw[0]), float(self.pw[1]))
+        cut_before = int(self.cut_io[0])
+        if self.rng is not None:
+            mt_before = self.mt.copy()
+            mti_before = int(self.mti[0])
+        out = self.out
+        self.fm_pass(
+            *self.args, bal.lower_bound, bal.upper_bound, bal.slack,
+            1 if bal.is_legal(pwf) else 0, bal.distance_from_bounds(pwf),
+            *self.codes, self.mt, self.mti, self.move_log, out,
+        )
+        if out[7] != 0:
+            if self.rng is not None:
+                self.mt[:] = mt_before
+                self.mti[0] = mti_before
+            return None
+        mcount = int(out[0])
+        best_k = int(out[1])
+        perf.vertices_seeded += int(out[2])
+        perf.selects += int(out[3])
+        perf.gain_updates += int(out[4])
+        perf.zero_delta_skips += int(out[5])
+        perf.noncritical_net_skips += int(out[6])
+        perf.moves_applied += mcount
+        perf.moves_kept += best_k
+        perf.moves_rolled_back += mcount - best_k
+        return PassStats(
+            moves_considered=mcount,
+            moves_kept=best_k,
+            cut_before=cut_before,
+            cut_after=int(self.cut_io[0]),
+            stuck=int(out[2]) > 0 and mcount == 0,
+            move_log=(self.move_log[:mcount].tolist() if record_moves
+                      else None),
+        )
+
+    def publish(self, partition: Partition2) -> None:
+        """Write the part weights, the cut and the MT state back, in the
+        interpreted path's value types (float part weights carrying
+        integral values, int cut ledger)."""
+        pw_l = partition.part_weights
+        pw_l[0] = float(self.pw[0])
+        pw_l[1] = float(self.pw[1])
+        partition.cut = int(self.cut_io[0])
+        if self.rng is not None:
+            version, _, gauss = self.rng.getstate()
+            self.rng.setstate((
+                version,
+                tuple(self.mt.tolist()) + (int(self.mti[0]),),
+                gauss,
+            ))
 
 
 class FMEngine:
@@ -247,66 +382,76 @@ class FMEngine:
         self._backend_note = ""
         self._kernels = None
         self._kernels_resolved = (False, -1)
-        # Scratch cache for the interpreted loop, keyed on (hypergraph
-        # identity, insertion order) — hypergraphs are immutable, so
-        # identity is the whole key.  A dict (not a single slot) so one
-        # engine serving a whole multilevel hierarchy — or a pooled
-        # multistart run — keeps scratch for every level instead of
-        # thrashing on each uncoarsening step.  Entries hold a strong
-        # hypergraph reference, so an id() cannot be reused while its
-        # entry lives.
+        # Scratch cache for the interpreted pass, keyed on hypergraph
+        # identity — hypergraphs are immutable and the scratch holds no
+        # configuration, so identity is the whole key.  A dict (not a
+        # single slot) so one engine serving a whole multilevel
+        # hierarchy — or a pooled multistart run — keeps scratch for
+        # every level instead of thrashing on each uncoarsening step.
+        # Entries hold a strong hypergraph reference, so an id() cannot
+        # be reused while its entry lives.
         self._scratch_cache: dict = {}
         self._scratch: Optional[_PassScratch] = None
         self._scratch_for = None
-        self._scratch_order = None
 
     # ------------------------------------------------------------------
     def refine(self, partition: Partition2) -> FMResult:
         """Run FM passes on ``partition`` until no pass improves the cut
         by more than ``config.min_pass_improvement`` (or ``max_passes``).
+
+        In the integral regime a compiled backend requires, each pass
+        runs on its ``fm_pass`` while the kernel accepts it; otherwise,
+        and from a declined pass on, passes run interpreted under the
+        same pass budget, and ``perf.backend`` reads ``numpy``.
         """
         cfg = self.config
         start = time.perf_counter()
         ks = self._resolve_kernels()
+        kernel = None
         if (
             ks is not None
             and partition.hypergraph.integral_vertex_weights
             and partition.integral_nets
         ):
-            result = self._refine_kernel(partition, ks, start)
-            if result is not None:
-                return result
-            # Kernel declined (gain-bound guard or 32-bit working set):
-            # the partition holds the state of the last completed pass,
-            # so the interpreted loop below resumes exactly there.
-        self._ensure_scratch(partition)
+            kernel = _KernelRun(self, partition, ks)
         perf = PerfCounters()
-        perf.backend = "numpy"  # interpreted pass loop below
-        work = ListPartition(partition)
-        initial_cut = work.cut
+        perf.backend = self._backend_name if kernel is not None else "numpy"
+        initial_cut = partition.cut
+        work = None
         stats: List[PassStats] = []
-        total_moves = 0
-        stuck = 0
         for _ in range(cfg.max_passes):
             t0 = time.perf_counter()
-            ps = self._run_pass(work, perf)
+            ps = None
+            if kernel is not None:
+                ps = kernel.run_pass(perf, self.record_moves)
+                if ps is None:
+                    # The partition holds the state of the last completed
+                    # pass, so the interpreted pass replays this one.
+                    kernel.publish(partition)
+                    kernel = None
+                    perf.backend = "numpy"
+            if ps is None:
+                if work is None:
+                    self._ensure_scratch(partition)
+                    work = ListPartition(partition)
+                ps = self._run_pass(work, perf)
             ps.seconds = time.perf_counter() - t0
             perf.passes += 1
             perf.pass_seconds.append(ps.seconds)
             stats.append(ps)
-            total_moves += ps.moves_kept
-            if ps.stuck:
-                stuck += 1
             if ps.cut_before - ps.cut_after <= cfg.min_pass_improvement:
                 break
-        work.store(partition)
+        if kernel is not None:
+            kernel.publish(partition)
+        elif work is not None:
+            work.store(partition)
         perf.total_seconds = time.perf_counter() - start
         return FMResult(
             initial_cut=initial_cut,
             final_cut=partition.cut,
             passes=len(stats),
-            total_moves=total_moves,
-            stuck_passes=stuck,
+            total_moves=sum(ps.moves_kept for ps in stats),
+            stuck_passes=sum(ps.stuck for ps in stats),
             runtime_seconds=time.perf_counter() - start,
             pass_stats=stats,
             perf=perf,
@@ -314,34 +459,26 @@ class FMEngine:
 
     # ------------------------------------------------------------------
     def _ensure_scratch(self, partition: Partition2) -> None:
-        """(Re)build the kernel scratch unless a cached one is valid."""
+        """(Re)build the pass scratch unless a cached one is valid."""
         hg = partition.hypergraph
-        order = self.config.insertion_order
-        if (
-            self._scratch is not None
-            and self._scratch_for is hg
-            and self._scratch_order is order
-        ):
+        if self._scratch_for is hg:
             return
-        key = (id(hg), order)
-        entry = self._scratch_cache.get(key)
+        entry = self._scratch_cache.get(id(hg))
         if entry is not None and entry[0] is hg:
             sc = entry[1]
         else:
-            sc = _PassScratch(hg, order, self.rng)
+            sc = _PassScratch(hg)
             if len(self._scratch_cache) >= self._SCRATCH_CACHE_LIMIT:
                 self._scratch_cache.clear()
-            self._scratch_cache[key] = (hg, sc)
+            self._scratch_cache[id(hg)] = (hg, sc)
         self._scratch = sc
         self._scratch_for = hg
-        self._scratch_order = order
 
     def release(self, hypergraph) -> None:
         """Drop the scratch kept for ``hypergraph``, which the caller
         will not refine again (a multilevel start's own coarse levels),
         so the cache does not keep it alive."""
-        self._scratch_cache.pop(
-            (id(hypergraph), self.config.insertion_order), None)
+        self._scratch_cache.pop(id(hypergraph), None)
         if self._scratch_for is hypergraph:
             self._scratch = self._scratch_for = None
 
@@ -367,168 +504,6 @@ class FMEngine:
             self._kernels_resolved = (True, gen)
         return self._kernels
 
-    def _refine_kernel(
-        self, partition: Partition2, ks, start: float
-    ) -> Optional[FMResult]:
-        """Run the refine loop through a backend's fused pass kernel.
-
-        Bit-identical to the interpreted loop (the registry only hands
-        out self-checked kernels, and this path is gated on the integral
-        regime the kernels require).  The kernel updates the partition's
-        own assignment and pin-count arrays in place; only the two part
-        weights and the cut cross as scalars.  Returns ``None`` when the
-        kernel declined a pass (gain-bound guard, or a size its 32-bit
-        working set cannot index): that pass left the partition
-        untouched, so the caller's interpreted loop resumes exactly
-        there.
-        """
-        cfg = self.config
-        bal = self.balance
-        hg = partition.hypergraph
-        k_net_ptr, k_net_pins, k_vtx_ptr, k_vtx_nets = hg.csr
-        k_net_w = hg.int_net_weights()
-        k_vwt = hg.int_vertex_weights()
-        max_abs = 2 * hg.max_weighted_degree + 1
-        n = hg.num_vertices
-
-        assign = partition.assignment
-        fixed = partition.fixed.astype(np.int64)
-        pins0, pins1 = partition.pins_in_part
-        pw_l = partition.part_weights
-        pw = np.array([int(pw_l[0]), int(pw_l[1])], dtype=np.int64)
-        cut_io = np.array([int(partition.cut)], dtype=np.int64)
-        move_log = np.zeros(n, dtype=np.int64)
-        out = np.zeros(8, dtype=np.int64)
-
-        clip = 1 if cfg.clip else 0
-        update_all = 1 if cfg.update_policy is UpdatePolicy.ALL else 0
-        tie = (0 if cfg.tie_bias is TieBias.AWAY
-               else 1 if cfg.tie_bias is TieBias.PART0 else 2)
-        order_code = (0 if cfg.insertion_order is InsertionOrder.LIFO
-                      else 1 if cfg.insertion_order is InsertionOrder.FIFO
-                      else 2)
-        best = (0 if cfg.best_choice is BestChoice.FIRST
-                else 1 if cfg.best_choice is BestChoice.LAST else 2)
-        illegal = (
-            0 if cfg.illegal_head is IllegalHeadPolicy.SKIP_BUCKET
-            else 1 if cfg.illegal_head is IllegalHeadPolicy.SKIP_PARTITION
-            else 2
-        )
-        guard = 1 if cfg.guard_oversized else 0
-        rnd = cfg.insertion_order is InsertionOrder.RANDOM
-        if rnd:
-            # Hand the kernel the live CPython MT19937 state; it
-            # consumes exactly the draws the interpreted pass would.
-            st = self.rng.getstate()
-            mt = np.array(st[1][:624], dtype=np.int64)
-            mti_io = np.array([st[1][624]], dtype=np.int64)
-        else:
-            st = None
-            mt = np.zeros(624, dtype=np.int64)
-            mti_io = np.zeros(1, dtype=np.int64)
-
-        perf = PerfCounters()
-        perf.backend = self._backend_name
-        initial_cut = partition.cut
-        stats: List[PassStats] = []
-        total_moves = 0
-        stuck_count = 0
-        lo = bal.lower_bound
-        hi = bal.upper_bound
-        slack = bal.slack
-        for _ in range(cfg.max_passes):
-            t0 = time.perf_counter()
-            pwf = (float(pw[0]), float(pw[1]))
-            initial_legal = 1 if bal.is_legal(pwf) else 0
-            initial_distance = bal.distance_from_bounds(pwf)
-            if rnd:
-                mt_bak = mt.copy()
-                mti_bak = int(mti_io[0])
-            cut_before = int(cut_io[0])
-            ks.fm_pass(
-                k_net_ptr, k_net_pins, k_vtx_ptr, k_vtx_nets,
-                k_net_w, k_vwt,
-                assign, fixed, pins0, pins1, pw, cut_io,
-                lo, hi, slack, initial_legal, initial_distance,
-                clip, update_all, tie, order_code, best, illegal,
-                guard, max_abs,
-                mt, mti_io, move_log, out,
-            )
-            if out[7] != 0:
-                # Gain left the bounded window (the interpreted pass
-                # raises there) or the kernel declined the sizes.  The
-                # pass changed no partition state and consumed no
-                # externally-visible randomness (we re-arm the pre-pass
-                # MT state), so the interpreted loop replays this exact
-                # pass.
-                if rnd:
-                    self.rng.setstate((
-                        st[0],
-                        tuple(int(x) for x in mt_bak) + (mti_bak,),
-                        st[2],
-                    ))
-                self._store_scalars(partition, pw, cut_io)
-                return None
-            mcount = int(out[0])
-            best_k = int(out[1])
-            seconds = time.perf_counter() - t0
-            perf.passes += 1
-            perf.pass_seconds.append(seconds)
-            perf.vertices_seeded += int(out[2])
-            perf.selects += int(out[3])
-            perf.gain_updates += int(out[4])
-            perf.zero_delta_skips += int(out[5])
-            perf.noncritical_net_skips += int(out[6])
-            perf.moves_applied += mcount
-            perf.moves_kept += best_k
-            perf.moves_rolled_back += mcount - best_k
-            cut_after = int(cut_io[0])
-            stuck = int(out[2]) > 0 and mcount == 0
-            stats.append(PassStats(
-                moves_considered=mcount,
-                moves_kept=best_k,
-                cut_before=cut_before,
-                cut_after=cut_after,
-                stuck=stuck,
-                seconds=seconds,
-                move_log=(
-                    move_log[:mcount].tolist() if self.record_moves else None
-                ),
-            ))
-            total_moves += best_k
-            if stuck:
-                stuck_count += 1
-            if cut_before - cut_after <= cfg.min_pass_improvement:
-                break
-        if rnd:
-            self.rng.setstate((
-                st[0],
-                tuple(int(x) for x in mt) + (int(mti_io[0]),),
-                st[2],
-            ))
-        self._store_scalars(partition, pw, cut_io)
-        perf.total_seconds = time.perf_counter() - start
-        return FMResult(
-            initial_cut=initial_cut,
-            final_cut=partition.cut,
-            passes=len(stats),
-            total_moves=total_moves,
-            stuck_passes=stuck_count,
-            runtime_seconds=time.perf_counter() - start,
-            pass_stats=stats,
-            perf=perf,
-        )
-
-    @staticmethod
-    def _store_scalars(partition: Partition2, pw, cut_io) -> None:
-        """Publish the kernel's part weights and cut, in the interpreted
-        path's value types (float part weights carrying integral values,
-        int cut ledger)."""
-        pw_l = partition.part_weights
-        pw_l[0] = float(pw[0])
-        pw_l[1] = float(pw[1])
-        partition.cut = int(cut_io[0])
-
     # ------------------------------------------------------------------
     def _run_pass(
         self, partition: ListPartition, perf: PerfCounters
@@ -544,7 +519,8 @@ class FMEngine:
         vwt = sc.vwt
         assign = partition.assignment
         fixed = partition.fixed
-        pins0, pins1 = partition.pins_in_part
+        pins = partition.pins_in_part
+        pins0, pins1 = pins
         pw = partition.part_weights
 
         # Snapshot the pre-pass partition state so the rollback can be a
@@ -561,31 +537,31 @@ class FMEngine:
             snap_pw0 = pw[0]
             snap_pw1 = pw[1]
 
-        # The kernel owns the bucket pair for the whole pass: all
-        # insert/remove/select operations below run inline on the raw
-        # intrusive arrays, and the max-bucket index of each side lives
-        # in a local (``maxi0``/``maxi1``).  ``clear()`` restores the
-        # object-level invariants at the start of every pass.
-        b0, b1 = sc.buckets
-        b0.clear()
-        b1.clear()
-        heads0, tails0, prev0, next0, key0, present0 = b0.raw_state()
-        heads1, tails1, prev1, next1, key1, present1 = b1.raw_state()
+        # ``fm_pass``'s bucket layout (see _PassScratch), with every
+        # insert/remove/select inlined.  ``maxi[s]`` bounds side s's
+        # highest non-empty bucket index.  A tail is read only while its
+        # bucket is non-empty, so only heads and free flags are cleared.
+        prev = sc.prev
+        nxt = sc.next
+        key = sc.key
+        present = sc.present
+        heads = sc.heads
+        tails = sc.tails
+        heads[:] = sc.blank_heads
+        present[:] = sc.blank_present
         offset = sc.max_abs
         span = 2 * offset + 1
-        maxi0 = -1
-        maxi1 = -1
+        maxi = [-1, -1]
 
         order = cfg.insertion_order
         rnd_order = order is InsertionOrder.RANDOM
         head_order = order is InsertionOrder.LIFO
         rng_random = self.rng.random
 
-        # ----- seed gains and populate the buckets --------------------
+        # ----- seed gains as bucket indices ---------------------------
         guard = cfg.guard_oversized
         slack = bal.slack
         elig = sc.eligible
-        gain_arr = sc.gain
         ecount = 0
         if n >= _VECTOR_SEED_MIN_VERTICES and partition.integral_nets:
             # Vectorized seeding: gains are integer sums over incident
@@ -607,13 +583,13 @@ class FMEngine:
             s0 = pre[vp[1:]] - pre[vp[:-1]]
             np.cumsum(g1[vn], out=pre[1:])
             s1 = pre[vp[1:]] - pre[vp[:-1]]
-            g_list = np.where(a_np == 0, s0, s1).tolist()
+            idx_list = (np.where(a_np == 0, s0, s1) + offset).tolist()
             for v in range(n):
                 if fixed[v]:
                     continue
                 if guard and vwt[v] > slack:
                     continue  # corking guard: can never legally move
-                gain_arr[v] = g_list[v]
+                key[v] = idx_list[v]
                 elig[ecount] = v
                 ecount += 1
         else:
@@ -633,109 +609,62 @@ class FMEngine:
                         g += ledger_w[e]
                     if pd_[e] == 0:
                         g -= ledger_w[e]
-                gain_arr[v] = int(g)
+                key[v] = int(g) + offset
                 elig[ecount] = v
                 ecount += 1
         perf.vertices_seeded += ecount
 
-        if cfg.clip:
-            # All moves enter the zero bucket; CLIP orders them so the
-            # highest *initial* gain sits at the head.  Pushing in
-            # ascending-gain order with head insertion achieves that
-            # (head insertion is CLIP's definition: it bypasses the
-            # insertion-order policy and consumes no randomness).
-            idx = offset  # key 0
-            for v in sorted(elig[:ecount], key=gain_arr.__getitem__):
-                if assign[v] == 0:
-                    old = heads0[idx]
-                    if old == -1:
-                        heads0[idx] = v
-                        tails0[idx] = v
-                        prev0[v] = -1
-                        next0[v] = -1
-                    else:
-                        next0[v] = old
-                        prev0[v] = -1
-                        prev0[old] = v
-                        heads0[idx] = v
-                    key0[v] = 0
-                    present0[v] = True
-                    maxi0 = idx
-                else:
-                    old = heads1[idx]
-                    if old == -1:
-                        heads1[idx] = v
-                        tails1[idx] = v
-                        prev1[v] = -1
-                        next1[v] = -1
-                    else:
-                        next1[v] = old
-                        prev1[v] = -1
-                        prev1[old] = v
-                        heads1[idx] = v
-                    key1[v] = 0
-                    present1[v] = True
-                    maxi1 = idx
+        # ----- fill the buckets ---------------------------------------
+        # Plain FM inserts in eligible order per the insertion order.
+        # CLIP puts every move in the zero bucket with the highest
+        # *initial* gain at the head: head insertion in ascending-gain
+        # order (CLIP's definition, so it bypasses the insertion order
+        # and consumes no randomness).
+        clip = cfg.clip
+        if clip:
+            seeded = sorted(elig[:ecount], key=key.__getitem__)
         else:
-            for i in range(ecount):
-                v = elig[i]
-                k = gain_arr[v]
-                idx = k + offset
+            seeded = elig[:ecount]
+        at_head = True  # CLIP's head insertion
+        for v in seeded:
+            if clip:
+                idx = key[v] = offset
+            else:
+                idx = key[v]
                 if idx < 0 or idx >= span:
                     raise ValueError(
-                        f"key {k} outside [-{offset}, {offset}]"
+                        f"key {idx - offset} outside [-{offset}, {offset}]"
                     )
                 # The insertion-order coin flip is drawn before the
-                # empty-bucket branch, exactly as GainBuckets.insert
-                # does, so the RANDOM rng stream stays identical.
+                # empty-bucket branch, exactly as the seed engine's
+                # bucket insert does, so the RANDOM rng stream stays
+                # identical.
                 if rnd_order:
                     at_head = rng_random() < 0.5
                 else:
                     at_head = head_order
-                if assign[v] == 0:
-                    old = heads0[idx]
-                    if old == -1:
-                        heads0[idx] = v
-                        tails0[idx] = v
-                        prev0[v] = -1
-                        next0[v] = -1
-                    elif at_head:
-                        next0[v] = old
-                        prev0[v] = -1
-                        prev0[old] = v
-                        heads0[idx] = v
-                    else:
-                        tl = tails0[idx]
-                        prev0[v] = tl
-                        next0[v] = -1
-                        next0[tl] = v
-                        tails0[idx] = v
-                    key0[v] = k
-                    present0[v] = True
-                    if idx > maxi0:
-                        maxi0 = idx
-                else:
-                    old = heads1[idx]
-                    if old == -1:
-                        heads1[idx] = v
-                        tails1[idx] = v
-                        prev1[v] = -1
-                        next1[v] = -1
-                    elif at_head:
-                        next1[v] = old
-                        prev1[v] = -1
-                        prev1[old] = v
-                        heads1[idx] = v
-                    else:
-                        tl = tails1[idx]
-                        prev1[v] = tl
-                        next1[v] = -1
-                        next1[tl] = v
-                        tails1[idx] = v
-                    key1[v] = k
-                    present1[v] = True
-                    if idx > maxi1:
-                        maxi1 = idx
+            s = assign[v]
+            slot = s * span + idx
+            old = heads[slot]
+            if old == -1:
+                heads[slot] = v
+                tails[slot] = v
+                prev[v] = -1
+                nxt[v] = -1
+            elif at_head:
+                nxt[v] = old
+                prev[v] = -1
+                prev[old] = v
+                heads[slot] = v
+            else:
+                tl = tails[slot]
+                prev[v] = tl
+                nxt[v] = -1
+                nxt[tl] = v
+                tails[slot] = v
+            present[v] = True
+            if idx > maxi[s]:
+                maxi[s] = idx
 
         movable = ecount
         update_all = cfg.update_policy is UpdatePolicy.ALL
@@ -755,9 +684,12 @@ class FMEngine:
         illegal_head = cfg.illegal_head
         scan_bucket = illegal_head is IllegalHeadPolicy.SCAN_BUCKET
         skip_part = illegal_head is IllegalHeadPolicy.SKIP_PARTITION
+        # Side 1 wins an equal-gain tie iff the last move came from
+        # ``tie_side``: under AWAY from side 0, under TOWARD from side
+        # 1, and never under PART0 or on a pass's first move.
         bias = cfg.tie_bias
-        bias_part0 = bias is TieBias.PART0
-        bias_away = bias is TieBias.AWAY
+        tie_side = (-2 if bias is TieBias.PART0
+                    else 0 if bias is TieBias.AWAY else 1)
 
         n_selects = 0
         n_updates = 0
@@ -765,125 +697,62 @@ class FMEngine:
         n_net_skips = 0
 
         while True:
-            # ----- select the best legal move (inlined, per side) -----
-            # Mirrors GainBuckets.select: decay the max index past empty
-            # buckets, then apply the illegal-head policy top-down.  A
-            # move from side s is legal iff the destination stays under
-            # the upper bound (the source lower bound is implied, see
-            # BalanceConstraint.move_is_legal).
+            # ----- select the best legal move -------------------------
+            # Side 0, then side 1, as ``fm_select``: decay the side's
+            # top index past empty buckets, then apply the illegal-head
+            # policy top-down.  A move from side s is legal iff the
+            # destination stays under the upper bound (the source lower
+            # bound is implied, see BalanceConstraint.move_is_legal).
             n_selects += 1
-            while maxi0 >= 0 and heads0[maxi0] == -1:
-                maxi0 -= 1
-            v0 = -1
-            k0 = 0
-            dw = pw[1]
-            idx = maxi0
-            if scan_bucket:
-                while idx >= 0:
-                    u = heads0[idx]
-                    while u != -1:
-                        if dw + vwt[u] <= hi:
-                            v0 = u
-                            k0 = idx - offset
-                            break
-                        u = next0[u]
-                    if v0 >= 0:
-                        break
+            v = -1
+            kv = -1
+            for s in (0, 1):
+                base = s * span
+                idx = maxi[s]
+                while idx >= 0 and heads[base + idx] == -1:
                     idx -= 1
-            else:
+                maxi[s] = idx
+                dw = pw[1 - s]
                 while idx >= 0:
-                    u = heads0[idx]
-                    if u != -1:
+                    u = heads[base + idx]
+                    if scan_bucket:
+                        while u != -1 and not dw + vwt[u] <= hi:
+                            u = nxt[u]
+                        if u != -1:
+                            break
+                    elif u != -1:
                         if dw + vwt[u] <= hi:
-                            v0 = u
-                            k0 = idx - offset
                             break
                         if skip_part:
+                            idx = -1
                             break
                     idx -= 1
-
-            while maxi1 >= 0 and heads1[maxi1] == -1:
-                maxi1 -= 1
-            v1 = -1
-            k1 = 0
-            dw = pw[0]
-            idx = maxi1
-            if scan_bucket:
-                while idx >= 0:
-                    u = heads1[idx]
-                    while u != -1:
-                        if dw + vwt[u] <= hi:
-                            v1 = u
-                            k1 = idx - offset
-                            break
-                        u = next1[u]
-                    if v1 >= 0:
-                        break
-                    idx -= 1
-            else:
-                while idx >= 0:
-                    u = heads1[idx]
-                    if u != -1:
-                        if dw + vwt[u] <= hi:
-                            v1 = u
-                            k1 = idx - offset
-                            break
-                        if skip_part:
-                            break
-                    idx -= 1
-
-            if v0 < 0:
-                if v1 < 0:
-                    break
-                v = v1
-            elif v1 < 0:
-                v = v0
-            else:
-                if k0 > k1:
-                    v = v0
-                elif k1 > k0:
-                    v = v1
-                # Equal-gain tie: apply the configured bias.
-                elif bias_part0:
-                    v = v0
-                elif last_src < 0:
-                    v = v0  # first move of the pass: deterministic default
-                elif bias_away:
-                    v = v0 if last_src == 1 else v1
-                else:  # TOWARD
-                    v = v0 if last_src == 0 else v1
+                if idx >= 0 and (
+                    idx > kv or (idx == kv and last_src == tie_side)
+                ):
+                    v = u
+                    kv = idx
+            if v < 0:
+                break
 
             src = assign[v]
-            if src == 0:
-                hs_s, ts_s, pv_s, nx_s = heads0, tails0, prev0, next0
-                key_s, pres_s = key0, present0
-                hs_d, ts_d, pv_d, nx_d = heads1, tails1, prev1, next1
-                key_d, pres_d = key1, present1
-                maxi_s, maxi_d = maxi0, maxi1
-                pins_src, pins_dst = pins0, pins1
-                dst = 1
-            else:
-                hs_s, ts_s, pv_s, nx_s = heads1, tails1, prev1, next1
-                key_s, pres_s = key1, present1
-                hs_d, ts_d, pv_d, nx_d = heads0, tails0, prev0, next0
-                key_d, pres_d = key0, present0
-                maxi_s, maxi_d = maxi1, maxi0
-                pins_src, pins_dst = pins1, pins0
-                dst = 0
-
-            # Unlink the chosen vertex from its bucket (inline remove).
-            idx = key_s[v] + offset
-            p = pv_s[v]
-            nn = nx_s[v]
+            dst = 1 - src
+            pins_src = pins[src]
+            pins_dst = pins[dst]
+            # Unlink the chosen vertex and lock it: a vertex that is not
+            # free is also skipped among its own nets' pins below.
+            slot = src * span + key[v]
+            p = prev[v]
+            nn = nxt[v]
             if p != -1:
-                nx_s[p] = nn
+                nxt[p] = nn
             else:
-                hs_s[idx] = nn
+                heads[slot] = nn
             if nn != -1:
-                pv_s[nn] = p
+                prev[nn] = p
             else:
-                ts_s[idx] = p
-            pres_s[v] = False
+                tails[slot] = p
+            present[v] = False
             last_src = src
 
             # ----- fused neighbour update + ledger update -------------
@@ -894,157 +763,87 @@ class FMEngine:
                 e = vtx_nets[i]
                 f = pins_src[e]  # includes v
                 t = pins_dst[e]
+                pins_src[e] = f - 1
+                pins_dst[e] = t + 1
                 if not update_all and f > 2 and t > 1:
                     # Non-critical net: no pin can change gain (valid
                     # only under the Nonzero policy) and the net stays
                     # cut, so only the pin counts move.
                     n_net_skips += 1
-                    pins_src[e] = f - 1
-                    pins_dst[e] = t + 1
                     continue
+                # The delta gain of a free pin on the source side (own
+                # count f -> f-1, other t -> t+1) and on the destination
+                # side, and the cut ledger's move (as in Partition2.move).
                 w = net_w[e]
-                for j in range(net_ptr[e], net_ptr[e + 1]):
-                    y = net_pins[j]
-                    if y == v:
-                        continue
-                    if assign[y] == src:
-                        if not pres_s[y]:
-                            continue  # locked, fixed, or guarded out
-                        # own: f -> f-1, other: t -> t+1
-                        if f == 2:
-                            delta = w
-                        elif f == 1:
-                            delta = -w
-                        else:
-                            delta = 0
-                        if t == 0:
-                            delta += w
-                        if delta != 0 or update_all:
-                            # Inline GainBuckets.update: unlink, relink
-                            # at the new key per the insertion order.
-                            # Under the All policy this runs even for
-                            # zero deltas — the in-bucket position shift
-                            # is the measured effect (Table 1).
-                            n_updates += 1
-                            ky = key_s[y]
-                            nk = ky + delta
-                            nidx = nk + offset
-                            if nidx < 0 or nidx >= span:
-                                raise ValueError(
-                                    f"key {nk} outside "
-                                    f"[-{offset}, {offset}]"
-                                )
-                            oidx = ky + offset
-                            p = pv_s[y]
-                            nn = nx_s[y]
-                            if p != -1:
-                                nx_s[p] = nn
-                            else:
-                                hs_s[oidx] = nn
-                            if nn != -1:
-                                pv_s[nn] = p
-                            else:
-                                ts_s[oidx] = p
-                            if rnd_order:
-                                at_head = rng_random() < 0.5
-                            else:
-                                at_head = head_order
-                            old = hs_s[nidx]
-                            if old == -1:
-                                hs_s[nidx] = y
-                                ts_s[nidx] = y
-                                pv_s[y] = -1
-                                nx_s[y] = -1
-                            elif at_head:
-                                nx_s[y] = old
-                                pv_s[y] = -1
-                                pv_s[old] = y
-                                hs_s[nidx] = y
-                            else:
-                                tl = ts_s[nidx]
-                                pv_s[y] = tl
-                                nx_s[y] = -1
-                                nx_s[tl] = y
-                                ts_s[nidx] = y
-                            key_s[y] = nk
-                            if nidx > maxi_s:
-                                maxi_s = nidx
-                        else:
-                            n_zero_skips += 1
-                    else:
-                        if not pres_d[y]:
-                            continue
-                        # own: t -> t+1, other: f -> f-1
-                        if t == 0:
-                            delta = w
-                        elif t == 1:
-                            delta = -w
-                        else:
-                            delta = 0
-                        if f == 1:
-                            delta -= w
-                        if delta != 0 or update_all:
-                            n_updates += 1
-                            ky = key_d[y]
-                            nk = ky + delta
-                            nidx = nk + offset
-                            if nidx < 0 or nidx >= span:
-                                raise ValueError(
-                                    f"key {nk} outside "
-                                    f"[-{offset}, {offset}]"
-                                )
-                            oidx = ky + offset
-                            p = pv_d[y]
-                            nn = nx_d[y]
-                            if p != -1:
-                                nx_d[p] = nn
-                            else:
-                                hs_d[oidx] = nn
-                            if nn != -1:
-                                pv_d[nn] = p
-                            else:
-                                ts_d[oidx] = p
-                            if rnd_order:
-                                at_head = rng_random() < 0.5
-                            else:
-                                at_head = head_order
-                            old = hs_d[nidx]
-                            if old == -1:
-                                hs_d[nidx] = y
-                                ts_d[nidx] = y
-                                pv_d[y] = -1
-                                nx_d[y] = -1
-                            elif at_head:
-                                nx_d[y] = old
-                                pv_d[y] = -1
-                                pv_d[old] = y
-                                hs_d[nidx] = y
-                            else:
-                                tl = ts_d[nidx]
-                                pv_d[y] = tl
-                                nx_d[y] = -1
-                                nx_d[tl] = y
-                                ts_d[nidx] = y
-                            key_d[y] = nk
-                            if nidx > maxi_d:
-                                maxi_d = nidx
-                        else:
-                            n_zero_skips += 1
-                # Apply the move to this net's pin counts and the exact
-                # cut ledger (transitions mirror Partition2.move).
-                pins_src[e] = f - 1
-                pins_dst[e] = t + 1
                 if t == 0:
-                    if f >= 2:
-                        cut += ledger_w[e]
+                    if f == 1:
+                        continue  # one-pin net: no other pin, no cut change
+                    cut += ledger_w[e]
+                    d_src = w + w if f == 2 else w
+                    d_dst = w
                 elif f == 1:
                     cut -= ledger_w[e]
-
-            # Publish the per-side max indices back to the right locals.
-            if src == 0:
-                maxi0, maxi1 = maxi_s, maxi_d
-            else:
-                maxi1, maxi0 = maxi_s, maxi_d
+                    d_src = -w
+                    d_dst = -w - w if t == 1 else -w
+                else:
+                    d_src = w if f == 2 else 0
+                    d_dst = -w if t == 1 else 0
+                for j in range(net_ptr[e], net_ptr[e + 1]):
+                    y = net_pins[j]
+                    if not present[y]:
+                        continue  # locked, fixed, or guarded out
+                    sy = assign[y]
+                    delta = d_src if sy == src else d_dst
+                    if delta == 0 and not update_all:
+                        n_zero_skips += 1
+                        continue
+                    # Unlink, relink at the new index per the insertion
+                    # order.  Under the All policy this runs even for
+                    # zero deltas — the in-bucket position shift is the
+                    # measured effect (Table 1).
+                    n_updates += 1
+                    ky = key[y]
+                    nk = ky + delta
+                    if nk < 0 or nk >= span:
+                        raise ValueError(
+                            f"key {nk - offset} outside [-{offset}, {offset}]"
+                        )
+                    base = sy * span
+                    p = prev[y]
+                    nn = nxt[y]
+                    if p != -1:
+                        nxt[p] = nn
+                    else:
+                        heads[base + ky] = nn
+                    if nn != -1:
+                        prev[nn] = p
+                    else:
+                        tails[base + ky] = p
+                    if rnd_order:
+                        at_head = rng_random() < 0.5
+                    else:
+                        at_head = head_order
+                    slot = base + nk
+                    old = heads[slot]
+                    if old == -1:
+                        heads[slot] = y
+                        tails[slot] = y
+                        prev[y] = -1
+                        nxt[y] = -1
+                    elif at_head:
+                        nxt[y] = old
+                        prev[y] = -1
+                        prev[old] = y
+                        heads[slot] = y
+                    else:
+                        tl = tails[slot]
+                        prev[y] = tl
+                        nxt[y] = -1
+                        nxt[tl] = y
+                        tails[slot] = y
+                    key[y] = nk
+                    if nk > maxi[sy]:
+                        maxi[sy] = nk
 
             wv = vwt[v]
             assign[v] = dst

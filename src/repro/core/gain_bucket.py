@@ -3,7 +3,12 @@
 This is the classic Fiduccia-Mattheyses gain structure.  Each side of the
 bisection owns one :class:`GainBuckets` instance holding the *free*
 vertices of that side, keyed by an integer gain (for plain FM the actual
-gain; for CLIP the cumulative delta gain).
+gain; for CLIP the cumulative delta gain).  It is the public reference
+container and the one the frozen seed engine
+(``tests/oracles/_seed_engine.py``) runs on; it is not the engine's
+scratch.  :class:`~repro.core.engine.FMEngine` inlines these operations
+on one record per vertex for both sides, the layout of the compiled
+``fm_pass``, and is held to the seed engine move for move.
 
 Section 2.2 of the paper identifies the *insertion order* into a gain
 bucket as an implicit implementation decision with large quality effects
@@ -62,8 +67,6 @@ class GainBuckets:
         "_order",
         "_rng",
         "_size",
-        "_blank_span",
-        "_blank_present",
     )
 
     def __init__(
@@ -89,10 +92,6 @@ class GainBuckets:
         self._order = order
         self._rng = rng
         self._size = 0
-        # Blank templates for O(span + n) C-level clears (slice copy
-        # instead of a Python loop or reallocation).
-        self._blank_span: List[int] = [-1] * span
-        self._blank_present: List[bool] = [False] * num_vertices
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -104,51 +103,6 @@ class GainBuckets:
     def key_of(self, v: int) -> int:
         """Current key of ``v`` (undefined when absent)."""
         return self._key[v]
-
-    def clear(self) -> None:
-        """Remove every vertex, keeping all arrays allocated.
-
-        The FM engine reuses one bucket pair across all passes of a
-        refinement run; ``clear`` resets between passes without
-        reallocating the intrusive arrays.  ``_prev``/``_next``/``_key``
-        need no reset: they are only read for *present* vertices, and
-        ``insert`` rewrites them before setting presence.
-        """
-        self._heads[:] = self._blank_span
-        self._tails[:] = self._blank_span
-        self._present[:] = self._blank_present
-        self._max_idx = -1
-        self._size = 0
-
-    def raw_arrays(self) -> tuple:
-        """The intrusive ``(present, key)`` arrays, for hot-loop readers.
-
-        Exposed so the FM kernel can test membership and read keys
-        without per-pin method-call overhead (mirroring
-        :attr:`repro.hypergraph.hypergraph.Hypergraph.raw_csr`).
-        Callers must not mutate them.
-        """
-        return self._present, self._key
-
-    def raw_state(self) -> tuple:
-        """Full intrusive state ``(heads, tails, prev, next, key,
-        present)`` for a kernel that owns this structure for one pass.
-
-        The FM kernel inlines insert/remove/select directly on these
-        arrays (tracking the max-bucket index in a local), so during and
-        after such a pass the object-level ``_max_idx``/``_size`` are
-        **stale**; call :meth:`clear` before using the object API again.
-        The bucket pair in the engine's pass scratch is kernel-private,
-        which is what makes this hand-off safe.
-        """
-        return (
-            self._heads,
-            self._tails,
-            self._prev,
-            self._next,
-            self._key,
-            self._present,
-        )
 
     def _bucket_index(self, key: int) -> int:
         idx = key + self._offset

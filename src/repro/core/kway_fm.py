@@ -33,6 +33,8 @@ from typing import List, Optional, Sequence
 # KWayBalance lives next to the documented balance convention in
 # ``repro.core.kway`` (recursive bisection needs it for its legality
 # stamp); re-exported here for backward compatibility.
+from repro.core.config import BestChoice
+from repro.core.engine import FMEngine
 from repro.core.kway import KWayBalance, KWayResult
 from repro.core.partition import ledger_weights
 from repro.hypergraph.hypergraph import Hypergraph
@@ -386,33 +388,10 @@ class KWayFM:
             for u in affected:
                 push(u)
 
-        best_k = self._best_prefix(
-            before, initial_distance, initial_legal, obj_log, dist_log
+        best_k = FMEngine._best_prefix(
+            BestChoice.FIRST, before, initial_distance, initial_legal,
+            obj_log, dist_log,
         )
         for v, src in reversed(move_log[best_k:]):
             part.move(v, src)
         return before - self._objective_value(part)
-
-    @staticmethod
-    def _best_prefix(
-        before: float,
-        initial_distance: float,
-        initial_legal: bool,
-        obj_log: List[float],
-        dist_log: List[float],
-    ) -> int:
-        candidates = []
-        if initial_legal:
-            candidates.append((before, 0))
-        for i, (o, d) in enumerate(zip(obj_log, dist_log), start=1):
-            if d >= 0:
-                candidates.append((o, i))
-        if not candidates:
-            best_i, best_d = 0, initial_distance
-            for i, d in enumerate(dist_log, start=1):
-                if d > best_d:
-                    best_d = d
-                    best_i = i
-            return best_i
-        best = min(c for c, _ in candidates)
-        return next(i for c, i in candidates if c == best)

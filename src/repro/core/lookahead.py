@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.balance import BalanceConstraint
+from repro.core.config import BestChoice
+from repro.core.engine import FMEngine
 from repro.core.partition import ListPartition, Partition2
 from repro.core.partitioner import PartitionResult
 from repro.hypergraph.hypergraph import Hypergraph
@@ -238,33 +240,10 @@ class LookaheadFM:
                 heapq.heappush(heap, entry)
             deferred.clear()
 
-        best_k = self._best_prefix(
-            cut_before, initial_distance, initial_legal, cut_log, dist_log
+        best_k = FMEngine._best_prefix(
+            BestChoice.FIRST, cut_before, initial_distance, initial_legal,
+            cut_log, dist_log,
         )
         for v in reversed(move_log[best_k:]):
             part.move(v)
         return cut_before - part.cut, best_k
-
-    @staticmethod
-    def _best_prefix(
-        cut_before: float,
-        initial_distance: float,
-        initial_legal: bool,
-        cut_log: List[float],
-        dist_log: List[float],
-    ) -> int:
-        candidates: List[Tuple[float, int]] = []
-        if initial_legal:
-            candidates.append((cut_before, 0))
-        for k, c in enumerate(cut_log, start=1):
-            if dist_log[k - 1] >= 0:
-                candidates.append((c, k))
-        if not candidates:
-            best_k, best_d = 0, initial_distance
-            for k, d in enumerate(dist_log, start=1):
-                if d > best_d:
-                    best_d = d
-                    best_k = k
-            return best_k
-        best = min(c for c, _ in candidates)
-        return next(k for c, k in candidates if c == best)

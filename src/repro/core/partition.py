@@ -331,10 +331,6 @@ class Partition2(_MoveRules):
     # ------------------------------------------------------------------
     # Verification helpers (used heavily by tests)
     # ------------------------------------------------------------------
-    def recompute_cut(self) -> float:
-        """Cut recomputed from scratch (ignores incremental state)."""
-        return self.hypergraph.cut_size(self.assignment.tolist())
-
     def check_consistency(self) -> None:
         """Assert incremental state matches a from-scratch recomputation.
 

@@ -30,6 +30,7 @@ def run_trials(
     """
     if num_starts < 1:
         raise ValueError("num_starts must be >= 1")
+    partitioners = list(partitioners)  # a generator serves every instance
     records: List[TrialRecord] = []
     for instance_name, hypergraph in instances.items():
         fp = fixed_parts.get(instance_name) if fixed_parts else None

@@ -25,7 +25,7 @@ read but irrelevant to undirected partitioning.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.hypergraph.builder import HypergraphBuilder
 from repro.hypergraph.hypergraph import Hypergraph
@@ -165,10 +165,3 @@ def write_netd(
             "\n".join(area_lines) + "\n", encoding="ascii"
         )
 
-
-def netd_round_trip_names(hypergraph: Hypergraph) -> Tuple[List[str], List[str]]:
-    """Names that :func:`write_netd` will emit (cells first, then pads)."""
-    names = [hypergraph.vertex_name(v) for v in range(hypergraph.num_vertices)]
-    cells = [n for n in names if not n.startswith("p")]
-    pads = [n for n in names if n.startswith("p")]
-    return cells, pads

@@ -106,8 +106,6 @@ class _Workspace:
       Recomputed per call: eligibility depends on ``max_net_size``.
     * ``remap`` (with ``stamp2``) — cluster-id renumbering scratch for
       :func:`repro.multilevel.coarsen.coarsen`.
-    * ``pin_buf`` — per-net projected-pin dedup buffer (size ≥ the
-      largest net).
     """
 
     __slots__ = (
@@ -117,7 +115,6 @@ class _Workspace:
         "score",
         "remap",
         "stamp2",
-        "pin_buf",
         "epoch",
         "epoch2",
     )
@@ -129,7 +126,6 @@ class _Workspace:
         self.score: List[float] = []
         self.remap: List[int] = []
         self.stamp2: List[int] = []
-        self.pin_buf: List[int] = []
         self.epoch = 0
         self.epoch2 = 0
 
@@ -150,12 +146,6 @@ class _Workspace:
         if short > 0:
             self.remap.extend([0] * short)
             self.stamp2.extend([0] * short)
-
-    def ensure_pin_buf(self, size: int) -> None:
-        """Grow the projected-pin buffer to ``size`` entries."""
-        short = size - len(self.pin_buf)
-        if short > 0:
-            self.pin_buf.extend([0] * short)
 
     def bump(self) -> int:
         """Start a new neighbour-accumulator epoch; returns it."""

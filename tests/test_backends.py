@@ -47,7 +47,14 @@ from repro.backends import (
 )
 from repro.backends import registry as registry_mod
 from repro.backends.selfcheck import SelfCheckError, run_selfcheck
-from repro.core import BalanceConstraint, FMConfig, FMEngine, FMPartitioner, Partition2
+from repro.core import (
+    BalanceConstraint,
+    FMConfig,
+    FMEngine,
+    FMPartitioner,
+    InsertionOrder,
+    Partition2,
+)
 from repro.core.perf import PerfCounters
 from repro.hypergraph import Hypergraph, write_hgr
 from repro.hypergraph.hypergraph import _build_transpose
@@ -597,6 +604,54 @@ class TestCnativeKernels:
         assert r_dec.final_cut == r_ref.final_cut
         assert np.array_equal(p_dec.assignment, p_ref.assignment)
         p_dec.check_consistency()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("order", list(InsertionOrder),
+                             ids=lambda o: o.value)
+    @pytest.mark.parametrize("clip", [False, True], ids=["fm", "clip"])
+    def test_declined_pass_continues_the_same_refine(self, clip, order, k):
+        """When the kernel declines its k-th pass, that pass and the rest
+        of the call run interpreted under the same pass budget, so the
+        refine equals the numpy engine's in every observable."""
+        ks = _cnative_kernels()
+        calls = 0
+
+        def fm_pass(*args):
+            nonlocal calls
+            calls += 1
+            if calls == k:
+                args[-1][7] = 2  # out[7]: the kernel declined
+            else:
+                ks.fm_pass(*args)
+
+        kernels = {name: getattr(ks, name)
+                   for name in KernelSet.__slots__ if name != "name"}
+        kernels["fm_pass"] = fm_pass
+        declining = KernelSet("declining", types.SimpleNamespace(**kernels))
+        hg = generate_circuit(400, seed=13)
+        bal = BalanceConstraint(hg.total_vertex_weight, 0.1)
+        base = Partition2.random_balanced(hg, bal, random.Random(1))
+        cfg = FMConfig(clip=clip, insertion_order=order, max_passes=4)
+        runs = []
+        for backend in ("numpy", declining):
+            part = base.copy()
+            rng = random.Random(7)
+            result = FMEngine(bal, cfg, rng, record_moves=True,
+                              backend=backend).refine(part)
+            runs.append({
+                "assignment": part.assignment.tolist(),
+                "passes": result.passes,
+                "initial cut": result.initial_cut,
+                "final cut": result.final_cut,
+                "move logs": [ps.move_log for ps in result.pass_stats],
+                "RNG state": rng.getstate(),
+                "backend": result.perf.backend,
+            })
+        assert calls == k  # passes 1..k-1 ran on the kernel
+        ref, got = runs
+        assert got["backend"] == "numpy"
+        for what in ref:
+            assert got[what] == ref[what], what
 
 
 # ----------------------------------------------------------------------

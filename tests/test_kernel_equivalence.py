@@ -305,8 +305,8 @@ class TestBestPrefixFloatTieRegression:
 
 
 class TestScratchCacheInvalidation:
-    """The kernel scratch is keyed on (identity, insertion order) alone:
-    a hypergraph's arrays are read-only, so nothing cached from them can
+    """The kernel scratch is keyed on hypergraph identity alone: a
+    hypergraph's arrays are read-only, so nothing cached from them can
     go stale behind the engine's back."""
 
     def test_weights_are_read_only(self):
@@ -329,17 +329,29 @@ class TestScratchCacheInvalidation:
         assert first_scratch.net_w == hg.int_net_weights().tolist()
 
     def test_insertion_order_change_invalidates_scratch(self):
+        """Nothing in the scratch depends on the configuration, so an
+        insertion-order change between refines invalidates nothing: the
+        engine keeps its scratch, and the FIFO refine on it still
+        matches the seed engine move for move."""
         hg = generate_circuit(60, seed=1)
         bal = BalanceConstraint(hg.total_vertex_weight, 0.2)
         part = Partition2.random_balanced(hg, bal, random.Random(2))
-        engine = FMEngine(bal, FMConfig(max_passes=1), random.Random(0))
+        engine = FMEngine(bal, FMConfig(max_passes=1), random.Random(0),
+                          record_moves=True)
         engine.refine(part.copy())
         s1 = engine._scratch
-        engine.config = FMConfig(
-            max_passes=1, insertion_order=InsertionOrder.FIFO
-        )
-        engine.refine(part.copy())
-        assert engine._scratch is not s1
+        fifo = FMConfig(max_passes=2, insertion_order=InsertionOrder.FIFO)
+        engine.config = fifo
+        p_new, p_seed = part.copy(), part.copy()
+        r_new = engine.refine(p_new)
+        assert engine._scratch is s1
+        r_seed = SeedFMEngine(
+            bal, fifo, random.Random(0), record_moves=True
+        ).refine(p_seed)
+        assert ([ps.move_log for ps in r_new.pass_stats]
+                == [ps.move_log for ps in r_seed.pass_stats])
+        assert r_new.final_cut == r_seed.final_cut
+        assert np.array_equal(p_new.assignment, p_seed.assignment)
 
     def test_pickled_hypergraph_stays_read_only(self):
         # Unpickled numpy arrays come back writeable; the hypergraph must

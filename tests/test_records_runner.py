@@ -80,6 +80,21 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials([FMPartitioner()], {"a": hg}, 0)
 
+    def test_generator_of_heuristics_serves_every_instance(self, hg):
+        """The heuristics are read once, so a generator is not used up
+        by the first instance."""
+        def rows(partitioners):
+            return sorted(
+                (r.heuristic, r.instance, r.seed, r.cut)
+                for r in run_trials(partitioners, {"x": hg, "y": hg}, 2)
+            )
+
+        names = "ab"
+        from_list = rows([FMPartitioner(tolerance=0.1, name=n) for n in names])
+        from_gen = rows(FMPartitioner(tolerance=0.1, name=n) for n in names)
+        assert len(from_list) == 8
+        assert from_gen == from_list
+
 
 class TestConfigurationEvaluation:
     def test_tables45_protocol(self, hg):

@@ -505,24 +505,10 @@ cleanup:
 /* Matching / clustering kernels                                       */
 /* ------------------------------------------------------------------ */
 void
-net_scores(const int32_t *net_ptr, const double *net_w,
-           int64_t max_net_size, double *score, int64_t m)
-{
-    for (int64_t e = 0; e < m; e++) {
-        int32_t size = net_ptr[e + 1] - net_ptr[e];
-        if (size < 2 || size > max_net_size)
-            score[e] = -1.0;
-        else
-            score[e] = net_w[e] / (double)(size - 1);
-    }
-}
-
-void
 hem_match(const int32_t *net_ptr, const int32_t *net_pins,
           const int32_t *vtx_ptr, const int32_t *vtx_nets,
           const double *vwt, const double *score, const int64_t *order,
           const int64_t *fixed, int64_t use_fixed,
-          int64_t use_assignment, const int64_t *assignment,
           double max_cluster_weight, int64_t *cluster, int64_t *out,
           int64_t n)
 {
@@ -569,8 +555,6 @@ hem_match(const int32_t *net_ptr, const int32_t *net_pins,
         double wv = vwt[v];
         for (int64_t t = 0; t < ncount; t++) {
             int64_t u = nbrs[t];
-            if (use_assignment != 0 && assignment[u] != assignment[v])
-                continue;
             if (wv + vwt[u] > max_cluster_weight)
                 continue;
             if (use_fixed != 0) {

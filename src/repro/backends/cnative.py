@@ -117,9 +117,7 @@ _bind(
     _PTR, _PTR, _PTR, _PTR,              # mt, mti_io, move_log, out
     _I64, _I64,                          # n, m
 )
-_bind("net_scores", _PTR, _PTR, _I64, _PTR, _I64)
-_bind("hem_match", *([_PTR] * 8), _I64, _I64, _PTR, _F64, _PTR, _PTR,
-      _I64)
+_bind("hem_match", *([_PTR] * 8), _I64, _F64, _PTR, _PTR, _I64)
 _bind("fc_cluster", *([_PTR] * 8), _I64, _F64, _PTR, _PTR, _I64)
 _bind("hec_contract", *([_PTR] * 5), _I64, _F64, _I64, _PTR, _PTR,
       _I64, _I64)
@@ -204,32 +202,24 @@ def fm_pass(net_ptr, net_pins, vtx_ptr, vtx_nets, net_w, vwt,
     )
 
 
-def net_scores(net_ptr, net_w, max_net_size, score):
-    """Per-net connectivity score ``w/(size-1)`` into ``score``; -1.0
-    for nets with fewer than 2 or more than ``max_net_size`` pins."""
-    _check_csr(net_ptr)
-    _LIB.net_scores(_p(net_ptr), _p(net_w), int(max_net_size),
-                    _p(score), score.shape[0])
-
-
 def hem_match(net_ptr, net_pins, vtx_ptr, vtx_nets, vwt, score, order,
-              fixed, use_fixed, use_assignment, assignment,
-              max_cluster_weight, cluster, out):
-    """Heavy-edge / restricted matching over the visit ``order``.
+              fixed, use_fixed, max_cluster_weight, cluster, out):
+    """Heavy-edge matching over the visit ``order``.
 
-    ``score`` comes from :func:`net_scores`; ``fixed[v]`` is the side
-    ``v`` is fixed to, or -1 (read only when ``use_fixed``);
-    ``use_assignment`` selects the V-cycle variant, which merges only
-    vertices on the same side of ``assignment``.  ``cluster`` must be
-    -1-filled.  ``out = [next_id, touched]``; ``touched`` counts every
-    pin slot of the scored nets, although neighbours already matched
-    are skipped without accumulating their connectivity.
+    ``score`` holds the per-net scores of
+    :func:`repro.multilevel.matching._net_scores` (-1.0 marks a net
+    matching skips); ``fixed[v]`` is the side ``v`` is fixed to, or -1
+    (read only when ``use_fixed``).  The V-cycle's restricted matching
+    passes the current sides as ``fixed``, so only vertices on the same
+    side merge.  ``cluster`` must be -1-filled.  ``out = [next_id,
+    touched]``; ``touched`` counts every pin slot of the scored nets,
+    although neighbours already matched are skipped without
+    accumulating their connectivity.
     """
     _check_csr(net_ptr, net_pins, vtx_ptr, vtx_nets)
     _LIB.hem_match(
         _p(net_ptr), _p(net_pins), _p(vtx_ptr), _p(vtx_nets),
-        _p(vwt), _p(score), _p(order), _p(fixed),
-        int(use_fixed), int(use_assignment), _p(assignment),
+        _p(vwt), _p(score), _p(order), _p(fixed), int(use_fixed),
         float(max_cluster_weight), _p(cluster), _p(out),
         cluster.shape[0],
     )

@@ -54,7 +54,6 @@ class KernelSet:
     __slots__ = (
         "name",
         "fm_pass",
-        "net_scores",
         "hem_match",
         "fc_cluster",
         "hec_contract",
@@ -67,7 +66,6 @@ class KernelSet:
     def __init__(self, name: str, mod) -> None:
         self.name = name
         self.fm_pass = mod.fm_pass
-        self.net_scores = mod.net_scores
         self.hem_match = mod.hem_match
         self.fc_cluster = mod.fc_cluster
         self.hec_contract = mod.hec_contract
@@ -110,10 +108,10 @@ class BackendInfo:
 #: Lazily-populated activation cache (name -> BackendInfo).
 _ACTIVATED: Dict[str, BackendInfo] = {}
 
-#: Serializes check-and-activate: the self-check runs the shared
-#: interpreted scratch (``repro.multilevel.matching._WS``), and in the
-#: service process the scheduler and server threads can both be first to
-#: resolve a backend while building a report.
+#: Serializes check-and-activate, so a backend is compiled and
+#: self-checked once per process: in the service process the scheduler
+#: and server threads can both be first to resolve a backend while
+#: building a report.
 _LOCK = threading.Lock()
 
 

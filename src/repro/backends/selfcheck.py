@@ -8,16 +8,15 @@ partition state, move logs and pass statistics, cluster maps, coarse
 hypergraphs (values and dtypes), ``PerfCounters`` counts and
 Mersenne-Twister state.  The kernels read the instances' int32 CSR as
 the layers hand it over, so the check runs them on the layout they see
-in production.  Net
-scores, the transpose, the shuffle and the bootstrap tables are compared
-directly with ``matching._net_scores``, the hypergraph's own
-``_build_transpose``, CPython's ``random.shuffle`` and numpy's
-``cumsum`` / indexing / ``minimum.accumulate`` — the numpy branch of
-``repro.evaluation.bsf``, which is not imported: processes that only
-partition activate a backend too, and need no evaluation layer.  Checks
-run in dependency order (shuffle and net scores before the clusterings
-that call them, the transpose before the contraction that calls it), so
-a mismatch raises :class:`SelfCheckError` naming the kernel at fault.
+in production.  The transpose, the shuffle and the bootstrap tables are
+compared directly with the hypergraph's own ``_build_transpose``,
+CPython's ``random.shuffle`` and numpy's ``cumsum`` / indexing /
+``minimum.accumulate`` — the numpy branch of ``repro.evaluation.bsf``,
+which is not imported: processes that only partition activate a backend
+too, and need no evaluation layer.  Checks run in dependency order (the
+shuffle before the clusterings that call it, the transpose before the
+contraction that calls it), so a mismatch raises
+:class:`SelfCheckError` naming the kernel at fault.
 
 The registry runs the check at every activation and records a failing
 backend unavailable.  The oracle-equivalence suites pin the interpreted
@@ -106,13 +105,6 @@ def _check_bootstrap(ks) -> None:
 def _check_matching(ks) -> None:
     hg = _micro(31, 16, 14)
     n = hg.num_vertices
-    ws = matching._WS
-    ws.ensure(n, hg.num_nets)
-    ref_scores = matching._net_scores(hg, 5, ws)[: hg.num_nets]
-    scores = np.empty(hg.num_nets)
-    ks.net_scores(hg.csr[0], hg.net_weight_array, 5, scores)
-    _require(scores.tolist() == ref_scores, "net_scores", "scores")
-
     fixed_parts = [None] * n
     fixed_parts[0] = 0
     fixed_parts[5] = 1

@@ -14,9 +14,9 @@ the exact same output — same coarse vertex numbering (first-encounter
 order), same net order (first occurrence of each distinct coarse net),
 same float weight accumulation order — but computes it on flat arrays:
 
-* cluster renumbering via an epoch-stamped remap array (dict only when
-  ids are sparse, i.e. beyond ``2n``),
-* per-net pin dedup via an epoch-stamped buffer (no set allocation),
+* cluster renumbering in one first-encounter pass through a dict,
+* per-net pin dedup via a per-call list stamped by net id (no set
+  allocation),
 * identical-net merging via one stable sort of the projected nets by
   pin-tuple key: stability makes the group representative the smallest
   original net id, which is precisely the seed dict's first-occurrence
@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.multilevel.matching import _WS, _kernels
+from repro.multilevel.matching import _kernels
 
 
 @dataclass
@@ -106,55 +106,26 @@ def coarsen(
     if ks is not None and n > 0:
         cluster_np = np.ascontiguousarray(cluster_of, dtype=np.int64)
         if cluster_np.max() < 2 * n:
-            # Dense-ish ids only (the same gate the interpreted path
-            # uses to pick the stamped remap array); sparse ids fall
-            # through to the dict-based renumbering below.  Negative ids
-            # are detected inside the kernel, which reports the first
-            # offending vertex so the error is identical to the
-            # interpreted path's.
+            # Dense-ish ids only: the kernel's remap table is sized by
+            # the largest id, so sparse ids take the renumbering loop
+            # below.  Negative ids are detected inside the kernel, which
+            # reports the first offending vertex so the error is
+            # identical to the interpreted path's.
             return _coarsen_kernel(hypergraph, cluster_np, ks, perf, t0)
     if isinstance(cluster_of, np.ndarray):
         cluster_of = cluster_of.tolist()
     net_ptr, net_pins, _, _ = hypergraph.raw_csr
     vwt = hypergraph.vertex_weight_list
     net_weights = hypergraph.net_weight_list
-    ws = _WS
 
     # ----- dense renumbering in first-encounter order -----------------
-    mapped = [0] * n
-    num_coarse = 0
-    max_id = max(cluster_of, default=-1)
-    if max_id >= 0 and max_id < 2 * n:
-        # Dense-ish ids (the matching kernels guarantee ids < n): use the
-        # epoch-stamped remap array.
-        ws.ensure_remap(max_id + 1)
-        remap, stamp2 = ws.remap, ws.stamp2
-        epoch2 = ws.bump2()
-        for v in range(n):
-            c = cluster_of[v]
-            if c < 0:
-                raise ValueError(f"vertex {v} has negative cluster id {c}")
-            if stamp2[c] == epoch2:
-                mapped[v] = remap[c]
-            else:
-                stamp2[c] = epoch2
-                remap[c] = num_coarse
-                mapped[v] = num_coarse
-                num_coarse += 1
-    else:
-        # Sparse ids: fall back to a dict (identical first-encounter
-        # numbering, just a different container).
-        dense: Dict[int, int] = {}
-        for v in range(n):
-            c = cluster_of[v]
-            if c < 0:
-                raise ValueError(f"vertex {v} has negative cluster id {c}")
-            d = dense.get(c)
-            if d is None:
-                d = len(dense)
-                dense[c] = d
-            mapped[v] = d
-        num_coarse = len(dense)
+    dense: Dict[int, int] = {}
+    mapped: List[int] = []
+    for v, c in enumerate(cluster_of):
+        if c < 0:
+            raise ValueError(f"vertex {v} has negative cluster id {c}")
+        mapped.append(dense.setdefault(c, len(dense)))
+    num_coarse = len(dense)
 
     weights = [0.0] * num_coarse
     for v in range(n):
@@ -162,33 +133,26 @@ def coarsen(
 
     # ----- project nets, dedup pins, merge identical nets -------------
     # Stage 1: project every net through the cluster map, deduping pins
-    # with the stamped buffer; keep (sorted pin tuple, original net id).
+    # with a buffer stamped by net id; keep (sorted pin tuple, original
+    # net id).
     m = hypergraph.num_nets
-    ws.ensure(num_coarse, 0)
-    stamp, nbrs = ws.stamp, ws.nbrs
+    stamp = [-1] * num_coarse
     keys: List[Tuple[int, ...]] = []
     orig: List[int] = []
-    keys_append = keys.append
-    orig_append = orig.append
     dropped = 0
-    epoch = ws.epoch
     for e in range(m):
-        epoch += 1
-        cnt = 0
+        pins = []
         for i in range(net_ptr[e], net_ptr[e + 1]):
             c = mapped[net_pins[i]]
-            if stamp[c] != epoch:
-                stamp[c] = epoch
-                nbrs[cnt] = c
-                cnt += 1
-        if cnt < 2:
+            if stamp[c] != e:
+                stamp[c] = e
+                pins.append(c)
+        if len(pins) < 2:
             dropped += 1
             continue
-        pins = nbrs[:cnt]
         pins.sort()
-        keys_append(tuple(pins))
-        orig_append(e)
-    ws.epoch = epoch
+        keys.append(tuple(pins))
+        orig.append(e)
 
     # Stage 2: one stable sort groups identical nets.  Stability means
     # equal keys keep ascending original net order, so the group head is

@@ -1,30 +1,35 @@
 """Clustering/matching schemes for multilevel coarsening (kernel).
 
-Two standard schemes:
+Four schemes:
 
 * :func:`heavy_edge_matching` — pairwise matching maximizing hyperedge
   connectivity (each net of size ``s`` contributes ``w/(s-1)`` to each
   pin pair), the scheme popularized by METIS/hMetis.
+* :func:`restricted_matching` — the V-cycle's partition-respecting
+  matching: heavy-edge matching with the current sides as the fixed
+  sides, so only vertices on the same side merge.
 * :func:`first_choice_clustering` — hMetis-style FC clustering: vertices
   may join already-formed clusters, giving stronger size reduction per
   level.
+* :func:`hyperedge_coarsening` — hMetis-style HEC: whole nets contract.
 
-Both respect a cluster-weight cap so coarsening cannot manufacture
-unbalanceable coarse vertices, and both skip very large nets (clock-like
+All respect a cluster-weight cap so coarsening cannot manufacture
+unbalanceable coarse vertices, and all skip very large nets (clock-like
 nets carry no clustering signal and would make matching quadratic).
 
 **Kernel engineering.**  The original (seed) implementation built a
 fresh ``dict`` of neighbour connectivities for every vertex — one hash
 insert per (vertex, net, other-pin) triple, the dominant coarsening
-cost.  This module is the allocation-free rewrite: neighbour
-connectivities accumulate into flat *epoch-stamped* scratch arrays
-(:class:`_Workspace`) that are reused across vertices, levels, and
-hypergraphs, with per-net connectivity scores precomputed once per call.
-The scratch is a module-level singleton sized to the largest instance
-seen, so repeated coarsening (multistart pools, V-cycles) touches no
-allocator at all.
+cost.  The interpreted loops here accumulate neighbour connectivities
+into flat lists allocated once per call instead: ``conn[u]`` is valid
+while ``stamp[u]`` holds the vertex being visited (each vertex is
+visited at most once, so it serves as its own epoch), and ``nbrs``
+lists the stamped neighbours in first-encounter order.  No state
+outlives a call, so calls on different threads never share scratch.
+Per-net scores are one numpy expression (:func:`_net_scores`) that the
+interpreted loops and the compiled kernels both read.
 
-The rewrite is *behaviourally identical* to the frozen seed oracle
+The loops are *behaviourally identical* to the frozen seed oracle
 (``tests/oracles/_seed_coarsen.py``): identical cluster maps, identical
 RNG stream consumption (one ``rng.shuffle`` per call), identical float
 accumulation order, and identical tie-breaking — including the subtle
@@ -51,21 +56,41 @@ def _kernels(backend: Optional[str]):
     return active_kernels(backend)[1]
 
 
-def _kernel_prep(hypergraph: Hypergraph, max_net_size: int, ks):
-    """The hypergraph's CSR arrays plus per-net scores for the matching
-    kernels."""
-    net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.csr
-    score = _np.empty(hypergraph.num_nets, dtype=_np.float64)
-    ks.net_scores(net_ptr, hypergraph.net_weight_array, max_net_size, score)
-    return (net_ptr, net_pins, vtx_ptr, vtx_nets,
-            hypergraph.vertex_weight_array, score)
+def _net_scores(hypergraph: Hypergraph, max_net_size: int) -> _np.ndarray:
+    """Per-net connectivity scores as float64.
+
+    ``w/(size-1)`` for matchable nets, -1.0 for ineligible ones (fewer
+    than 2 or more than ``max_net_size`` pins).  A zero-weight eligible
+    net scores 0.0 — it cannot win a comparison but must still enter its
+    pins into the neighbour set, because the seed semantics let such
+    nets extend the candidate order.  numpy divides the float64 weight
+    by the pin count less one converted to float64, as CPython and C do,
+    so every score is bit-identical to ``w / (size - 1)``.
+    """
+    size = _np.diff(hypergraph.csr[0])
+    score = _np.full(hypergraph.num_nets, -1.0)
+    _np.divide(hypergraph.net_weight_array, size - 1, out=score,
+               where=(size >= 2) & (size <= max_net_size))
+    return score
 
 
-def _encode_fixed(fixed_parts, n: int) -> _np.ndarray:
+def _check_fixed(fixed_parts, n: int) -> None:
+    """Raise ``ValueError`` unless ``fixed_parts`` is absent or holds one
+    entry per vertex: every path reads it by vertex id, the kernels
+    through a raw pointer."""
+    if fixed_parts is not None and len(fixed_parts) != n:
+        raise ValueError(
+            f"fixed_parts has {len(fixed_parts)} entries for {n} vertices"
+        )
+
+
+def _encode_fixed(fixed_parts) -> _np.ndarray:
     """Fixed-side map as int64, -1 for unconstrained vertices (an empty
-    array when there is no map)."""
+    array when there is no map).  An array of sides is used as it is."""
     if fixed_parts is None:
         return _np.empty(0, dtype=_np.int64)
+    if isinstance(fixed_parts, _np.ndarray):
+        return _np.ascontiguousarray(fixed_parts, dtype=_np.int64)
     return _np.array([-1 if p is None else p for p in fixed_parts],
                      dtype=_np.int64)
 
@@ -85,115 +110,12 @@ def _shuffled_order(n: int, rng: random.Random, ks) -> _np.ndarray:
     return perm[0]
 
 
-class _Workspace:
-    """Flat epoch-stamped scratch shared by the matching/contraction kernels.
-
-    One module-level instance backs every call: arrays grow monotonically
-    to the largest (vertices, nets) seen and are never cleared — validity
-    of an entry is ``stamp[i] == epoch``, and :meth:`bump` starting a new
-    epoch invalidates everything in O(1).  Newly grown regions carry
-    stamp 0, which is always stale because the epoch counter starts at 1
-    and only increases.
-
-    The arrays:
-
-    * ``conn`` / ``stamp`` / ``nbrs`` — neighbour-connectivity
-      accumulator: ``conn[u]`` is valid iff ``stamp[u] == epoch``;
-      ``nbrs[:k]`` lists the stamped neighbours in first-encounter order
-      (the seed dict's iteration order).
-    * ``score`` — per-net connectivity score ``w/(size-1)``, with -1.0
-      marking nets ineligible for matching (size < 2 or > max_net_size).
-      Recomputed per call: eligibility depends on ``max_net_size``.
-    * ``remap`` (with ``stamp2``) — cluster-id renumbering scratch for
-      :func:`repro.multilevel.coarsen.coarsen`.
-    """
-
-    __slots__ = (
-        "conn",
-        "stamp",
-        "nbrs",
-        "score",
-        "remap",
-        "stamp2",
-        "epoch",
-        "epoch2",
-    )
-
-    def __init__(self) -> None:
-        self.conn: List[float] = []
-        self.stamp: List[int] = []
-        self.nbrs: List[int] = []
-        self.score: List[float] = []
-        self.remap: List[int] = []
-        self.stamp2: List[int] = []
-        self.epoch = 0
-        self.epoch2 = 0
-
-    def ensure(self, num_vertices: int, num_nets: int) -> None:
-        """Grow the per-vertex / per-net arrays to the required size."""
-        short = num_vertices - len(self.conn)
-        if short > 0:
-            self.conn.extend([0.0] * short)
-            self.stamp.extend([0] * short)
-            self.nbrs.extend([0] * short)
-        short = num_nets - len(self.score)
-        if short > 0:
-            self.score.extend([0.0] * short)
-
-    def ensure_remap(self, size: int) -> None:
-        """Grow the cluster-renumbering arrays to ``size`` entries."""
-        short = size - len(self.remap)
-        if short > 0:
-            self.remap.extend([0] * short)
-            self.stamp2.extend([0] * short)
-
-    def bump(self) -> int:
-        """Start a new neighbour-accumulator epoch; returns it."""
-        self.epoch += 1
-        return self.epoch
-
-    def bump2(self) -> int:
-        """Start a new renumbering epoch; returns it."""
-        self.epoch2 += 1
-        return self.epoch2
-
-
-#: The shared kernel scratch.  Module-level rather than per-hypergraph:
-#: capacity-keyed reuse needs no invalidation (no stale identity/weight
-#: hazards), survives across hierarchy levels and pooled multistart
-#: hierarchies, and keeps ``Hypergraph`` free of unpicklable extras (the
-#: orchestrator ships hypergraphs to worker processes).
-_WS = _Workspace()
-
-
-def _net_scores(
-    hypergraph: Hypergraph, max_net_size: int, ws: _Workspace
-) -> List[float]:
-    """Fill ``ws.score`` with per-net connectivity scores.
-
-    ``w/(size-1)`` for matchable nets, -1.0 for ineligible ones.  A
-    zero-weight eligible net scores 0.0 — it cannot win a comparison but
-    must still enter its pins into the neighbour set, because the seed
-    semantics let such nets extend the candidate order.
-    """
-    net_ptr = hypergraph.raw_csr[0]
-    net_weights = hypergraph.net_weight_list
-    score = ws.score
-    for e in range(hypergraph.num_nets):
-        size = net_ptr[e + 1] - net_ptr[e]
-        if size < 2 or size > max_net_size:
-            score[e] = -1.0
-        else:
-            score[e] = net_weights[e] / (size - 1)
-    return score
-
-
 def heavy_edge_matching(
     hypergraph: Hypergraph,
     rng: random.Random,
     max_cluster_weight: Optional[float] = None,
     max_net_size: int = 40,
-    fixed_parts: Optional[List[Optional[int]]] = None,
+    fixed_parts: Optional[Sequence[Optional[int]]] = None,
     perf: Optional[PerfCounters] = None,
     backend: Optional[str] = None,
 ) -> _np.ndarray:
@@ -204,9 +126,11 @@ def heavy_edge_matching(
     weight stays below ``max_cluster_weight``.  Unmatchable vertices
     become singleton clusters.  When ``fixed_parts`` is given, vertices
     fixed to different sides are never merged (a merged cluster could
-    not respect both constraints).
+    not respect both constraints): a side or ``None`` per vertex, or an
+    int array with a side for every vertex.
     """
     n = hypergraph.num_vertices
+    _check_fixed(fixed_parts, n)
     if max_cluster_weight is None:
         max_cluster_weight = _default_cluster_cap(hypergraph)
     ks = _kernels(backend)
@@ -214,28 +138,28 @@ def heavy_edge_matching(
         # The kernel replays the one ``rng.shuffle`` below draw for draw,
         # so every backend consumes the same stream, then the selection
         # loop over the shuffled order.
-        k_np, k_pins, k_vp, k_vn, k_vwt, score = _kernel_prep(
-            hypergraph, max_net_size, ks
-        )
+        net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.csr
         order_np = _shuffled_order(n, rng, ks)
-        use_fixed = 1 if fixed_parts is not None else 0
-        fixed = _encode_fixed(fixed_parts, n)
         cluster_np = _np.full(n, -1, dtype=_np.int64)
         out = _np.zeros(2, dtype=_np.int64)
         ks.hem_match(
-            k_np, k_pins, k_vp, k_vn, k_vwt, score, order_np,
-            fixed, use_fixed, 0, _np.empty(0, dtype=_np.int64),
+            net_ptr, net_pins, vtx_ptr, vtx_nets,
+            hypergraph.vertex_weight_array,
+            _net_scores(hypergraph, max_net_size), order_np,
+            _encode_fixed(fixed_parts), int(fixed_parts is not None),
             float(max_cluster_weight), cluster_np, out,
         )
         if perf is not None:
             perf.coarsen_neighbors_touched += int(out[1])
         return cluster_np
+    if isinstance(fixed_parts, _np.ndarray):
+        fixed_parts = fixed_parts.tolist()
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
     vwt = hypergraph.vertex_weight_list
-    ws = _WS
-    ws.ensure(n, hypergraph.num_nets)
-    score = _net_scores(hypergraph, max_net_size, ws)
-    conn, stamp, nbrs = ws.conn, ws.stamp, ws.nbrs
+    score = _net_scores(hypergraph, max_net_size).tolist()
+    conn = [0.0] * n
+    stamp = [-1] * n
+    nbrs = [0] * n
 
     cluster = [-1] * n
     order = list(range(n))
@@ -245,7 +169,6 @@ def heavy_edge_matching(
     for v in order:
         if cluster[v] != -1:
             continue
-        epoch = ws.bump()
         ncount = 0
         for i in range(vtx_ptr[v], vtx_ptr[v + 1]):
             e = vtx_nets[i]
@@ -259,24 +182,27 @@ def heavy_edge_matching(
                 u = net_pins[j]
                 if u == v:
                     continue
-                if stamp[u] == epoch:
+                if stamp[u] == v:
                     conn[u] += w
                 else:
-                    stamp[u] = epoch
+                    stamp[u] = v
                     conn[u] = w
                     nbrs[ncount] = u
                     ncount += 1
         best_u = -1
         best_c = 0.0
         wv = vwt[v]
+        fv = fixed_parts[v] if fixed_parts is not None else None
         for t in range(ncount):
             u = nbrs[t]
             if cluster[u] != -1:
                 continue
             if wv + vwt[u] > max_cluster_weight:
                 continue
-            if fixed_parts is not None and _fixed_conflict(fixed_parts, v, u):
-                continue
+            if fv is not None:
+                fu = fixed_parts[u]
+                if fu is not None and fu != fv:
+                    continue
             c = conn[u]
             if c > best_c:
                 best_c = c
@@ -288,6 +214,28 @@ def heavy_edge_matching(
     if perf is not None:
         perf.coarsen_neighbors_touched += touched
     return _np.array(cluster, dtype=_np.int64)
+
+
+def restricted_matching(
+    hypergraph: Hypergraph,
+    assignment: Sequence[int],
+    rng: random.Random,
+    max_cluster_weight: Optional[float] = None,
+    max_net_size: int = 40,
+    perf: Optional[PerfCounters] = None,
+    backend: Optional[str] = None,
+) -> _np.ndarray:
+    """Partition-respecting matching for V-cycling (Karypis et al.).
+
+    Heavy-edge matching with ``assignment`` as the fixed sides: every
+    side is 0 or 1, never ``None``, so only vertices on the *same side*
+    may merge, and the current solution projects exactly onto the
+    coarse hypergraph.
+    """
+    return heavy_edge_matching(
+        hypergraph, rng, max_cluster_weight, max_net_size,
+        fixed_parts=assignment, perf=perf, backend=backend,
+    )
 
 
 def first_choice_clustering(
@@ -306,31 +254,31 @@ def first_choice_clustering(
     is the scheme hMetis 1.5 uses by default.
     """
     n = hypergraph.num_vertices
+    _check_fixed(fixed_parts, n)
     if max_cluster_weight is None:
         max_cluster_weight = _default_cluster_cap(hypergraph)
     ks = _kernels(backend)
     if ks is not None:
-        k_np, k_pins, k_vp, k_vn, k_vwt, score = _kernel_prep(
-            hypergraph, max_net_size, ks
-        )
+        net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.csr
         order_np = _shuffled_order(n, rng, ks)
-        use_fixed = 1 if fixed_parts is not None else 0
-        fixed = _encode_fixed(fixed_parts, n)
         cluster_np = _np.full(n, -1, dtype=_np.int64)
         out = _np.zeros(2, dtype=_np.int64)
         ks.fc_cluster(
-            k_np, k_pins, k_vp, k_vn, k_vwt, score, order_np,
-            fixed, use_fixed, float(max_cluster_weight), cluster_np, out,
+            net_ptr, net_pins, vtx_ptr, vtx_nets,
+            hypergraph.vertex_weight_array,
+            _net_scores(hypergraph, max_net_size), order_np,
+            _encode_fixed(fixed_parts), int(fixed_parts is not None),
+            float(max_cluster_weight), cluster_np, out,
         )
         if perf is not None:
             perf.coarsen_neighbors_touched += int(out[1])
         return cluster_np
     net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
     vwt = hypergraph.vertex_weight_list
-    ws = _WS
-    ws.ensure(n, hypergraph.num_nets)
-    score = _net_scores(hypergraph, max_net_size, ws)
-    conn, stamp, nbrs = ws.conn, ws.stamp, ws.nbrs
+    score = _net_scores(hypergraph, max_net_size).tolist()
+    conn = [0.0] * n
+    stamp = [-1] * n
+    nbrs = [0] * n
 
     cluster = [-1] * n
     cluster_weight: List[float] = []
@@ -341,7 +289,6 @@ def first_choice_clustering(
     for v in order:
         if cluster[v] != -1:
             continue
-        epoch = ws.bump()
         ncount = 0
         for i in range(vtx_ptr[v], vtx_ptr[v + 1]):
             e = vtx_nets[i]
@@ -355,10 +302,10 @@ def first_choice_clustering(
                 u = net_pins[j]
                 if u == v:
                     continue
-                if stamp[u] == epoch:
+                if stamp[u] == v:
                     conn[u] += w
                 else:
-                    stamp[u] = epoch
+                    stamp[u] = v
                     conn[u] = w
                     nbrs[ncount] = u
                     ncount += 1
@@ -414,6 +361,7 @@ def hyperedge_coarsening(
     nets.
     """
     n = hypergraph.num_vertices
+    _check_fixed(fixed_parts, n)
     if max_cluster_weight is None:
         max_cluster_weight = _default_cluster_cap(hypergraph)
     ks = _kernels(backend)
@@ -428,7 +376,7 @@ def hyperedge_coarsening(
             -hypergraph.net_weight_array[shuffled],
         ))]
         use_fixed = 1 if fixed_parts is not None else 0
-        fixed = _encode_fixed(fixed_parts, n)
+        fixed = _encode_fixed(fixed_parts)
         cluster_np = _np.full(n, -1, dtype=_np.int64)
         out = _np.zeros(2, dtype=_np.int64)
         ks.hec_contract(
@@ -492,102 +440,6 @@ def hyperedge_coarsening(
     return _np.array(cluster, dtype=_np.int64)
 
 
-def restricted_matching(
-    hypergraph: Hypergraph,
-    assignment: Sequence[int],
-    rng: random.Random,
-    max_cluster_weight: Optional[float] = None,
-    max_net_size: int = 40,
-    perf: Optional[PerfCounters] = None,
-    backend: Optional[str] = None,
-) -> _np.ndarray:
-    """Partition-respecting matching for V-cycling (Karypis et al.).
-
-    Identical to heavy-edge matching except that only vertices on the
-    *same side* of ``assignment`` may merge, so the current solution
-    projects exactly onto the coarse hypergraph.
-    """
-    n = hypergraph.num_vertices
-    if max_cluster_weight is None:
-        max_cluster_weight = _default_cluster_cap(hypergraph)
-    ks = _kernels(backend)
-    if ks is not None:
-        k_np, k_pins, k_vp, k_vn, k_vwt, score = _kernel_prep(
-            hypergraph, max_net_size, ks
-        )
-        order_np = _shuffled_order(n, rng, ks)
-        assign_np = _np.ascontiguousarray(assignment, dtype=_np.int64)
-        cluster_np = _np.full(n, -1, dtype=_np.int64)
-        out = _np.zeros(2, dtype=_np.int64)
-        ks.hem_match(
-            k_np, k_pins, k_vp, k_vn, k_vwt, score, order_np,
-            _np.empty(0, dtype=_np.int64), 0, 1, assign_np,
-            float(max_cluster_weight), cluster_np, out,
-        )
-        if perf is not None:
-            perf.coarsen_neighbors_touched += int(out[1])
-        return cluster_np
-    if isinstance(assignment, _np.ndarray):
-        assignment = assignment.tolist()
-    net_ptr, net_pins, vtx_ptr, vtx_nets = hypergraph.raw_csr
-    vwt = hypergraph.vertex_weight_list
-    ws = _WS
-    ws.ensure(n, hypergraph.num_nets)
-    score = _net_scores(hypergraph, max_net_size, ws)
-    conn, stamp, nbrs = ws.conn, ws.stamp, ws.nbrs
-
-    cluster = [-1] * n
-    order = list(range(n))
-    rng.shuffle(order)
-    next_id = 0
-    touched = 0
-    for v in order:
-        if cluster[v] != -1:
-            continue
-        epoch = ws.bump()
-        ncount = 0
-        for i in range(vtx_ptr[v], vtx_ptr[v + 1]):
-            e = vtx_nets[i]
-            w = score[e]
-            if w < 0.0:
-                continue
-            lo = net_ptr[e]
-            hi = net_ptr[e + 1]
-            touched += hi - lo - 1
-            for j in range(lo, hi):
-                u = net_pins[j]
-                if u == v:
-                    continue
-                if stamp[u] == epoch:
-                    conn[u] += w
-                else:
-                    stamp[u] = epoch
-                    conn[u] = w
-                    nbrs[ncount] = u
-                    ncount += 1
-        best_u = -1
-        best_c = 0.0
-        wv = vwt[v]
-        side = assignment[v]
-        for t in range(ncount):
-            u = nbrs[t]
-            if cluster[u] != -1 or assignment[u] != side:
-                continue
-            if wv + vwt[u] > max_cluster_weight:
-                continue
-            c = conn[u]
-            if c > best_c:
-                best_c = c
-                best_u = u
-        cluster[v] = next_id
-        if best_u != -1:
-            cluster[best_u] = next_id
-        next_id += 1
-    if perf is not None:
-        perf.coarsen_neighbors_touched += touched
-    return _np.array(cluster, dtype=_np.int64)
-
-
 def _default_cluster_cap(hypergraph: Hypergraph) -> float:
     """Default cluster-weight cap: 4x the average vertex weight, but at
     least the largest existing vertex (macros must stay placeable)."""
@@ -596,10 +448,3 @@ def _default_cluster_cap(hypergraph: Hypergraph) -> float:
     weights = hypergraph.vertex_weight_array
     biggest = float(weights.max()) if weights.size else 1.0
     return max(4.0 * avg, biggest)
-
-
-def _fixed_conflict(
-    fixed_parts: List[Optional[int]], v: int, u: int
-) -> bool:
-    fv, fu = fixed_parts[v], fixed_parts[u]
-    return fv is not None and fu is not None and fv != fu

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,34 +238,20 @@ class MLPartitioner:
                 raise ValueError(
                     "hierarchy was built under different fixed_parts"
                 )
-        levels = list(hierarchy.levels)
+        levels = [(level, _fixed_mask(level_fixed))
+                  for level, level_fixed in hierarchy.levels]
         init_engine, refine_engine = self._engines(balance, rng)
         assignment = self._initial_partition(
             hierarchy.coarsest, balance, rng, hierarchy.coarsest_fixed,
             init_engine,
         ).assignment
-        # From here on the popped level is this start's only reference
-        # to a hierarchy it built itself.
+        # From here on ``levels`` is this start's only reference to a
+        # hierarchy it built itself.
         hierarchy = None
-        while levels:
-            level, level_fixed = levels.pop()
-            assignment = self._project(level, assignment)
-            if built:
-                self._release(level.coarse)
-            fine, level = level.fine, None  # the coarser side is done
-            fine_part = Partition2(
-                fine,
-                assignment,
-                [p is not None for p in level_fixed] if level_fixed else None,
-            )
-            self._note_perf(refine_engine.refine(fine_part))
-            assignment = fine_part.assignment
+        assignment = self._uncoarsen(levels, assignment, refine_engine,
+                                     release=built)
 
-        final = Partition2(
-            hypergraph,
-            assignment,
-            [p is not None for p in fixed] if fixed else None,
-        )
+        final = Partition2(hypergraph, assignment, _fixed_mask(fixed))
         for _ in range(cfg.vcycles):
             self._one_vcycle(final, balance, rng, refine_engine)
 
@@ -284,19 +270,22 @@ class MLPartitioner:
         assignment: Sequence[int],
         seed: int = 0,
         rounds: int = 1,
+        fixed_parts: Optional[Sequence[Optional[int]]] = None,
     ) -> PartitionResult:
         """Apply ``rounds`` V-cycles to an existing solution.
 
         This is the shmetis use model the paper evaluates: V-cycling is
         "invoked only for the best result of several starts", which is
         also why sampling-based ranking methods cannot be used
-        (Section 3.2).
+        (Section 3.2).  ``fixed_parts`` takes the form ``partition``
+        takes; its fixed vertices, which ``assignment`` must already
+        place on their sides, never move.
         """
         start_time = time.perf_counter()
         rng = random.Random(seed)
         balance = BalanceConstraint(hypergraph.total_vertex_weight, self.tolerance)
         _, refine_engine = self._engines(balance, rng)
-        part = Partition2(hypergraph, assignment)
+        part = Partition2(hypergraph, assignment, _fixed_mask(fixed_parts))
         for _ in range(rounds):
             self._one_vcycle(part, balance, rng, refine_engine)
         return PartitionResult(
@@ -329,6 +318,34 @@ class MLPartitioner:
         assert best is not None
         return best
 
+    def _uncoarsen(
+        self,
+        levels: List[Tuple[CoarseLevel, Optional[np.ndarray]]],
+        assignment: np.ndarray,
+        engine: FMEngine,
+        release: bool,
+    ) -> np.ndarray:
+        """Project ``assignment`` from the coarsest level back to the
+        finest, refining with ``engine`` at every level; returns the
+        finest level's assignment.
+
+        ``levels`` holds ``(level, fine fixed mask or None)`` pairs,
+        finest first, and is emptied from the end, so a level is gone
+        from it once projected through.  ``release`` drops each coarse
+        hypergraph from the engines' scratch caches; it is set for
+        levels this partitioner built itself.
+        """
+        while levels:
+            level, fixed = levels.pop()
+            assignment = self._project(level, assignment)
+            if release:
+                self._release(level.coarse)
+            fine, level = level.fine, None  # the coarser side is done
+            fine_part = Partition2(fine, assignment, fixed)
+            self._note_perf(engine.refine(fine_part))
+            assignment = fine_part.assignment
+        return assignment
+
     def _one_vcycle(
         self,
         part: Partition2,
@@ -343,8 +360,7 @@ class MLPartitioner:
         matching/contraction.
         """
         cfg = self.config
-        levels: List[CoarseLevel] = []
-        fixed_per_level: List[np.ndarray] = []
+        levels: List[Tuple[CoarseLevel, Optional[np.ndarray]]] = []
         hg = part.hypergraph
         assignment = part.assignment
         fixed = part.fixed
@@ -369,21 +385,15 @@ class MLPartitioner:
             coarse_assignment[cluster_of] = assignment
             coarse_fixed = np.zeros(level.coarse.num_vertices, dtype=bool)
             coarse_fixed[cluster_of[fixed]] = True
-            levels.append(level)
-            fixed_per_level.append(fixed)
+            levels.append((level, fixed))
             hg = level.coarse
             assignment = coarse_assignment
             fixed = coarse_fixed
 
         coarse_part = Partition2(hg, assignment, fixed)
         self._note_perf(engine.refine(coarse_part))
-        assignment = coarse_part.assignment
-        for level, level_fixed in zip(reversed(levels), reversed(fixed_per_level)):
-            assignment = self._project(level, assignment)
-            self._release(level.coarse)
-            fine_part = Partition2(level.fine, assignment, level_fixed)
-            self._note_perf(engine.refine(fine_part))
-            assignment = fine_part.assignment
+        assignment = self._uncoarsen(levels, coarse_part.assignment, engine,
+                                     release=True)
 
         # Write the improved assignment back into ``part``.
         improved = Partition2(part.hypergraph, assignment, part.fixed)
@@ -392,3 +402,11 @@ class MLPartitioner:
             part.part_weights = improved.part_weights
             part.pins_in_part = improved.pins_in_part
             part.cut = improved.cut
+
+
+def _fixed_mask(fixed_parts) -> Optional[np.ndarray]:
+    """The fixed mask of a per-vertex side-or-``None`` list; ``None``
+    when the list is missing or empty (nothing fixed)."""
+    if not fixed_parts:
+        return None
+    return np.array([p is not None for p in fixed_parts], dtype=bool)

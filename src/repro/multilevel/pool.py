@@ -25,8 +25,8 @@ pooled kernel path to the frozen seed coarsening and FM oracles start
 for start.
 
 V-cycles are *not* pooled: restricted matching depends on the current
-assignment, so V-cycle coarsening is inherently per-start (it still uses
-the allocation-free kernel).
+assignment, so V-cycle coarsening is inherently per-start (it still runs
+on the backend's matching and contraction kernels).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.core.balance import BalanceConstraint
 from repro.core.config import FMConfig
 from repro.core.kway import RecursiveBisection
 from repro.core.multistart import run_multistart
@@ -42,12 +43,8 @@ class ShmetisResult:
     part_weights: List[float]
     nruns: int
     runtime_seconds: float
-
-    @property
-    def legal(self) -> bool:
-        """Legality under the UBfactor window implied at construction
-        is recorded by the caller; exposed weights allow re-checking."""
-        return all(w > 0 for w in self.part_weights)
+    #: Every part inside the UBfactor balance window.
+    legal: bool
 
 
 def ubfactor_to_tolerance(ubfactor: float) -> float:
@@ -102,10 +99,14 @@ def shmetis(
         )
         assignment, cut = starts.best_assignment, starts.min_cut
         # hMetis V-cycles the best of the starts.
-        improved = engine.vcycle(hypergraph, assignment, seed=seed + nruns)
+        improved = engine.vcycle(hypergraph, assignment, seed=seed + nruns,
+                                 fixed_parts=fixed_parts)
         if improved.cut < cut:
             assignment, cut = improved.assignment, improved.cut
         weights = hypergraph.part_weights(assignment, 2)
+        legal = BalanceConstraint(
+            hypergraph.total_vertex_weight, tolerance
+        ).is_legal(weights)
     else:
         if fixed_parts is not None:
             raise NotImplementedError(
@@ -127,6 +128,7 @@ def shmetis(
         assignment = best_kway.assignment
         cut = best_kway.cut
         weights = list(best_kway.part_weights)
+        legal = best_kway.legal
 
     return ShmetisResult(
         assignment=list(assignment),
@@ -135,4 +137,5 @@ def shmetis(
         part_weights=weights,
         nruns=nruns,
         runtime_seconds=time.perf_counter() - t0,
+        legal=legal,
     )

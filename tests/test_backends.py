@@ -335,7 +335,6 @@ def finished_store(tmp_path_factory):
 #: One perturbed output per kernel other than ``fm_pass``, addressed by
 #: its position in the kernel's arguments (see ``repro.backends.cnative``).
 MUTANTS = [
-    ("net_scores", lambda a: _bump(a[3], 0, 0.5)),           # a score
     ("hem_match", lambda a: _bump(a[-2], 0)),                # a cluster id
     ("fc_cluster", lambda a: _bump(a[-2], 0)),
     ("hec_contract", lambda a: _bump(a[-2], 0)),
@@ -357,8 +356,7 @@ class TestInt32Kernels:
         assert strided.dtype == np.int32 and not strided.flags.c_contiguous
         calls = {
             "fm_pass": lambda c: ks.fm_pass(*c, *[None] * 25),
-            "net_scores": lambda c: ks.net_scores(c[0], None, 5, None),
-            "hem_match": lambda c: ks.hem_match(*c, *[None] * 10),
+            "hem_match": lambda c: ks.hem_match(*c, *[None] * 8),
             "fc_cluster": lambda c: ks.fc_cluster(*c, *[None] * 8),
             "hec_contract": lambda c: ks.hec_contract(*c[:2], *[None] * 8),
             "contract": lambda c: ks.contract(
@@ -433,6 +431,29 @@ class TestInt32Kernels:
         assert runs[0] == runs[1]
         assert len(set(runs[0][0])) < hg.num_vertices  # it matched
 
+    @pytest.mark.parametrize("clustering", [
+        "heavy_edge_matching", "first_choice_clustering",
+        "hyperedge_coarsening",
+    ])
+    def test_fixed_map_of_another_length_is_refused(self, clustering):
+        """A fixed map without one entry per vertex raises on every
+        backend before any draw: the kernels read the map by vertex id
+        and would read a short one past its end."""
+        from repro.multilevel import matching
+
+        _cnative_kernels()
+        hg = generate_circuit(300, seed=1)
+        n = hg.num_vertices
+        for backend in ("numpy", "cnative"):
+            for fixed in ([], [None] * (n - 1),
+                          np.zeros(n + 1, dtype=np.int64)):
+                rng = random.Random(0)
+                with pytest.raises(ValueError,
+                                   match=f"entries for {n} vertices"):
+                    getattr(matching, clustering)(
+                        hg, rng, fixed_parts=fixed, backend=backend)
+                assert rng.getstate() == random.Random(0).getstate()
+
 
 class TestSelfCheck:
     def test_selfcheck_accepts_reference(self):
@@ -457,8 +478,8 @@ class TestSelfCheck:
     def test_activation_inside_a_run(self):
         """With the registry reset, cnative activates, self-check and
         all, inside an ML start's first matching call.  That start, and
-        an interpreted start run afterwards on the shared scratch the
-        check used, equal a start on a backend activated beforehand."""
+        an interpreted start run afterwards, equal a start on a backend
+        activated beforehand."""
         _cnative_kernels()
         hg = generate_circuit(300, seed=4)
 

@@ -1,9 +1,12 @@
 """Tests for clustering schemes and hypergraph coarsening."""
 
 import random
+import sys
+import threading
 
 import pytest
 
+from repro.core.perf import PerfCounters
 from repro.instances import generate_circuit, random_hypergraph
 from repro.multilevel import (
     coarsen,
@@ -155,3 +158,43 @@ class TestCoarsen:
             coarsen(hg, [0])
         with pytest.raises(ValueError):
             coarsen(hg, [-1] * hg.num_vertices)
+
+
+class TestThreads:
+    def test_concurrent_calls_equal_serial_ones(self):
+        """The interpreted matchers and ``coarsen`` keep no state between
+        calls, so four threads clustering and contracting two instances
+        at once, switching every 10 microseconds, get the serial
+        results: cluster maps, coarse levels and touched counts."""
+        instances = [generate_circuit(3000, seed=s) for s in (1, 2)]
+
+        def work(hg):
+            perf = PerfCounters()
+            hem = heavy_edge_matching(hg, random.Random(5), perf=perf,
+                                      backend="numpy")
+            fc = first_choice_clustering(hg, random.Random(6), perf=perf,
+                                         backend="numpy")
+            level = coarsen(hg, fc, backend="numpy")
+            return (hem.tolist(), fc.tolist(), level.cluster_of.tolist(),
+                    [a.tolist() for a in level.coarse.csr],
+                    level.coarse.vertex_weight_list,
+                    perf.coarsen_neighbors_touched)
+
+        serial = [work(hg) for hg in instances]
+        results = [None] * 4
+
+        def run(i):
+            results[i] = work(instances[i % 2])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial[i % 2] for i in range(4)]

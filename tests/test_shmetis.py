@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.core import BalanceConstraint
+from repro.core import BalanceConstraint, KWayBalance
 from repro.instances import generate_circuit, suite_instance
 from repro.multilevel import (
     MLPartitioner,
@@ -65,6 +65,19 @@ class TestBisection:
         assert result.assignment[0] == 0
         assert result.assignment[1] == 1
 
+    def test_legal_means_inside_the_window(self, hg):
+        """With 70% of the cells fixed to side 0 no bisection fits the
+        45/55 window, and ``legal`` says so although both parts are
+        non-empty."""
+        n = hg.num_vertices
+        fixed = [0 if v < 7 * n // 10 else None for v in range(n)]
+        result = shmetis(hg, k=2, ubfactor=5, nruns=2, seed=0,
+                         fixed_parts=fixed)
+        balance = BalanceConstraint(hg.total_vertex_weight, 0.10)
+        assert min(result.part_weights) > 0
+        assert not balance.is_legal(result.part_weights)
+        assert result.legal is False
+
     def test_deterministic(self, hg):
         a = shmetis(hg, k=2, ubfactor=5, nruns=2, seed=3)
         b = shmetis(hg, k=2, ubfactor=5, nruns=2, seed=3)
@@ -108,15 +121,19 @@ class TestPinnedRecords:
             self.PINS[clip, nruns]
 
     def test_fixed_parts(self, ibm):
+        """The V-cycle of the best start keeps every fixed vertex on its
+        side, as the starts do."""
         fixed = [None] * ibm.num_vertices
         for v in range(0, ibm.num_vertices, 40):
             fixed[v] = (v // 40) % 2
         result = shmetis(ibm, k=2, ubfactor=5, nruns=3, seed=4, clip=True,
                          fixed_parts=fixed)
+        assert all(result.assignment[v] == side
+                   for v, side in enumerate(fixed) if side is not None)
         assert (result.cut, assignment_digest(result.assignment)) == (
-            17,
-            "31e2036a42e12c9cd0de5a401235dc92"
-            "9d2c8b6ded127ac0c6c47e0cbad70a24",
+            27,
+            "11bd6aa1a93cc85e406d191857ca2c6a"
+            "8f32712edb62dce0f1dbca7930983584",
         )
 
 
@@ -126,6 +143,9 @@ class TestKWay:
         assert set(result.assignment) == {0, 1, 2, 3}
         assert result.cut == hg.cut_size(result.assignment)
         assert len(result.part_weights) == 4
+        assert result.legal is KWayBalance(
+            hg.total_vertex_weight, 4, ubfactor_to_tolerance(10)
+        ).is_legal(result.part_weights)
 
     def test_kway_fixed_unsupported(self, hg):
         with pytest.raises(NotImplementedError):

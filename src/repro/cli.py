@@ -156,34 +156,94 @@ def _print_perf_totals(store) -> None:
         print(f"  {name:28s} {perf.summary()}")
 
 
-def _spec_from_jobspec_file(path: str):
-    """Build the executable CampaignSpec from a declarative JobSpec JSON
-    file (the same wire format the service's job API accepts), loading
-    every declared instance source."""
+def _read_jobspec(path: str):
+    """A declarative JobSpec from its JSON file (the wire format the
+    service's job API accepts)."""
     import json
     from pathlib import Path
 
     from repro.service.spec import JobSpec
 
-    jobspec = JobSpec.from_json(
+    return JobSpec.from_json(
         json.loads(Path(path).read_text(encoding="utf-8"))
     )
-    instances = {src.label: src.load() for src in jobspec.instances}
-    return jobspec, jobspec.campaign_spec(instances)
+
+
+def _jobspec_campaign(jobspec):
+    """The executable CampaignSpec of a JobSpec, with every declared
+    instance source loaded."""
+    return jobspec.campaign_spec(
+        {src.label: src.load() for src in jobspec.instances})
+
+
+#: The execution-policy fields a JobSpec carries, by flag.  A spec runs
+#: and resumes under its own (sticky caches select its record stream),
+#: so these flags are refused beside one.
+SPEC_POLICY_FLAGS = {
+    "--timeout": "timeout_seconds",
+    "--retries": "max_retries",
+    "--sticky-cache": "sticky_cache",
+    "--sticky-pool-size": "sticky_pool_size",
+    "--backend": "backend",
+}
+
+
+def _policy(args: argparse.Namespace, jobspec=None):
+    """The ExecutionPolicy of a campaign run or resume: the JobSpec's
+    policy fields when there is one, else the flags given."""
+    from repro.orchestrate import ExecutionPolicy
+
+    given = [flag for flag, name in SPEC_POLICY_FLAGS.items()
+             if getattr(args, name) is not None]
+    if jobspec is not None and given:
+        raise ValueError(
+            f"{', '.join(given)} cannot be given with a JobSpec, which "
+            "sets its own policy"
+        )
+    source = args if jobspec is None else jobspec
+    fields = {name: getattr(source, name)
+              for name in SPEC_POLICY_FLAGS.values()}
+    return ExecutionPolicy(
+        workers=args.workers,
+        batch_size=args.batch_size,
+        **{name: v for name, v in fields.items() if v is not None},
+    )
+
+
+def _run_campaign(args, spec, store, policy, resume, cli_meta=None) -> int:
+    """Run or finish ``spec`` in ``store``, then print and save the
+    report (shared by ``campaign run`` and ``campaign resume``)."""
+    from repro.orchestrate import Orchestrator, ProgressPrinter
+
+    result = Orchestrator(
+        spec,
+        store=store,
+        policy=policy,
+        progress=ProgressPrinter() if args.progress else None,
+        cli_meta=cli_meta,
+    ).run(resume=resume)
+    report = result.report(num_shuffles=args.num_shuffles)
+    print(report)
+    (store.directory / "report.txt").write_text(report, encoding="utf-8")
+    _print_perf_totals(store)
+    print(f"\njournal and report under {store.directory}")
+    return 0
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     """Orchestrated campaign: parallel workers + crash-safe journal."""
     from pathlib import Path
 
-    from repro.orchestrate import ProgressPrinter, RunStore, orchestrate_campaign
+    from repro.orchestrate import RunStore
 
     if args.spec and args.input:
         print("error: give either an input netlist or --spec, not both",
               file=sys.stderr)
         return 2
-    if args.spec:
-        _, spec = _spec_from_jobspec_file(args.spec)
+    jobspec = _read_jobspec(args.spec) if args.spec else None
+    policy = _policy(args, jobspec)
+    if jobspec is not None:
+        spec = _jobspec_campaign(jobspec)
         # The spec file is the single source of truth on resume — the
         # ladder flags (--tolerance/--starts/--seed/--name) are unused.
         cli_meta = {"spec_path": str(Path(args.spec).resolve())}
@@ -198,35 +258,17 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         print("error: need an input netlist or --spec FILE",
               file=sys.stderr)
         return 2
-    result = orchestrate_campaign(
-        spec,
-        store_dir=args.store_dir,
-        workers=args.workers,
-        timeout_seconds=args.timeout,
-        max_retries=args.retries,
-        batch_size=args.batch_size,
-        sticky_cache=args.sticky_cache,
-        sticky_pool_size=args.sticky_pool_size,
-        backend=args.backend,
-        progress=ProgressPrinter() if args.progress else None,
-        resume=args.resume,
-        cli_meta=cli_meta,
+    return _run_campaign(
+        args, spec, RunStore(Path(args.store_dir) / spec.name), policy,
+        args.resume, cli_meta,
     )
-    print(result.report(num_shuffles=args.num_shuffles))
-    out = Path(args.store_dir) / spec.name
-    (out / "report.txt").write_text(
-        result.report(num_shuffles=args.num_shuffles), encoding="utf-8"
-    )
-    _print_perf_totals(RunStore(out))
-    print(f"\njournal and report under {out}")
-    return 0
 
 
 def cmd_campaign_resume(args: argparse.Namespace) -> int:
-    """Finish a killed/crashed campaign; journaled trials never rerun."""
-    from pathlib import Path
-
-    from repro.orchestrate import ProgressPrinter, RunStore, orchestrate_campaign
+    """Finish a killed/crashed campaign; journaled trials never rerun.
+    A campaign run from a JobSpec (a ``--spec`` file or a service job)
+    resumes under the spec's own policy."""
+    from repro.orchestrate import RunStore
 
     store = RunStore(args.campaign_dir)
     meta = store.load_meta()
@@ -234,11 +276,19 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
     if not cli:
         raise ValueError(
             f"{store.meta_path} has no CLI metadata; this store was not "
-            "created by `repro campaign run` and cannot be resumed from "
-            "the command line"
+            "created by `repro campaign run` or the service and cannot "
+            "be resumed from the command line"
         )
+    jobspec = None
     if cli.get("spec_path"):
-        _, spec = _spec_from_jobspec_file(cli["spec_path"])
+        jobspec = _read_jobspec(cli["spec_path"])
+    elif cli.get("service_spec"):
+        from repro.service.spec import JobSpec
+
+        jobspec = JobSpec.from_json(cli["service_spec"])
+    policy = _policy(args, jobspec)
+    if jobspec is not None:
+        spec = _jobspec_campaign(jobspec)
     else:
         ns = argparse.Namespace(
             input=cli["input"],
@@ -249,26 +299,7 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
             seed=meta["base_seed"],
         )
         spec = _campaign_spec(ns)
-    result = orchestrate_campaign(
-        spec,
-        store_dir=Path(args.campaign_dir).parent,
-        workers=args.workers,
-        timeout_seconds=args.timeout,
-        max_retries=args.retries,
-        batch_size=args.batch_size,
-        sticky_cache=args.sticky_cache,
-        sticky_pool_size=args.sticky_pool_size,
-        backend=args.backend,
-        progress=ProgressPrinter() if args.progress else None,
-        resume=True,
-    )
-    print(result.report(num_shuffles=args.num_shuffles))
-    (Path(args.campaign_dir) / "report.txt").write_text(
-        result.report(num_shuffles=args.num_shuffles), encoding="utf-8"
-    )
-    _print_perf_totals(store)
-    print(f"\njournal and report under {args.campaign_dir}")
-    return 0
+    return _run_campaign(args, spec, store, policy, True)
 
 
 def cmd_campaign_status(args: argparse.Namespace) -> int:
@@ -380,14 +411,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_capacity=args.cache_capacity,
     )
-    recovered = service.recover()
-    for job_id in recovered:
-        print(f"recovered {job_id}", file=sys.stderr)
     http = ServiceHTTP(service, host=args.host, port=args.port)
-    http.start()
-    print(f"serving on {http.url} (jobs under {args.dir}/jobs)",
-          file=sys.stderr)
     try:
+        for job_id in service.recover():
+            print(f"recovered {job_id}", file=sys.stderr)
+        http.start()  # a port in use raises OSError: exit code 2
+        print(f"serving on {http.url} (jobs under {args.dir}/jobs)",
+              file=sys.stderr)
         while True:
             time.sleep(1.0)
     except KeyboardInterrupt:
@@ -401,13 +431,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def _job_spec_from_args(args: argparse.Namespace):
     """A JobSpec from ``repro job submit`` flags: either ``--spec FILE``
     (the JSON wire form) or the inline single-instance shorthand."""
-    import json as _json
-
     from repro.service import InstanceSource, JobSpec
 
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as f:
-            return JobSpec.from_json(_json.load(f))
+        return _read_jobspec(args.spec)
     if args.input:
         label = args.label or args.input.rsplit("/", 1)[-1].split(".")[0]
         source = InstanceSource(
@@ -590,21 +617,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     csub = p.add_subparsers(dest="campaign_command", required=True)
 
-    def add_dispatch_flags(c: argparse.ArgumentParser) -> None:
-        """Pool dispatch knobs shared by ``run`` and ``resume``; none of
-        them changes any record, only where the time goes."""
+    def add_policy_flags(c: argparse.ArgumentParser) -> None:
+        """Execution policy shared by ``run`` and ``resume``.  Every
+        flag but ``--workers`` and ``--batch-size`` is a JobSpec field
+        too (``SPEC_POLICY_FLAGS``), refused beside a spec; an unset
+        one reads ``None`` here so that refusal can tell."""
+        c.add_argument("--workers", type=int, default=1)
+        c.add_argument(
+            "--timeout", type=float, default=None, dest="timeout_seconds",
+            help="per-trial wall-clock timeout in seconds",
+        )
+        c.add_argument(
+            "--retries", type=int, default=None, dest="max_retries",
+            help="extra attempts per trial after a failure (default 0)",
+        )
         c.add_argument(
             "--batch-size", type=int, default=None,
             help="trials per worker dispatch (default: adaptive from "
             "observed trial runtime)",
         )
         c.add_argument(
-            "--sticky-cache", action="store_true",
+            "--sticky-cache", action="store_true", default=None,
             help="keep per-worker hierarchy pools so consecutive trials "
-            "on one instance reuse coarsening (multilevel engines)",
+            "on one instance reuse coarsening (multilevel engines); "
+            "sticky on, off and each pool size are different record "
+            "streams, and a resume must keep the run's",
         )
         c.add_argument(
-            "--sticky-pool-size", type=int, default=2,
+            "--sticky-pool-size", type=int, default=None,
             help="hierarchies per sticky pool (default 2)",
         )
         c.add_argument(
@@ -624,22 +664,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec",
         help="declarative JobSpec JSON (the service job wire format): "
         "instance sources + engines and/or k-way / terminal-propagation "
-        "scenarios; supersedes the ladder flags",
+        "scenarios; supersedes the ladder flags, and its own timeout, "
+        "retries, sticky cache, pool size and backend set the policy, "
+        "so those flags are refused beside it",
     )
     c.add_argument("--are", help=".are area file for .netD inputs")
     c.add_argument("--name", default="campaign")
     c.add_argument("--tolerance", type=float, default=0.02)
     c.add_argument("--starts", type=int, default=10)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--workers", type=int, default=1)
-    c.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial wall-clock timeout in seconds",
-    )
-    c.add_argument(
-        "--retries", type=int, default=0,
-        help="extra attempts per trial after a failure",
-    )
     c.add_argument("--store-dir", default="campaigns")
     c.add_argument("--num-shuffles", type=int, default=100)
     c.add_argument(
@@ -650,19 +683,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="stream live progress events to stderr",
     )
-    add_dispatch_flags(c)
+    add_policy_flags(c)
     c.set_defaults(func=cmd_campaign_run)
 
     c = csub.add_parser(
         "resume", help="finish a killed campaign from its journal"
     )
     c.add_argument("campaign_dir")
-    c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--timeout", type=float, default=None)
-    c.add_argument("--retries", type=int, default=0)
     c.add_argument("--num-shuffles", type=int, default=100)
     c.add_argument("--progress", action="store_true")
-    add_dispatch_flags(c)
+    add_policy_flags(c)
     c.set_defaults(func=cmd_campaign_resume)
 
     c = csub.add_parser("status", help="print journal progress")

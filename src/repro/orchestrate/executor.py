@@ -89,7 +89,7 @@ from typing import (
     Tuple,
 )
 
-from repro.backends import set_default_backend, warmup
+from repro.backends import default_backend, set_default_backend, warmup
 from repro.core.multistart import Bipartitioner
 from repro.core.perf import PerfCounters
 from repro.hypergraph.hypergraph import Hypergraph
@@ -836,10 +836,16 @@ def execute_trials(
             perf_totals,
         )
     else:
-        outcomes = _execute_inline(
-            trials, heuristics, instances, fixed_parts, policy, on_outcome,
-            perf_totals,
-        )
+        # The inline executor sets the policy's backend as the process
+        # default, and this process is the caller's: give its own back.
+        callers_backend = default_backend()
+        try:
+            outcomes = _execute_inline(
+                trials, heuristics, instances, fixed_parts, policy,
+                on_outcome, perf_totals,
+            )
+        finally:
+            set_default_backend(callers_backend)
     return sorted(outcomes, key=lambda o: o.trial)
 
 

@@ -14,8 +14,9 @@ Guarantees:
   canonical plan order.
 * With a store, a killed run resumes with ``resume=True`` and reruns
   **zero** already-journaled trials; a resume against a store built
-  from a different spec, or from same-named heuristics or instances
-  that run differently, fails fast on the spec and run fingerprints.
+  from a different spec, from same-named heuristics or instances that
+  run differently, or on another sticky stream, fails fast on the spec
+  and run fingerprints and the recorded sticky pool size.
 * Trial failures and timeouts become journaled error outcomes; the
   campaign always runs to completion.
 """
@@ -47,8 +48,11 @@ def build_meta(
     spec: CampaignSpec,
     total_trials: int,
     cli: Optional[Dict[str, object]] = None,
+    sticky_pools: Optional[int] = None,
 ) -> Dict[str, object]:
-    """Run metadata written to ``meta.json`` at campaign start."""
+    """Run metadata written to ``meta.json`` at campaign start.
+    ``sticky_pools`` names the record stream: the sticky pool size, or
+    0 without sticky caches."""
     meta: Dict[str, object] = {
         "format_version": STORE_FORMAT_VERSION,
         "name": spec.name,
@@ -66,9 +70,49 @@ def build_meta(
     run_hash = run_fingerprint(spec)
     if run_hash is not None:
         meta["run_hash"] = run_hash
+    if sticky_pools is not None:
+        meta["sticky_pools"] = sticky_pools
     if cli is not None:
         meta["cli"] = cli  # enough to rebuild the spec for `campaign resume`
     return meta
+
+
+def open_store(
+    store: RunStore,
+    spec: CampaignSpec,
+    total_trials: int,
+    sticky_cache: bool,
+    sticky_pool_size: int,
+    cli: Optional[Dict[str, object]] = None,
+    resume: bool = True,
+) -> List[TrialOutcome]:
+    """Open ``store`` for ``spec`` and return its journaled outcomes.
+
+    A new store gets its ``meta.json``.  An existing one must have been
+    written for the same spec, run and sticky stream
+    (:func:`~repro.orchestrate.plan.store_mismatch`), and unless
+    ``resume`` it may hold no journaled trial yet.
+    """
+    sticky_pools = sticky_pool_size if sticky_cache else 0
+    if store.exists():
+        mismatch = store_mismatch(store.load_meta(), spec, sticky_pools)
+        if mismatch is not None:
+            raise ValueError(
+                f"store at {store.directory} was created for another "
+                f"campaign or record stream ({mismatch} mismatch); "
+                "refusing to mix trial streams"
+            )
+    else:
+        store.initialize(build_meta(spec, total_trials, cli=cli,
+                                    sticky_pools=sticky_pools))
+    outcomes = store.outcomes()
+    if outcomes and not resume:
+        raise ValueError(
+            f"store at {store.directory} already has journaled "
+            "trials; pass resume=True (or `repro campaign "
+            "resume`) to continue it"
+        )
+    return outcomes
 
 
 class Orchestrator:
@@ -99,34 +143,19 @@ class Orchestrator:
         self.perf_by_heuristic: Dict[str, PerfCounters] = {}
 
     # ------------------------------------------------------------------
-    def _prepare_store(self, resume: bool) -> None:
-        store = self.store
-        if store.exists():
-            mismatch = store_mismatch(store.load_meta(), self.spec)
-            if mismatch is not None:
-                raise ValueError(
-                    f"store at {store.directory} was created from a "
-                    f"different campaign spec ({mismatch} mismatch); "
-                    "refusing to mix trial streams"
-                )
-            if not resume and store.completed_trials():
-                raise ValueError(
-                    f"store at {store.directory} already has journaled "
-                    "trials; pass resume=True (or `repro campaign "
-                    "resume`) to continue it"
-                )
-        else:
-            store.initialize(
-                build_meta(self.spec, len(self.plan), cli=self.cli_meta)
-            )
-
-    # ------------------------------------------------------------------
     def run(self, resume: bool = False) -> CampaignResult:
         """Execute (or finish) the campaign and return its result."""
         prior: List[TrialOutcome] = []
         if self.store is not None:
-            self._prepare_store(resume)
-            prior = self.store.outcomes()
+            prior = open_store(
+                self.store,
+                self.spec,
+                len(self.plan),
+                sticky_cache=self.policy.sticky_cache,
+                sticky_pool_size=self.policy.sticky_pool_size,
+                cli=self.cli_meta,
+                resume=resume,
+            )
         done_ids = {o.trial for o in prior}
         pending = [p for p in self.plan if p.index not in done_ids]
 

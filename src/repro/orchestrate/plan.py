@@ -17,9 +17,9 @@ list is what makes the rest of the subsystem simple:
   of the spec (heuristic names, instance shapes, seed stream) and
   :func:`run_fingerprint` what those names run (each heuristic's
   class, tolerance and canonical config, each instance's content), so
-  a resume against a store created from a *different* spec, or from a
-  same-named heuristic configured differently, is rejected
-  (:func:`store_mismatch`).
+  a resume against a store created from a *different* spec, from a
+  same-named heuristic configured differently, or on another sticky
+  stream, is rejected (:func:`store_mismatch`).
 
 The canonical order matches the serial runner exactly: instances in
 declaration order, heuristics in declaration order, starts ascending.
@@ -195,12 +195,16 @@ def run_fingerprint(spec: "CampaignSpec") -> Optional[str]:
 
 
 def store_mismatch(
-    meta: Mapping[str, Any], spec: "CampaignSpec"
+    meta: Mapping[str, Any], spec: "CampaignSpec", sticky_pools: int
 ) -> Optional[str]:
-    """The meta key (``"spec_hash"`` or ``"run_hash"``) on which a
-    store's ``meta.json`` disagrees with ``spec``, or ``None`` when the
-    spec may resume it.  A store written without ``run_hash``, or a spec
-    whose run cannot be fingerprinted, is held to ``spec_hash`` alone."""
+    """The meta key (``"spec_hash"``, ``"run_hash"`` or
+    ``"sticky_pools"``) on which a store's ``meta.json`` disagrees with
+    ``spec`` run on ``sticky_pools`` (the sticky pool size, or 0
+    without sticky caches), or ``None`` when the spec may resume it.
+    Sticky on, sticky off and each pool size are different record
+    streams.  A store written without ``run_hash`` or ``sticky_pools``,
+    or a spec whose run cannot be fingerprinted, is not held to that
+    key."""
     if meta.get("spec_hash") != spec_fingerprint(spec):
         return "spec_hash"
     stored = meta.get("run_hash")
@@ -208,4 +212,7 @@ def store_mismatch(
         current = run_fingerprint(spec)
         if current is not None and current != stored:
             return "run_hash"
+    stored = meta.get("sticky_pools")
+    if stored is not None and stored != sticky_pools:
+        return "sticky_pools"
     return None

@@ -19,7 +19,8 @@ supervises many concurrent campaigns on one shared worker fleet:
   :class:`~repro.evaluation.streaming.JournalTail` readers;
 * :mod:`~repro.service.server` — :class:`CampaignService` (the
   supervisor: submit/status/pause/resume/cancel, crash recovery) and
-  :class:`ServiceHTTP` (the asyncio HTTP/JSON frontend);
+  :class:`ServiceHTTP` (the HTTP/JSON frontend, one thread per
+  request);
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the HTTP
   client the ``repro job`` CLI drives.
 

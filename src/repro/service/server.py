@@ -23,30 +23,31 @@ resubmits only the trials missing from the journal.  Since every
 outcome was fsynced before being counted, a killed service restarts
 with zero rerun of journaled trials.
 
-:class:`ServiceHTTP` is a deliberately small asyncio HTTP/1.1 server
-(stdlib only) running in its own thread: JSON request/response for the
+:class:`ServiceHTTP` serves it over HTTP with the standard library's
+threading server, one thread per request: JSON request/response for the
 control plane, newline-delimited JSON for the live subscription
 streams.
 """
 
 from __future__ import annotations
 
-import asyncio
+import itertools
 import json
 import threading
+from collections import deque
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.evaluation.streaming import ReportBuilder
 from repro.orchestrate.executor import build_payload, PendingTrial
-from repro.orchestrate.orchestrator import build_meta
-from repro.orchestrate.plan import expand_spec, store_mismatch
-from repro.orchestrate.store import RunStore
+from repro.orchestrate.orchestrator import open_store
+from repro.orchestrate.plan import expand_spec
+from repro.orchestrate.store import RunStore, machine_info
 from repro.service.cache import InstanceCache
 from repro.service.scheduler import (
     JOB_ACTIVE,
-    JOB_CANCELLED,
     JOB_DONE,
     JOB_PAUSED,
     FairShareScheduler,
@@ -54,8 +55,6 @@ from repro.service.scheduler import (
 )
 from repro.service.spec import JobSpec
 from repro.service.streams import SubscriptionHub, subscribe_job
-
-from collections import deque
 
 
 class _JobRecord:
@@ -92,6 +91,9 @@ class CampaignService:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.cache = InstanceCache(capacity=cache_capacity)
         self.hub = SubscriptionHub()
+        # A process's first ``machine_info()`` runs ``uname -p``, which a
+        # worker forked meanwhile stalls by holding its pipe: run it now.
+        machine_info()
         self.scheduler = FairShareScheduler(workers=workers)
         self.scheduler.start()
         self._lock = threading.Lock()
@@ -157,26 +159,18 @@ class CampaignService:
         campaign = spec.campaign_spec(instances)
         plan = expand_spec(campaign)
         store = RunStore(directory)
-        if store.exists():
-            mismatch = store_mismatch(store.load_meta(), campaign)
-            if mismatch is not None:
-                raise ValueError(
-                    f"job {job_id}: existing store does not match "
-                    f"the submitted spec ({mismatch} mismatch)"
-                )
-        else:
-            store.initialize(
-                build_meta(
-                    campaign,
-                    total_trials=len(plan),
-                    cli={"service_spec": spec.to_json()},
-                )
-            )
-        completed = store.completed_trials()
+        outcomes = open_store(
+            store,
+            campaign,
+            len(plan),
+            sticky_cache=spec.sticky_cache,
+            sticky_pool_size=spec.sticky_pool_size,
+            cli={"service_spec": spec.to_json()},
+        )
+        completed = {o.trial for o in outcomes}
         pending = deque(
             PendingTrial(p) for p in plan if p.index not in completed
         )
-        outcomes = store.outcomes()
         heuristics = {
             getattr(h, "name", type(h).__name__): h
             for h in campaign.heuristics
@@ -353,8 +347,96 @@ class CampaignService:
 
 
 # ----------------------------------------------------------------------
+class _Handler(BaseHTTPRequestHandler):
+    """One request of the JSON control plane or one NDJSON stream."""
+
+    def log_message(self, format, *args) -> None:
+        pass  # no per-request log lines
+
+    def do_GET(self) -> None:
+        self._route("GET")
+
+    def do_POST(self) -> None:
+        self._route("POST")
+
+    def _route(self, method: str) -> None:
+        split = urlsplit(self.path)
+        parts = [p for p in split.path.split("/") if p]
+        service = self.server.service
+        try:
+            if method == "GET" and parts == ["health"]:
+                self._reply(200, service.health())
+            elif method == "GET" and parts == ["jobs"]:
+                self._reply(200, {"jobs": service.list_jobs()})
+            elif method == "POST" and parts == ["jobs"]:
+                length = int(self.headers.get("Content-Length") or 0)
+                body = self.rfile.read(length)
+                try:
+                    spec = JobSpec.from_json(
+                        json.loads(body.decode("utf-8"))
+                    )
+                except (KeyError, TypeError) as exc:
+                    # Missing/mistyped spec fields are client errors,
+                    # not unknown resources.
+                    self._reply(400, {"error": f"bad spec: {exc}"})
+                    return
+                self._reply(200, {"job_id": service.submit(spec)})
+            elif method == "GET" and len(parts) == 2 and parts[0] == "jobs":
+                self._reply(200, service.status(parts[1]))
+            elif (
+                method == "POST"
+                and len(parts) == 3
+                and parts[0] == "jobs"
+                and parts[2] in ("cancel", "pause", "resume")
+            ):
+                action = {
+                    "cancel": service.cancel,
+                    "pause": service.pause,
+                    "resume": service.resume_job,
+                }[parts[2]]
+                action(parts[1])
+                self._reply(200, {"ok": True})
+            elif (
+                method == "GET"
+                and len(parts) == 3
+                and parts[0] == "jobs"
+                and parts[2] == "stream"
+            ):
+                kind = parse_qs(split.query).get("kind", ["status"])[0]
+                self._stream(parts[1], kind)
+            else:
+                self._reply(404, {"error": "not found"})
+        except KeyError as exc:
+            self._reply(404, {"error": str(exc)})
+        except ValueError as exc:  # json.JSONDecodeError included
+            self._reply(400, {"error": str(exc)})
+
+    def _reply(self, status: int, payload: Dict) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _stream(self, job_id: str, kind: str) -> None:
+        events = self.server.service.subscribe(job_id, kind=kind)
+        # The first event comes before the status line, so an unknown
+        # kind is still a 400 (the generator checks it on first use).
+        first = next(events)
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.end_headers()
+        try:
+            for event in itertools.chain([first], events):
+                self.wfile.write(json.dumps(event).encode("utf-8") + b"\n")
+        except ConnectionError:
+            pass  # the client hung up; the job goes on without it
+
+
 class ServiceHTTP:
-    """Minimal asyncio HTTP/1.1 frontend for a :class:`CampaignService`.
+    """HTTP frontend for a :class:`CampaignService`, on the standard
+    library's :class:`~http.server.ThreadingHTTPServer`.
 
     Routes::
 
@@ -365,9 +447,9 @@ class ServiceHTTP:
         POST /jobs/<id>/cancel           (also pause / resume)
         GET  /jobs/<id>/stream?kind=...  NDJSON live subscription
 
-    The event loop runs in a dedicated thread; blocking service calls
-    (and each subscription generator's next()) are pushed to the default
-    executor so one slow stream never stalls the control plane.
+    Every request runs its blocking service calls on its own daemon
+    thread, so any number of open streams leaves the control plane
+    answering; the server loop runs in one more thread.
     """
 
     def __init__(
@@ -376,192 +458,31 @@ class ServiceHTTP:
         self.service = service
         self.host = host
         self.port = port
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
+        self._server: Optional[ThreadingHTTPServer] = None
 
-    # -- lifecycle -------------------------------------------------------
     def start(self) -> None:
-        if self._thread is not None:
+        """Bind and serve; a port in use raises ``OSError`` here."""
+        if self._server is not None:
             raise RuntimeError("HTTP frontend already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-service-http", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError("HTTP frontend failed to start")
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        async def boot():
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-            self._ready.set()
-
-        loop.run_until_complete(boot())
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
+        self._server = ThreadingHTTPServer((self.host, self.port), _Handler)
+        self._server.service = self.service
+        self.port = self._server.server_address[1]
+        threading.Thread(
+            target=self._server.serve_forever,
+            name="repro-service-http",
+            daemon=True,
+        ).start()
 
     def stop(self) -> None:
-        loop, self._loop = self._loop, None
-        if loop is None:
+        """Stop accepting requests (``shutdown`` returns once the server
+        loop has exited); streams still open end with the process, as
+        their threads are daemons."""
+        server, self._server = self._server, None
+        if server is None:
             return
-
-        async def teardown():
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-            loop.stop()
-
-        asyncio.run_coroutine_threadsafe(teardown(), loop)
-        self._thread.join(timeout=10)
-        self._thread = None
+        server.shutdown()
+        server.server_close()
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    # -- request handling ------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        try:
-            request = await reader.readline()
-            if not request:
-                return
-            try:
-                method, target, _version = (
-                    request.decode("latin-1").strip().split(" ", 2)
-                )
-            except ValueError:
-                await self._respond(writer, 400, {"error": "bad request"})
-                return
-            length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value.strip())
-            body = await reader.readexactly(length) if length else b""
-            await self._route(writer, method, target, body)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, OSError):
-                pass
-
-    async def _route(self, writer, method: str, target: str, body: bytes):
-        split = urlsplit(target)
-        parts = [p for p in split.path.split("/") if p]
-        query = parse_qs(split.query)
-        loop = asyncio.get_running_loop()
-        try:
-            if method == "GET" and parts == ["health"]:
-                await self._respond(writer, 200, self.service.health())
-            elif method == "GET" and parts == ["jobs"]:
-                data = await loop.run_in_executor(
-                    None, self.service.list_jobs
-                )
-                await self._respond(writer, 200, {"jobs": data})
-            elif method == "POST" and parts == ["jobs"]:
-                try:
-                    spec = JobSpec.from_json(
-                        json.loads(body.decode("utf-8"))
-                    )
-                except (KeyError, TypeError) as exc:
-                    # Missing/mistyped spec fields are client errors,
-                    # not unknown resources.
-                    await self._respond(
-                        writer, 400, {"error": f"bad spec: {exc}"}
-                    )
-                    return
-                job_id = await loop.run_in_executor(
-                    None, self.service.submit, spec
-                )
-                await self._respond(writer, 200, {"job_id": job_id})
-            elif method == "GET" and len(parts) == 2 and parts[0] == "jobs":
-                data = await loop.run_in_executor(
-                    None, self.service.status, parts[1]
-                )
-                await self._respond(writer, 200, data)
-            elif (
-                method == "POST"
-                and len(parts) == 3
-                and parts[0] == "jobs"
-                and parts[2] in ("cancel", "pause", "resume")
-            ):
-                action = {
-                    "cancel": self.service.cancel,
-                    "pause": self.service.pause,
-                    "resume": self.service.resume_job,
-                }[parts[2]]
-                await loop.run_in_executor(None, action, parts[1])
-                await self._respond(writer, 200, {"ok": True})
-            elif (
-                method == "GET"
-                and len(parts) == 3
-                and parts[0] == "jobs"
-                and parts[2] == "stream"
-            ):
-                kind = query.get("kind", ["status"])[0]
-                await self._stream(writer, parts[1], kind)
-            else:
-                await self._respond(writer, 404, {"error": "not found"})
-        except KeyError as exc:
-            await self._respond(writer, 404, {"error": str(exc)})
-        except (ValueError, json.JSONDecodeError) as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
-
-    async def _respond(self, writer, status: int, payload: Dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "OK"
-        )
-        writer.write(
-            (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-            + body
-        )
-        await writer.drain()
-
-    async def _stream(self, writer, job_id: str, kind: str) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            events = self.service.subscribe(job_id, kind=kind)
-        except (KeyError, ValueError) as exc:
-            code = 404 if isinstance(exc, KeyError) else 400
-            await self._respond(writer, code, {"error": str(exc)})
-            return
-        writer.write(
-            (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/x-ndjson\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-        )
-        await writer.drain()
-        sentinel = object()
-        while True:
-            event = await loop.run_in_executor(
-                None, next, events, sentinel
-            )
-            if event is sentinel:
-                break
-            writer.write(json.dumps(event).encode("utf-8") + b"\n")
-            await writer.drain()

@@ -39,6 +39,7 @@ from repro.backends import (
     KernelSet,
     active_kernels,
     backend_status,
+    default_backend,
     get_backend,
     resolution_generation,
     resolve_backend,
@@ -776,6 +777,20 @@ class TestEngineResolution:
                        backend="numpy")
         eng.refine(part.copy())
         assert eng._backend_name == "numpy"
+
+    def test_inline_campaign_keeps_the_callers_default(self):
+        """A one-worker campaign runs in the caller's process; its
+        backend must not stay behind as that process's default."""
+        from repro.evaluation import CampaignSpec
+        from repro.orchestrate import orchestrate_campaign
+
+        spec = CampaignSpec(
+            name="inline", heuristics=[FMPartitioner(tolerance=0.2)],
+            instances={"c": generate_circuit(60, seed=2)}, num_starts=2,
+        )
+        before = (default_backend(), resolve_backend())
+        orchestrate_campaign(spec, backend="cnative")
+        assert (default_backend(), resolve_backend()) == before
 
 
 # ----------------------------------------------------------------------

@@ -240,6 +240,67 @@ class TestCampaignCLI:
                      "--num-shuffles", "20"]) == 0
         assert store.status().done == 6
 
+    def test_spec_runs_under_its_own_policy(self, tmp_path, capsys):
+        """ML LIFO on ibm01s (scale 8) at 10% with ``sticky_cache``:
+        the spec's sticky stream journals a cut of 40 six times, where
+        the non-sticky one has 78 at start 4.  The policy flags are
+        refused beside a spec rather than overriding it."""
+        import json
+
+        from repro.orchestrate import RunStore, orchestrate_campaign
+        from repro.service import JobSpec
+
+        job = {
+            "name": "sticky",
+            "instances": [{"kind": "suite", "label": "ibm01s",
+                           "suite": "ibm01s", "scale": 8}],
+            "engines": ["ml-lifo"],
+            "num_starts": 6,
+            "tolerance": 0.1,
+            "sticky_cache": True,
+        }
+        spec_file = tmp_path / "job.json"
+        spec_file.write_text(json.dumps(job))
+        run = ["campaign", "run", "--spec", str(spec_file),
+               "--num-shuffles", "10",
+               "--store-dir", str(tmp_path / "campaigns")]
+        assert main(run) == 0
+        jobspec = JobSpec.from_json(job)
+        instances = {s.label: s.load() for s in jobspec.instances}
+        sticky = orchestrate_campaign(jobspec.campaign_spec(instances),
+                                      sticky_cache=True)
+        store = RunStore(tmp_path / "campaigns" / "sticky")
+        assert [o.cut for o in store.outcomes()] == [
+            r.cut for r in sticky.records]
+        assert store.load_meta()["sticky_pools"] == 2
+
+        capsys.readouterr()
+        for flag in (["--sticky-cache"], ["--sticky-pool-size", "2"],
+                     ["--timeout", "60"], ["--retries", "1"],
+                     ["--backend", "numpy"]):
+            assert main(run + ["--resume"] + flag) == 2
+            assert flag[0] in capsys.readouterr().err
+
+    def test_resume_refuses_another_sticky_stream(
+        self, hgr_path, tmp_path, capsys
+    ):
+        from repro.orchestrate import RunStore
+
+        assert self._run(hgr_path, tmp_path, "--sticky-cache") == 0
+        campaign_dir = str(tmp_path / "campaigns" / "cli-orch")
+        store = RunStore(campaign_dir)
+        lines = store.journal_path.read_text().splitlines(True)
+        store.journal_path.write_text("".join(lines[:3]))
+        capsys.readouterr()
+
+        assert main(["campaign", "resume", campaign_dir,
+                     "--num-shuffles", "20"]) == 2
+        assert "sticky_pools mismatch" in capsys.readouterr().err
+        assert store.status().done == 3
+        assert main(["campaign", "resume", campaign_dir, "--sticky-cache",
+                     "--num-shuffles", "20"]) == 0
+        assert store.status().done == 8
+
     def test_resume_completes_truncated_journal(
         self, hgr_path, tmp_path, capsys
     ):

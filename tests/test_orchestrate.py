@@ -313,6 +313,34 @@ class TestRunFingerprint:
         orchestrate_campaign(spec, store_dir=tmp_path, resume=True)
         assert store.status().done == 6
 
+    def test_resume_refuses_another_sticky_stream(self, tmp_path):
+        """ML LIFO on ibm01s (scale 8) at 10%: the sticky stream journals
+        a cut of 40 six times, the non-sticky one 78 at start 4, so a
+        resume on the other stream would mix two experiments."""
+        from repro.instances import suite_instance
+
+        spec = CampaignSpec(
+            name="sticky",
+            heuristics=[MLPartitioner(tolerance=0.1, name="ML LIFO")],
+            instances={"ibm01s": suite_instance("ibm01s", scale=8)},
+            num_starts=6,
+        )
+        orchestrate_campaign(spec, store_dir=tmp_path, sticky_cache=True)
+        store = RunStore(tmp_path / "sticky")
+        whole = store.outcomes()
+        lines = store.journal_path.read_text().splitlines(True)
+        store.journal_path.write_text("".join(lines[:3]))
+        for policy in ({}, {"sticky_cache": True, "sticky_pool_size": 3}):
+            with pytest.raises(ValueError, match="sticky_pools mismatch"):
+                orchestrate_campaign(spec, store_dir=tmp_path, resume=True,
+                                     **policy)
+        assert store.status().done == 3
+        orchestrate_campaign(spec, store_dir=tmp_path, resume=True,
+                             sticky_cache=True)
+        assert [(o.trial, o.cut) for o in store.outcomes()] == [
+            (o.trial, o.cut) for o in whole]
+        assert store.load_meta()["sticky_pools"] == 2
+
     def test_store_without_run_hash_keeps_the_name_rule(self, tmp_path):
         spec, store = self._flat_lifo_store(tmp_path)
         meta = store.load_meta()

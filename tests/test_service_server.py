@@ -7,8 +7,13 @@ take concurrent submissions, and the whole loop must be drivable from
 """
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,8 @@ from repro.service.client import ServiceError
 from repro.service.server import CampaignService
 
 pytestmark = pytest.mark.service
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def tiny_spec(name, cells=40, gen_seed=3, base_seed=0, starts=3,
@@ -277,6 +284,137 @@ class TestHTTPEndToEnd:
 
 
 # ----------------------------------------------------------------------
+#: One more status watcher than the threads of asyncio's default
+#: executor, on a paused job; then resume and cancel with a 5 s client
+#: timeout.  Prints how many watchers saw their stream open, each
+#: control call's seconds (None on a timeout) and how many watchers got
+#: their ``end`` event.
+WATCHERS = """
+import json, os, sys, threading, time
+sys.path.insert(0, {src!r})
+from repro.service import (
+    CampaignService, InstanceSource, JobSpec, ServiceClient, ServiceHTTP)
+
+service = CampaignService({directory!r}, workers=1)
+http = ServiceHTTP(service)
+http.start()
+client = ServiceClient(http.url, timeout=5)
+job_id = client.submit(JobSpec(
+    name="stall", engines=["flat-lifo"], num_starts=400, num_shuffles=10,
+    instances=[InstanceSource(kind="generate", label="g", cells=150,
+                              seed=3)]))
+while client.status(job_id)["done"] < 1:
+    time.sleep(0.02)
+client.pause(job_id)
+n = min(32, os.cpu_count() + 4) + 1
+opened, ended = threading.Semaphore(0), []
+
+def watch():
+    events = ServiceClient(http.url, timeout=60).watch(job_id)
+    next(events)
+    opened.release()
+    if list(events)[-1]["event"] == "end":
+        ended.append(1)
+
+watchers = [threading.Thread(target=watch, daemon=True) for _ in range(n)]
+for w in watchers:
+    w.start()
+seen = sum(opened.acquire(timeout=10) for _ in range(n))
+
+def seconds(call):
+    t0 = time.monotonic()
+    try:
+        call(job_id)
+    except OSError:
+        return None
+    return time.monotonic() - t0
+
+out = {{"watchers": n, "opened": seen, "resume": seconds(client.resume),
+        "cancel": seconds(client.cancel)}}
+deadline = time.monotonic() + 30
+for w in watchers:
+    w.join(timeout=max(0.0, deadline - time.monotonic()))
+out["ended"] = len(ended)
+print(json.dumps(out))
+http.stop()
+service.close()
+"""
+
+
+class TestHTTPPlane:
+    def test_open_streams_leave_the_control_plane_answering(self, tmp_path):
+        """Status streams on a paused job each hold a thread; resume and
+        cancel must still answer, and every stream then ends.  Run in
+        a child process: threads a stuck frontend pins would also keep
+        this interpreter from exiting."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             WATCHERS.format(src=SRC, directory=str(tmp_path / "svc"))],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["opened"] == out["watchers"], out
+        assert out["resume"] is not None and out["resume"] < 5, out
+        assert out["cancel"] is not None and out["cancel"] < 5, out
+        assert out["ended"] == out["watchers"], out
+
+    def test_dropped_stream_leaves_the_service_serving(self, tmp_path,
+                                                       capfd):
+        service = CampaignService(tmp_path / "svc", workers=1)
+        http = ServiceHTTP(service)
+        http.start()
+        try:
+            client = ServiceClient(http.url)
+            job_id = client.submit(tiny_spec("drop", cells=150, starts=40))
+            events = client.watch(job_id, kind="report")
+            assert next(events)["event"] == "report"
+            events.close()  # hang up halfway
+            assert client.health()["jobs"] == 1
+            assert client.wait(job_id)["status"] == JOB_DONE
+        finally:
+            http.stop()
+            service.close()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_unknown_stream_kind_is_a_bad_request(self, service):
+        http = ServiceHTTP(service)
+        http.start()
+        try:
+            client = ServiceClient(http.url)
+            job_id = service.submit(tiny_spec("kind"))
+            with pytest.raises(ServiceError) as exc:
+                list(client.watch(job_id, kind="nope"))
+            assert exc.value.status == 400
+            service.wait(job_id, timeout=60)
+        finally:
+            http.stop()
+
+    def test_port_in_use_fails_at_once(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            t0 = time.monotonic()
+            assert main(["serve", "--dir", str(tmp_path / "svc"),
+                         "--workers", "1", "--port", str(port)]) == 2
+            assert time.monotonic() - t0 < 5
+        assert "error:" in capsys.readouterr().err
+
+    def test_import_loads_no_asyncio(self):
+        code = ("import sys, repro.service; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'asyncio'))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["[]"]
+
+
+# ----------------------------------------------------------------------
 class TestCLISmoke:
     def test_job_submit_wait_under_budget(self, tmp_path, capsys):
         """CI smoke: `repro job submit --wait` against a live service
@@ -304,6 +442,29 @@ class TestCLISmoke:
         finally:
             http.stop()
             service.close()
+
+    def test_campaign_resume_finishes_a_service_job(self, tmp_path, capsys):
+        """A job directory is a campaign store: ``repro campaign resume``
+        rebuilds its campaign from the service spec and finishes it
+        under the spec's own policy (sticky caches here)."""
+        from repro.cli import main
+
+        spec = tiny_spec("svc-resume", cells=200, starts=4,
+                         engines=("ml-lifo",), sticky_cache=True)
+        service = CampaignService(tmp_path / "svc", workers=1)
+        try:
+            job_id = service.submit(spec)
+            assert service.wait(job_id, timeout=60) == JOB_DONE
+            directory = service._records[job_id].directory
+        finally:
+            service.close()
+        store = RunStore(directory)
+        whole = outcome_key(store.outcomes())
+        lines = store.journal_path.read_text().splitlines(True)
+        store.journal_path.write_text("".join(lines[:2]))
+        assert main(["campaign", "resume", str(directory),
+                     "--num-shuffles", "10"]) == 0
+        assert outcome_key(store.outcomes()) == whole
 
     def test_job_cli_against_dead_service_fails_cleanly(self, capsys):
         from repro.cli import main
